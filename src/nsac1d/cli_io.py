@@ -272,6 +272,9 @@ def read_diagnostics(path):
 LYAP_SLACK = 1e-3
 PHI_TOL = 1e-8
 MASS_TOL = 1e-12
+# read by the asserted checks, whose comparisons a NaN would pass vacuously
+ASSERTED_COLUMNS = ("t", "mass_excess", "e_lyap", "diss_cum", "e0", "phi_min",
+                    "phi_max", "v_min", "theta_min")
 
 
 def audit_records(records):
@@ -292,6 +295,11 @@ def audit_records(records):
 
     if not records:
         return ["empty diagnostics"], ["FAIL  empty diagnostics: no records"]
+    bad = [(name, r.t) for r in records for name in ASSERTED_COLUMNS
+           if not np.isfinite(getattr(r, name))]
+    check("finite_values", not bad,
+          f"{len(bad)} non-finite values in the asserted columns"
+          + (f", first {bad[0][0]} at t = {bad[0][1]}" if bad else ""))
     records = sorted(records, key=lambda r: r.t)
     e0 = records[0].e0
     tiny = 1e-14 * (1.0 + e0)

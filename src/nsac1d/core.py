@@ -24,7 +24,7 @@ FARFIELD_REACH_TOL = 1e-12
 
 
 class PositivityError(RuntimeError):
-    """Specific volume or temperature at or below the positivity floor.
+    """v or theta at or below the positivity floor, or a field not finite.
 
     Raised instead of clamping: a violation means the run is under-resolved
     or the scheme misbehaves, and has to be surfaced.
@@ -36,10 +36,10 @@ class PositivityError(RuntimeError):
         self.value = float(value)
         self.t = float(t)
         self.floor = float(floor)
-        super().__init__(
-            f"{field} = {self.value:.6e} at cell {cell} (t = {self.t:.6e}) "
-            f"is at or below the positivity floor {self.floor:.1e}"
-        )
+        problem = ("is not finite" if not math.isfinite(self.value) else
+                   f"is at or below the positivity floor {self.floor:.1e}")
+        super().__init__(f"{field} = {self.value:.6e} at cell {cell} "
+                         f"(t = {self.t:.6e}) {problem}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,31 @@ class BoundaryConfig:
                 raise ValueError(f"{name} must be +1 or -1, got {getattr(self, name)}")
 
 
+# Row order of the packed state: the three conservatively diffused fields
+# (u, phi, theta) are adjacent, and so are the two kept above the positivity
+# floor (theta, v), so each group is one contiguous slice.
+FIELDS = ("u", "phi", "theta", "v", "G")
+
+
+def row_property(k, ghosts=0):
+    """A read/write attribute for row k of `self.data`, less `ghosts` cells
+    at each end; reads give a view."""
+    cols = slice(ghosts, -ghosts or None)
+
+    def get(self):
+        return self.data[k, cols]
+
+    def set(self, values):
+        self.data[k, cols] = values
+
+    return property(get, set)
+
+
 @dataclass
 class FlowState:
-    """Cell-centered fields at one time level, ghost layers included.
+    """Cell-centered fields at one time level, ghost layers included: the
+    rows of one (5, N + 4) array `data` in FIELDS order; `state.v` and the
+    like are views of those rows.
 
     G accumulates the per-cell time integral of theta/v + (eps/2)(phi_x/v)^2
     from the start of the run; its far-field value is t, which apply_bc
@@ -140,15 +162,16 @@ class FlowState:
 
     grid: MassGrid
     t: float
-    v: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    G: np.ndarray
+    data: np.ndarray
+
+    u = row_property(0)
+    phi = row_property(1)
+    theta = row_property(2)
+    v = row_property(3)
+    G = row_property(4)
 
     def copy(self):
-        return FlowState(self.grid, self.t, self.v.copy(), self.u.copy(),
-                         self.theta.copy(), self.phi.copy(), self.G.copy())
+        return FlowState(self.grid, self.t, self.data.copy())
 
     def interior(self, name):
         return getattr(self, name)[self.grid.interior]
@@ -157,27 +180,41 @@ class FlowState:
 def apply_bc(state, bc):
     """Write the far-field values into both ghost layers, in place."""
     g = state.grid.n_ghost
-    for arr, val in ((state.v, FARFIELD_V), (state.u, FARFIELD_U),
-                     (state.theta, FARFIELD_THETA)):
-        arr[:g] = val
-        arr[-g:] = val
-    state.phi[:g] = bc.phi_left
-    state.phi[-g:] = bc.phi_right
-    state.G[:g] = state.t
-    state.G[-g:] = state.t
+    # one column per side, in FIELDS order
+    left = (FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t)
+    right = (FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V, state.t)
+    state.data[:, :g] = np.array(left)[:, None]
+    state.data[:, -g:] = np.array(right)[:, None]
     return state
 
 
+def check_positive(state, params):
+    """Hard error naming field and first offending interior cell if a field
+    is not finite, or if v or theta is at or below the positivity floor."""
+    s = state.grid.interior
+    floor = params.positivity_floor
+    # fast path over the contiguous rows u, phi, theta, v, ghosts included:
+    # apply_bc keeps those finite
+    if np.isfinite(state.data[:4]).all() and state.data[2:4, s].min() > floor:
+        return
+    for name in ("v", "theta", "u", "phi"):
+        vals = state.interior(name)
+        ok = np.isfinite(vals) & (vals > floor if name in ("v", "theta") else True)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise PositivityError(name, j, vals[j], state.t, floor)
+
+
 def _blank_state(grid, t=0.0):
-    m = grid.n_total
-    return FlowState(grid, float(t), np.empty(m), np.empty(m), np.empty(m),
-                     np.empty(m), np.zeros(m))
+    state = FlowState(grid, float(t), np.empty((len(FIELDS), grid.n_total)))
+    state.G[:] = 0.0
+    return state
 
 
 def state_from_fields(grid, bc, v, u, theta, phi, t=0.0, params=None):
     """Assemble a FlowState from interior field arrays; G starts at zero.
 
-    Positivity of v and theta is checked when params is given.
+    The fields are checked with check_positive when params is given.
     """
     state = _blank_state(grid, t)
     s = grid.interior
@@ -189,11 +226,7 @@ def state_from_fields(grid, bc, v, u, theta, phi, t=0.0, params=None):
         getattr(state, name)[s] = arr
     apply_bc(state, bc)
     if params is not None:
-        for name in ("v", "theta"):
-            vals = state.interior(name)
-            j = int(np.argmin(vals))
-            if vals[j] <= params.positivity_floor:
-                raise PositivityError(name, j, vals[j], t, params.positivity_floor)
+        check_positive(state, params)
     return state
 
 

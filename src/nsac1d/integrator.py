@@ -20,7 +20,6 @@ LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 @dataclass
 class StepControl:
     dt_last: float = 0.0
-    dt_next: float = 0.0
     limit_kind: str = "diffusion"
     step_count: int = 0
 
@@ -38,11 +37,8 @@ def step_limits(state, params):
     """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL."""
     grid = state.grid
     s = grid.interior
-    v = state.v[s]
-    theta = state.theta[s]
-    phi = state.phi[s]
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(theta))
-            and np.all(np.isfinite(state.u[s])) and np.all(np.isfinite(phi))):
+    phi, theta, v = state.data[1:4, s]
+    if not np.isfinite(state.data[:4, s]).all():  # u, phi, theta, v
         raise ValueError(f"non-finite field values at t = {state.t:.6e}")
 
     eps = params.epsilon
@@ -64,25 +60,12 @@ def stable_dt(state, params):
     return params.cfl * min(step_limits(state, params))
 
 
-def _advance(state, rhs, dt, bc):
-    s = state.grid.interior
-    out = state.copy()
-    out.t = state.t + dt
-    out.v[s] += dt * rhs.dv
-    out.u[s] += dt * rhs.du
-    out.theta[s] += dt * rhs.dtheta
-    out.phi[s] += dt * rhs.dphi
-    out.G[s] += dt * rhs.dG
-    return apply_bc(out, bc)
-
-
 def _add_sources(rhs, sources, x, t):
     sv, su, stheta, sphi = sources(x, t)
-    rhs.dv = rhs.dv + sv
-    rhs.du = rhs.du + su
-    rhs.dtheta = rhs.dtheta + stheta
-    rhs.dphi = rhs.dphi + sphi
-    return rhs
+    rhs.dv += sv
+    rhs.du += su
+    rhs.dtheta += stheta
+    rhs.dphi += sphi
 
 
 def step(state, params, bc, dt=None, sources=None):
@@ -96,25 +79,19 @@ def step(state, params, bc, dt=None, sources=None):
         dt = stable_dt(state, params)
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    x = state.grid.x
+    grid = state.grid
 
     f1 = semi_discrete_rhs(state, params, bc)
     if sources is not None:
-        f1 = _add_sources(f1, sources, x, state.t)
-    stage = _advance(state, f1, dt, bc)
+        _add_sources(f1, sources, grid.x, state.t)
+    stage = FlowState(grid, state.t + dt, state.data + dt * f1.data)
+    apply_bc(stage, bc)
 
     f2 = semi_discrete_rhs(stage, params, bc)
     if sources is not None:
-        f2 = _add_sources(f2, sources, x, stage.t)
-
-    s = state.grid.interior
-    out = state.copy()
-    out.t = state.t + dt
-    out.v[s] = 0.5 * (state.v[s] + stage.v[s] + dt * f2.dv)
-    out.u[s] = 0.5 * (state.u[s] + stage.u[s] + dt * f2.du)
-    out.theta[s] = 0.5 * (state.theta[s] + stage.theta[s] + dt * f2.dtheta)
-    out.phi[s] = 0.5 * (state.phi[s] + stage.phi[s] + dt * f2.dphi)
-    out.G[s] = 0.5 * (state.G[s] + stage.G[s] + dt * f2.dG)
+        _add_sources(f2, sources, grid.x, stage.t)
+    out = FlowState(grid, state.t + dt,
+                    0.5 * (state.data + stage.data + dt * f2.data))
     apply_bc(out, bc)
     check_positive(out, params)
     return out
@@ -164,5 +141,4 @@ def run(initial, params, bc, t_final, observer=None, observe_every=1,
         control.dt_last = dt
         if observer is not None and (control.step_count % observe_every == 0 or last):
             observer(state)
-    control.dt_next = stable_dt(state, params)
     return RunResult(state=state, control=control)

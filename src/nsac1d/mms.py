@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import BoundaryConfig, make_grid, state_from_fields
 from .integrator import run
+from .operators import potential_from
 
 
 def _sigmoid(y):
@@ -121,7 +122,7 @@ class ManufacturedCase:
         phi, phi_x, phi_xx = d["phi"], d["phi_x"], d["phi_xx"]
 
         ratio_x = phi_xx / v - phi_x * v_x / v**2  # (phi_x / v)_x
-        mu = (phi**3 - phi) / eps - eps * ratio_x
+        mu = potential_from(phi, ratio_x, eps)
 
         s_v = v_t - u_x
         s_u = (u_t + pr.gas_R * (theta_x / v - theta * v_x / v**2)

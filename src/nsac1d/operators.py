@@ -3,9 +3,9 @@
 Grouping of the momentum flux: the capillary stress joins the thermal
 pressure in a single effective pressure p_eff = R*theta/v + (eps/2)(phi_x/v)^2
 which is differenced once, so the discrete momentum sum telescopes to the
-two outer faces.  All stencils assume populated ghost layers; outputs are
-full-length arrays whose outermost entry on each side is zero-filled and
-must not be read.
+two outer faces.  All stencils assume populated ghost layers; d1_center,
+diffusion_flux and chemical_potential return full-length arrays whose
+outermost entry on each side holds no stencil value and must not be read.
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PositivityError, apply_bc
+from .core import N_GHOST, apply_bc, check_positive, row_property
+
+
+def _centered(f, dx):
+    """(f_{i+1} - f_{i-1}) / (2 dx) at every cell with both neighbours."""
+    return (f[2:] - f[:-2]) / (2.0 * dx)
 
 
 def d1_center(f, dx):
@@ -24,7 +29,7 @@ def d1_center(f, dx):
     telescope to the outer face values.
     """
     out = np.zeros_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    out[1:-1] = _centered(f, dx)
     return out
 
 
@@ -35,10 +40,16 @@ def face_average(c):
 
 def diffusion_flux(a_face, f, dx):
     """Conservative flux form of (a f_x)_x with face coefficients a_face."""
-    out = np.zeros_like(f)
-    out[1:-1] = (a_face[1:] * (f[2:] - f[1:-1])
-                 - a_face[:-1] * (f[1:-1] - f[:-2])) / dx**2
+    flux = a_face * (f[1:] - f[:-1])
+    out = np.zeros(f.shape)
+    np.divide(flux[1:] - flux[:-1], dx**2, out=out[1:-1])
     return out
+
+
+def potential_from(phi, phi_lap, eps):
+    """mu = (1/eps)(phi^3 - phi) - eps phi_lap, given phi_lap = (phi_x / v)_x;
+    the cube is a product because pow() is slow for negative bases."""
+    return (phi * phi * phi - phi) / eps - eps * phi_lap
 
 
 def chemical_potential(state, params):
@@ -47,64 +58,23 @@ def chemical_potential(state, params):
     Shares the diffusion stencil with the phase equation so phi_t = -v mu
     holds exactly at the discrete level.
     """
-    eps = params.epsilon
     lap = diffusion_flux(face_average(1.0 / state.v), state.phi, state.grid.dx)
-    return (state.phi**3 - state.phi) / eps - eps * lap
-
-
-def effective_pressure(state, params):
-    """p_eff = R*theta/v + (eps/2)(phi_x/v)^2 on the ghost-padded array."""
-    phi_x = d1_center(state.phi, state.grid.dx)
-    return (params.gas_R * state.theta / state.v
-            + 0.5 * params.epsilon * (phi_x / state.v) ** 2)
-
-
-def check_positive(state, params):
-    """Hard error naming cell and field if v or theta is at/below the floor."""
-    for name in ("v", "theta"):
-        vals = state.interior(name)
-        j = int(np.argmin(vals))
-        if vals[j] <= params.positivity_floor:
-            raise PositivityError(name, j, vals[j], state.t, params.positivity_floor)
-
-
-@dataclass
-class DerivedFields:
-    """Per-state derived quantities on the interior cells (faces: N+1 values)."""
-
-    mu: np.ndarray
-    p_eff: np.ndarray
-    phi_x_over_v: np.ndarray
-    kappa_face: np.ndarray
-    visc_face: np.ndarray
-    u_x: np.ndarray
-
-
-def derived_fields(state, params):
-    grid = state.grid
-    s = grid.interior
-    faces = slice(grid.n_ghost - 1, grid.n_ghost + grid.n_cells)
-    phi_x = d1_center(state.phi, grid.dx)
-    kappa = params.kappa_tilde * state.theta**params.beta / state.v
-    return DerivedFields(
-        mu=chemical_potential(state, params)[s],
-        p_eff=effective_pressure(state, params)[s],
-        phi_x_over_v=(phi_x / state.v)[s],
-        kappa_face=face_average(kappa)[faces],
-        visc_face=face_average(params.nu / state.v)[faces],
-        u_x=d1_center(state.u, grid.dx)[s],
-    )
+    return potential_from(state.phi, lap, params.epsilon)
 
 
 @dataclass
 class Rhs:
-    """Interior time derivatives of (v, u, theta, phi) and the G accumulator."""
+    """Time derivatives in the layout of FlowState: one (5, N + 4) array in
+    FIELDS order whose ghost columns are zero, so that s + dt F is one array
+    operation.  du, dphi, dtheta, dv and dG are views of the interior cells."""
 
-    dv: np.ndarray
-    du: np.ndarray
-    dtheta: np.ndarray
-    dphi: np.ndarray
-    dG: np.ndarray
+    data: np.ndarray
+
+    du = row_property(0, N_GHOST)
+    dphi = row_property(1, N_GHOST)
+    dtheta = row_property(2, N_GHOST)
+    dv = row_property(3, N_GHOST)
+    dG = row_property(4, N_GHOST)
 
 
 def semi_discrete_rhs(state, params, bc):
@@ -126,23 +96,36 @@ def semi_discrete_rhs(state, params, bc):
 
     grid = state.grid
     dx = grid.dx
+    n, g, m = grid.n_cells, grid.n_ghost, grid.n_total
     s = grid.interior
-    v, u, theta, phi = state.v, state.u, state.theta, state.phi
     eps = params.epsilon
+    data = state.data
+    v, theta = data[3], data[2]
+    v_i = v[s]
 
-    u_x = d1_center(u, dx)
-    phi_x = d1_center(phi, dx)
-    mu = chemical_potential(state, params)
-    p_eff = params.gas_R * theta / v + 0.5 * eps * (phi_x / v) ** 2
+    # (a f_x)_x for f = u, phi, theta with a = nu/v, 1/v, kappa_tilde theta^beta/v,
+    # as one stencil along the flattened rows; where it straddles two rows
+    # it lands in a ghost column, which is never read
+    coef = np.empty((3, m))
+    coef[:2] = ((params.nu,), (1.0,))
+    coef[2] = params.kappa_tilde * theta**params.beta
+    coef /= v
+    lap = diffusion_flux(face_average(coef.reshape(-1)), data[:3].reshape(-1), dx)
+    visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
 
-    visc = diffusion_flux(face_average(params.nu / v), u, dx)
-    conduct = diffusion_flux(
-        face_average(params.kappa_tilde * theta**params.beta / v), theta, dx)
+    # p_eff is differenced, so it is needed one ghost cell beyond the interior
+    e = slice(g - 1, g + n + 1)
+    u_x = _centered(data[0, e], dx)
+    phi_x = _centered(data[1, g - 2:g + n + 2], dx)
+    mu = potential_from(data[1, s], phi_lap, eps)
+    p_thermal = params.gas_R * theta[e] / v[e]
+    capillary = 0.5 * eps * (phi_x / v[e]) ** 2
 
-    dv = u_x[s]
-    du = -d1_center(p_eff, dx)[s] + visc[s]
-    dphi = -(v * mu)[s]
-    dtheta = (-(params.gas_R * theta / v)[s] * u_x[s] + conduct[s]
-              + params.nu * u_x[s] ** 2 / v[s] + (v * mu**2)[s]) / params.c_v
-    dG = (theta / v)[s] + 0.5 * eps * (phi_x[s] / v[s]) ** 2
-    return Rhs(dv=dv, du=du, dtheta=dtheta, dphi=dphi, dG=dG)
+    rhs = Rhs(np.zeros(data.shape))
+    rhs.du = visc - _centered(p_thermal + capillary, dx)
+    rhs.dphi = -v_i * mu
+    rhs.dtheta = (conduct - p_thermal[1:-1] * u_x + params.nu * u_x**2 / v_i
+                  + v_i * mu**2) / params.c_v
+    rhs.dv = u_x
+    rhs.dG = theta[s] / v_i + capillary[1:-1]
+    return rhs

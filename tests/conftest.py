@@ -1,5 +1,6 @@
-"""Shared fixtures: default parameters and a per-step tracking runner used
-by the integrator tests and the acceptance suite."""
+"""Shared fixtures: default parameters, a per-step tracking runner used by
+the integrator tests and the acceptance suite, and a NaN-injecting sources
+hook."""
 
 from dataclasses import dataclass, field
 
@@ -76,6 +77,16 @@ def tracked_run(params, grid, bc, state, t_final, brackets=True):
 
     tr.result = ns.run(state, params, bc, t_final, observer=observer)
     return tr
+
+
+def nan_sources_after(t_bad):
+    """A sources(x, t) hook for run() that is NaN at stage times past t_bad."""
+
+    def sources(x, t):
+        value = np.nan if t > t_bad else 0.0
+        return (np.full_like(x, value),) * 4
+
+    return sources
 
 
 @pytest.fixture(scope="session")

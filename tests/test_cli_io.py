@@ -1,12 +1,17 @@
+import copy
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsac1d as ns
-from nsac1d.cli_io import (_fmt, read_diagnostics, read_snapshot,
-                           write_diagnostics, write_snapshot)
+from conftest import nan_sources_after
+from nsac1d import cli_io
+from nsac1d.cli_io import (ASSERTED_COLUMNS, _fmt, read_diagnostics,
+                           read_snapshot, write_diagnostics, write_snapshot)
 
 
 EQ_CONFIG = """\
@@ -174,6 +179,45 @@ class TestAudit:
         assert "mass_conservation" in out.getvalue()
 
 
+@pytest.fixture(scope="module")
+def healthy_records(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("healthy")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(INTERFACE_CONFIG + f"outdir = {tmp / 'out'}\n")
+    assert ns.main(["run", str(cfg)], out=io.StringIO()) == 0
+    return read_diagnostics(tmp / "out" / "diagnostics.csv")
+
+
+class TestAuditNonFinite:
+    def test_healthy_series_is_finite(self, healthy_records):
+        failures, lines = ns.audit_records(healthy_records)
+        assert failures == []
+        assert any(line.startswith("PASS  finite_values") for line in lines)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_nan_in_any_asserted_cell_fails(self, healthy_records, data):
+        records = copy.deepcopy(healthy_records)
+        row = data.draw(st.integers(0, len(records) - 1), label="row")
+        column = data.draw(st.sampled_from(ASSERTED_COLUMNS), label="column")
+        setattr(records[row], column, math.nan)
+        failures, lines = ns.audit_records(records)
+        assert "finite_values" in failures
+        assert any(line.startswith("FAIL  finite_values") for line in lines)
+
+    def test_nan_last_row_fails_from_csv(self, healthy_records, tmp_path):
+        records = copy.deepcopy(healthy_records)
+        for name in ASSERTED_COLUMNS:
+            if name != "t":
+                setattr(records[-1], name, math.nan)
+        path = tmp_path / "nan.csv"
+        write_diagnostics(records, path)
+        out = io.StringIO()
+        assert ns.main(["audit", str(path)], out=out) == 1
+        assert "FAIL  finite_values" in out.getvalue()
+        assert "AUDIT FAILED" in out.getvalue()
+
+
 class TestMainCommands:
     def test_brackets_zero_prints_ones(self):
         out = io.StringIO()
@@ -249,6 +293,25 @@ class TestMainCommands:
         assert "ABORT" in text and "cell" in text
         # the partial diagnostics time series is still written for post-mortems
         assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_nan_on_final_step_exits_1_with_diagnostics(self, tmp_path, monkeypatch):
+        run = cli_io.run
+
+        def run_with_nan_at_the_end(initial, params, bc, t_final, **kwargs):
+            return run(initial, params, bc, t_final,
+                       sources=nan_sources_after(t_final - 1e-9), **kwargs)
+
+        monkeypatch.setattr(cli_io, "run", run_with_nan_at_the_end)
+        cfg = tmp_path / "eq.cfg"
+        cfg.write_text(EQ_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 1
+        assert "ABORT" in out.getvalue() and "not finite" in out.getvalue()
+        records = read_diagnostics(tmp_path / "out" / "diagnostics.csv")
+        # the dump is the last accepted state, one step short of t_final
+        assert 0.0 < records[-1].t < 0.05
+        assert all(math.isfinite(getattr(r, name))
+                   for r in records for name in ASSERTED_COLUMNS)
 
 
 class TestFloatFormatting:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,11 +135,23 @@ class TestInterfaceInitialState:
         params = ns.SimParams()
         grid = ns.make_grid(16, 64)
         bc = ns.BoundaryConfig(-1.0, 1.0)
-        state = ns.interface_initial_state(
-            grid, params, bc, phi_width=1.0,
-            v_amp=v_amp, v_width=width, v_center=center,
-            u_amp=u_amp, u_width=width, u_center=center,
-            theta_amp=theta_amp, theta_width=width, theta_center=center)
+
+        def build():
+            return ns.interface_initial_state(
+                grid, params, bc, phi_width=1.0,
+                v_amp=v_amp, v_width=width, v_center=center,
+                u_amp=u_amp, u_width=width, u_center=center,
+                theta_amp=theta_amp, theta_width=width, theta_center=center)
+
+        # wide bumps near the edge of the drawn range miss the far field at
+        # |x| = L by more than 1e-12 and must be rejected
+        gap = max(abs(v_amp), abs(u_amp), abs(theta_amp)) * math.exp(
+            -(((grid.half_width - abs(center)) / width) ** 2))
+        if gap > 1e-12:
+            with pytest.raises(ValueError, match="far-field"):
+                build()
+            return
+        state = build()
         assert state.t == 0.0
         assert np.all(state.interior("v") > params.positivity_floor)
         assert np.all(state.interior("theta") > params.positivity_floor)

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import nsac1d as ns
-from conftest import tracked_run
+from conftest import nan_sources_after, tracked_run
 
 
 class TestStableDt:
@@ -190,3 +191,60 @@ class TestRun:
         # the attached state is the last accepted one, still valid
         assert abort.state.interior("v").min() > params.positivity_floor
         assert abort.state.interior("theta").min() > params.positivity_floor
+
+
+class TestNonFiniteAbort:
+    def test_nan_on_final_step_aborts(self, params):
+        grid = ns.make_grid(8, 32)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        eq = ns.equilibrium_state(grid, bc)
+        cap = 0.25 * ns.stable_dt(eq, params)
+        seen = []
+        with pytest.raises(ns.SimulationAbort) as exc_info:
+            ns.run(eq, params, bc, 10 * cap, dt_cap=cap, observer=seen.append,
+                   sources=nan_sources_after(9.5 * cap))
+        abort = exc_info.value
+        assert isinstance(abort.__cause__, ns.PositivityError)
+        assert "not finite" in str(abort)
+        assert abort.step_count == 9
+        assert abort.state is seen[-1]
+        assert abort.state.t == pytest.approx(9 * cap, rel=1e-12)
+        assert np.all(np.isfinite(abort.state.data))
+
+
+class TestAliasing:
+    def test_copy_shares_no_memory(self, flagship_ic):
+        _, _, _, state = flagship_ic(64)
+        dup = state.copy()
+        assert not np.shares_memory(dup.data, state.data)
+        dup.v[:] = 7.0
+        dup.t = 3.0
+        assert np.all(state.v != 7.0) and state.t == 0.0
+
+    def test_later_steps_change_no_earlier_state(self, flagship_ic):
+        params, grid, bc, initial = flagship_ic(64)
+        t_final = 0.3
+        seen = []
+
+        def observer(state):
+            seen.append((state, state.t, state.data.copy()))
+
+        def unchanged(state, t, data):
+            return state.t == t and np.array_equal(state.data, data)
+
+        pristine = (initial, initial.t, initial.data.copy())
+        result = ns.run(initial, params, bc, t_final, observer=observer)
+        final = (result.state, result.state.t, result.state.data.copy())
+        # continuing from the result and aborting on its final step
+        with pytest.raises(ns.SimulationAbort) as exc_info:
+            ns.run(result.state, params, bc, 2 * t_final, observer=observer,
+                   sources=nan_sources_after(2 * t_final - 1e-9))
+        abort = exc_info.value
+        assert abort.state is seen[-1][0]
+        assert len(seen) > 5
+        for entry in [pristine, final] + seen:
+            assert unchanged(*entry)
+        # every step wrote a fresh array: no buffer is reused
+        states = {id(state): state for state, _, _ in seen}.values()
+        for a, b in itertools.combinations(states, 2):
+            assert not np.shares_memory(a.data, b.data)

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsac1d as ns
 from nsac1d.core import FlowState
+from nsac1d.operators import check_positive
 
 
 def manual_state(grid, v, u, theta, phi, t=0.0, G=None):
     """Build a state from full ghost-padded arrays, bypassing apply_bc."""
     if G is None:
         G = np.zeros(grid.n_total)
-    return FlowState(grid, t, np.asarray(v, float), np.asarray(u, float),
-                     np.asarray(theta, float), np.asarray(phi, float), G)
+    fields = dict(v=v, u=u, theta=theta, phi=phi, G=G)
+    data = np.array([np.asarray(fields[name], float) for name in ns.core.FIELDS])
+    return FlowState(grid, t, data)
 
 
 class TestD1Center:
@@ -120,24 +124,37 @@ class TestChemicalPotential:
 
 
 class TestDerivedFields:
+    """Quantities derived inside the kernel, seen through its outputs."""
+
     def test_positive_face_coefficients(self, params):
+        # positive face coefficients make sum f (a f_x)_x <= 0 when f vanishes
+        # in the ghosts; p_eff = theta/v = 1 isolates the viscous term in du,
+        # and u = 0 with a constant phase isolates conduction in dtheta
         rng = np.random.default_rng(11)
         grid = ns.make_grid(4, 32)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        ones = np.ones(grid.n_total)
         v = 0.5 + rng.random(grid.n_total)
         theta = 0.5 + rng.random(grid.n_total)
-        state = manual_state(grid, v, rng.standard_normal(grid.n_total),
-                             theta, rng.uniform(-1, 1, grid.n_total))
-        df = ns.derived_fields(state, params)
-        assert np.all(df.kappa_face > 0) and np.all(df.visc_face > 0)
-        assert len(df.kappa_face) == grid.n_cells + 1
-        assert len(df.mu) == grid.n_cells
+        viscous = manual_state(grid, v, rng.standard_normal(grid.n_total), v, ones)
+        conductive = manual_state(grid, v, 0 * ones, theta, ones)
+        rhs_u = ns.semi_discrete_rhs(viscous, params, bc)
+        rhs_theta = ns.semi_discrete_rhs(conductive, params, bc)
+        assert all(row.shape == (grid.n_cells,)
+                   for row in (rhs_u.du, rhs_u.dphi, rhs_u.dtheta, rhs_u.dv, rhs_u.dG))
+        assert np.sum(viscous.interior("u") * rhs_u.du) < 0.0
+        assert np.sum((conductive.interior("theta") - 1.0) * rhs_theta.dtheta) < 0.0
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
     def test_mu_vanishes_on_constant_phase(self, params, value):
+        # the ghosts hold +-1, so for phi = 0 only the cells clear of the
+        # boundary stencil see a constant phase
         grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(value or 1.0, value or 1.0)
         ones = np.ones(grid.n_total)
         state = manual_state(grid, ones, 0 * ones, ones, np.full(grid.n_total, value))
-        assert np.all(ns.derived_fields(state, params).mu == 0.0)
+        dphi = ns.semi_discrete_rhs(state, params, bc).dphi  # -v mu
+        assert np.all(dphi[slice(None) if value else slice(1, -1)] == 0.0)
 
 
 class TestSemiDiscreteRhs:
@@ -186,7 +203,8 @@ class TestSemiDiscreteRhs:
         rhs = ns.semi_discrete_rhs(state, params, bc)
         lo, hi = grid.n_ghost, grid.n_ghost + grid.n_cells
         u, v = state.u, state.v
-        p_eff = ns.effective_pressure(state, params)
+        phi_x = ns.d1_center(state.phi, grid.dx)
+        p_eff = params.gas_R * state.theta / v + 0.5 * params.epsilon * (phi_x / v) ** 2
         a = ns.face_average(1.0 / v)
         right = a[hi - 1] * (u[hi] - u[hi - 1]) / grid.dx - 0.5 * (p_eff[hi - 1] + p_eff[hi])
         left = a[lo - 1] * (u[lo] - u[lo - 1]) / grid.dx - 0.5 * (p_eff[lo - 1] + p_eff[lo])
@@ -204,9 +222,10 @@ class TestSemiDiscreteRhs:
                 v_amp=float(rng.uniform(-0.5, 1.0)), v_width=1.5, v_center=-2.0,
                 u_amp=float(rng.uniform(-1, 1)), u_width=1.5, u_center=2.0,
                 theta_amp=float(rng.uniform(-0.5, 1.0)), theta_width=1.5)
-            df = ns.derived_fields(state, params)
+            rhs = ns.semi_discrete_rhs(state, params, bc)
             vi = state.interior("v")
-            heating = df.u_x**2 / vi + vi * df.mu**2
+            u_x, mu = rhs.dv, -rhs.dphi / vi
+            heating = u_x**2 / vi + vi * mu**2
             assert np.all(heating >= 0.0)
 
     def test_positivity_guard_names_cell_and_field(self, params):
@@ -220,3 +239,42 @@ class TestSemiDiscreteRhs:
         assert err.field == "theta"
         assert err.cell == 5
         assert "cell 5" in str(err)
+
+
+class TestCheckPositive:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["v", "u", "theta", "phi"]),
+           cell=st.integers(0, 31), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_names_field_and_cell(self, name, cell, value):
+        params = ns.SimParams()
+        grid = ns.make_grid(4, 32)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        state = ns.interface_initial_state(grid, params, bc, phi_width=0.25,
+                                           u_amp=0.2, u_width=0.5)
+        state.interior(name)[cell] = value
+        for guarded in (lambda: check_positive(state, params),
+                        lambda: ns.semi_discrete_rhs(state, params, bc)):
+            with pytest.raises(ns.PositivityError) as exc_info:
+                guarded()
+            err = exc_info.value
+            assert (err.field, err.cell) == (name, cell)
+            assert f"cell {cell}" in str(err)
+        fields = {k: state.interior(k) for k in ("v", "u", "theta", "phi")}
+        with pytest.raises(ns.PositivityError) as exc_info:
+            ns.state_from_fields(grid, bc, **fields, params=params)
+        assert (exc_info.value.field, exc_info.value.cell) == (name, cell)
+
+    def test_nan_message_says_not_finite(self, params):
+        grid = ns.make_grid(4, 16)
+        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state.interior("theta")[3] = np.nan
+        with pytest.raises(ns.PositivityError, match="theta = nan at cell 3 .* not finite"):
+            check_positive(state, params)
+
+    def test_reports_first_cell_below_floor(self, params):
+        grid = ns.make_grid(4, 16)
+        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state.interior("v")[[2, 9]] = (1e-12, -0.5)
+        with pytest.raises(ns.PositivityError) as exc_info:
+            check_positive(state, params)
+        assert (exc_info.value.field, exc_info.value.cell) == ("v", 2)
