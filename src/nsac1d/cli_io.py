@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import (BoundaryConfig, SimParams, equilibrium_state,
                    interface_initial_state, make_grid)
-from .diagnostics import (DiagnosticsRecord, bracket_roots, dissipation_rate,
-                          make_context, record)
+from .diagnostics import DiagnosticsRecord, bracket_roots, make_context, record
 from .integrator import SimulationAbort, run
 from .mms import convergence_study, default_case
 from .operators import chemical_potential
@@ -73,11 +72,7 @@ class RunConfig:
     mms_amplitude: float = 0.1
 
     def params(self):
-        return SimParams(epsilon=self.epsilon, beta=self.beta, nu=self.nu,
-                         gas_R=self.gas_R, c_v=self.c_v,
-                         kappa_tilde=self.kappa_tilde, cfl=self.cfl,
-                         t_final=self.t_final,
-                         positivity_floor=self.positivity_floor)
+        return SimParams(**{f.name: getattr(self, f.name) for f in dc_fields(SimParams)})
 
     def grid(self):
         return make_grid(self.L, self.N)
@@ -401,18 +396,16 @@ def _cmd_run(cfg, out=sys.stdout):
 
     ctx = make_context(initial, params, cfg.weighted_diss)
     records = [record(initial, params, ctx)]
-    state_tracker = {"prev_t": initial.t, "steps": 0, "last_snap_t": initial.t}
+    state_tracker = {"steps": 0, "last_snap_t": initial.t, "v_diss": None}
 
     def observer(state):
         tr = state_tracker
-        if state.t > tr["prev_t"]:
-            ctx.diss_cum += (state.t - tr["prev_t"]) * dissipation_rate(state, params)
-            tr["prev_t"] = state.t
-            tr["steps"] += 1
-        else:
+        if state.t <= ctx.t_last:
             return  # initial state, already recorded
+        tr["v_diss"] = ctx.accumulate(state, params)
+        tr["steps"] += 1
         if cfg.diag_every_steps and tr["steps"] % cfg.diag_every_steps == 0:
-            records.append(record(state, params, ctx))
+            records.append(record(state, params, ctx, tr["v_diss"]))
         want_snap = (cfg.snapshot_every_steps
                      and tr["steps"] % cfg.snapshot_every_steps == 0)
         if cfg.snapshot_every_time and state.t - tr["last_snap_t"] >= cfg.snapshot_every_time - 1e-12:
@@ -433,8 +426,8 @@ def _cmd_run(cfg, out=sys.stdout):
         return 1
 
     final = result.state
-    if records[-1].t != final.t:
-        records.append(record(final, params, ctx))
+    if records[-1].t != final.t:  # run() observes the final state, so it is folded in
+        records.append(record(final, params, ctx, state_tracker["v_diss"]))
     write_diagnostics(records, outdir / "diagnostics.csv")
     write_snapshot(final, params, outdir / "snapshot_final.csv")
     (outdir / "plot_diagnostics.py").write_text(PLOT_SCRIPT)

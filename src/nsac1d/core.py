@@ -59,7 +59,6 @@ class SimParams:
     c_v: float = 1.0
     kappa_tilde: float = 1.0
     cfl: float = 0.4
-    t_final: float = 1.0
     positivity_floor: float = 1e-10
 
     def __post_init__(self):

@@ -19,8 +19,9 @@ from .operators import chemical_potential, d1_center
 
 
 def _require_positive(state):
-    if np.any(state.interior("v") <= 0.0) or np.any(state.interior("theta") <= 0.0):
-        raise ValueError("functional needs v > 0 and theta > 0 on the interior")
+    vals = state.data[2:4, state.grid.interior]  # theta, v; NaN fails both tests
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        raise ValueError("functional needs finite v > 0 and theta > 0 on the interior")
 
 
 def mass_excess(state):
@@ -129,12 +130,12 @@ class BracketReport:
         return len(self.violations)
 
 
-def cell_average_brackets(state, params, e0_initial):
+def cell_average_brackets(state, params, e0_initial, roots=None):
     """Check unit-interval averages of v and theta against [alpha1, alpha2].
 
     The grid must span whole unit mass intervals (integer L, cells tiling
     each interval).  Violations beyond alpha +- (1e-6 + dx^2) are listed as
-    (field, n, average) for the interval [n, n+1].
+    (field, n, average) for the interval [n, n+1].  roots: bracket_roots(e0_initial), if known.
     """
     grid = state.grid
     L = grid.half_width
@@ -145,14 +146,14 @@ def cell_average_brackets(state, params, e0_initial):
         raise ValueError(f"N = {grid.n_cells} cells do not tile {n_units} unit intervals")
     per_unit = grid.n_cells // n_units
 
-    alpha1, alpha2 = bracket_roots(e0_initial)
+    alpha1, alpha2 = bracket_roots(e0_initial) if roots is None else roots
     tol = 1e-6 + grid.dx**2
     report = BracketReport(alpha1=alpha1, alpha2=alpha2, tol=tol)
     for name in ("v", "theta"):
         averages = state.interior(name).reshape(n_units, per_unit).mean(axis=1)
-        for j, avg in enumerate(averages):
-            if avg < alpha1 - tol or avg > alpha2 + tol:
-                report.violations.append((name, j - int(L), float(avg)))
+        outside = (averages < alpha1 - tol) | (averages > alpha2 + tol)
+        report.violations += [(name, int(j) - int(L), float(averages[j]))
+                              for j in np.flatnonzero(outside)]
     return report
 
 
@@ -164,12 +165,13 @@ def cutoff_weight(n, x):
     return np.minimum(1.0, np.minimum(left, right))
 
 
-def weighted_dissipation(state, params, alpha, n):
+def weighted_dissipation(state, params, alpha, n, weight=None):
     """Cutoff-weighted, temperature-rescaled conduction dissipation.
 
     Integrand theta^beta theta_x^2 / (v theta^(alpha+1)) * w_n(x); the caller
     accumulates it in time.  Reported only: its continuum bound has a
-    non-constructive constant.  Requires 0 < alpha < 1.
+    non-constructive constant.  Requires 0 < alpha < 1.  weight:
+    cutoff_weight(n, state.grid.x), if known.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -178,32 +180,34 @@ def weighted_dissipation(state, params, alpha, n):
     dx = state.grid.dx
     v, theta = state.v[s], state.theta[s]
     theta_x = d1_center(state.theta, dx)[s]
-    w = cutoff_weight(n, state.grid.x)
+    w = cutoff_weight(n, state.grid.x) if weight is None else weight
     integrand = theta**params.beta * theta_x**2 / (v * theta ** (alpha + 1.0)) * w
     return float(np.sum(integrand) * dx)
 
 
-def lemma24_residual(state, initial):
+def lemma24_residual(state, initial, log_v0=None):
     """L2 norm of the discrete integrated-momentum identity residual.
 
     R_i = d1((ln v - ln v0) - (G - G0))_i - (u_i - u0_i); identically zero in
     the continuum, pure truncation error for the scheme.  Zero exactly at
-    t = 0 and to roundoff on equilibrium runs.
+    t = 0 and to roundoff on equilibrium runs.  log_v0: np.log(initial.v), if known.
     """
     if state.grid != initial.grid:
         raise ValueError("state and initial live on different grids")
     grid = state.grid
     s = grid.interior
-    combo = np.log(state.v) - np.log(initial.v) - (state.G - initial.G)
+    log_v0 = np.log(initial.v) if log_v0 is None else log_v0
+    combo = np.log(state.v) - log_v0 - (state.G - initial.G)
     resid = d1_center(combo, grid.dx)[s] - (state.u[s] - initial.u[s])
     return float(math.sqrt(np.sum(resid**2) * grid.dx))
 
 
 @dataclass
 class RunContext:
-    """Per-run inputs for record(): the initial state, its Lyapunov energy,
-    the bracket roots, the configured weighted-dissipation pairs, and the
-    running sum of V(t) dt maintained by the caller after every step."""
+    """The run monitor: per-run inputs for record() (the initial state, its
+    Lyapunov energy, the bracket roots, the weighted-dissipation pairs, and
+    ln v0 and each pair's cutoff weight w_n(x), computed once per run) and
+    diss_cum, the running sum of V(t) dt that accumulate() grows."""
 
     initial: FlowState
     e0: float
@@ -211,6 +215,22 @@ class RunContext:
     alpha2: float
     weighted_pairs: tuple = ()
     diss_cum: float = 0.0
+    t_last: float = field(init=False)  # time of the last state folded in
+    log_v0: np.ndarray = field(init=False, repr=False)
+    weights: dict = field(init=False, repr=False)  # n -> w_n on the grid
+
+    def __post_init__(self):
+        self.t_last = self.initial.t
+        self.log_v0 = np.log(self.initial.v)
+        self.weights = {n: cutoff_weight(n, self.initial.grid.x)
+                        for _, n in self.weighted_pairs}
+
+    def accumulate(self, state, params):
+        """Fold an accepted state into diss_cum (right-endpoint rule); return its V."""
+        v_diss = dissipation_rate(state, params)
+        self.diss_cum += (state.t - self.t_last) * v_diss
+        self.t_last = state.t
+        return v_diss
 
 
 def make_context(initial, params, weighted_pairs=()):
@@ -244,20 +264,23 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(state, params, context):
-    """Evaluate every functional on one state; pure in (state, context)."""
+def record(state, params, context, v_diss=None):
+    """Evaluate every functional on one state; pure in (state, context).
+    v_diss: dissipation_rate(state, params), if known (context.accumulate)."""
     phi = state.interior("phi")
     v = state.interior("v")
     theta = state.interior("theta")
-    bracket = cell_average_brackets(state, params, context.e0)
-    weighted = {(alpha, n): weighted_dissipation(state, params, alpha, n)
+    bracket = cell_average_brackets(state, params, context.e0,
+                                    roots=(context.alpha1, context.alpha2))
+    weighted = {(alpha, n): weighted_dissipation(state, params, alpha, n,
+                                                 weight=context.weights[n])
                 for alpha, n in context.weighted_pairs}
     return DiagnosticsRecord(
         t=float(state.t),
         mass_excess=mass_excess(state),
         energy_total=total_energy(state, params),
         e_lyap=lyapunov_energy(state, params),
-        v_diss=dissipation_rate(state, params),
+        v_diss=dissipation_rate(state, params) if v_diss is None else v_diss,
         diss_cum=float(context.diss_cum),
         e0=float(context.e0),
         alpha1=bracket.alpha1,
@@ -269,6 +292,6 @@ def record(state, params, context):
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
         bracket_violations=bracket.count,
-        lemma24_residual=lemma24_residual(state, context.initial),
+        lemma24_residual=lemma24_residual(state, context.initial, context.log_v0),
         weighted=weighted,
     )

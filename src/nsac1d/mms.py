@@ -54,6 +54,7 @@ class ManufacturedCase:
         self.blend_scale = 0.25
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
+        self._grid_factors = None  # (copy of x, _spatial(x), _phase(x))
         self._check_window()
 
     # -- closed forms ------------------------------------------------------
@@ -94,9 +95,15 @@ class ManufacturedCase:
                   + (1.0 - th) * sp2 / s**2 - (1.0 + th) * sm2 / s**2)
         return phi, phi_x, phi_xx
 
+    def _factors(self, x):
+        """_spatial(x) and _phase(x), recomputed only when the values of x change."""
+        cached = self._grid_factors
+        if cached is None or not np.array_equal(cached[0], x):
+            cached = self._grid_factors = (x.copy(), self._spatial(x), self._phase(x))
+        return cached[1], cached[2]
+
     def _all(self, x, t):
-        x = np.asarray(x, dtype=float)
-        a, a1, a2, b, b1, b2 = self._spatial(x)
+        (a, a1, a2, b, b1, b2), phase = self._factors(np.asarray(x, dtype=float))
         decay = math.exp(-t)
         rise = 1.0 - decay
         d = {}
@@ -104,12 +111,12 @@ class ManufacturedCase:
         d["u"], d["u_t"], d["u_x"], d["u_xx"] = a * decay, -a * decay, a1 * decay, a2 * decay
         d["theta"], d["theta_t"] = 1.0 + b * rise, b * decay
         d["theta_x"], d["theta_xx"] = b1 * rise, b2 * rise
-        d["phi"], d["phi_x"], d["phi_xx"] = self._phase(x)
+        d["phi"], d["phi_x"], d["phi_xx"] = phase
         return d
 
     def fields(self, x, t):
         d = self._all(x, t)
-        return d["v"], d["u"], d["theta"], d["phi"]
+        return d["v"], d["u"], d["theta"], d["phi"].copy()
 
     def sources(self, x, t):
         """Residuals of the governing equations on the manufactured fields."""

@@ -55,14 +55,12 @@ def tracked_run(params, grid, bc, state, t_final, brackets=True):
     ctx = ns.make_context(state, params)
     tr = TrackedRun(e0=ctx.e0, mass0=ns.mass_excess(state),
                     energy0=ns.total_energy(state, params), initial=state.copy())
-    prev = {"t": state.t}
 
     def observer(s):
-        if s.t <= prev["t"] and tr.t:
+        if s.t > ctx.t_last:
+            ctx.accumulate(s, params)
+        elif tr.t:
             return
-        if s.t > prev["t"]:
-            ctx.diss_cum += (s.t - prev["t"]) * ns.dissipation_rate(s, params)
-            prev["t"] = s.t
         tr.t.append(s.t)
         tr.mass_dev.append(abs(ns.mass_excess(s) - tr.mass0))
         tr.lyap_excess.append(ns.lyapunov_energy(s, params) + ctx.diss_cum - ctx.e0)

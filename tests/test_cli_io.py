@@ -1,6 +1,10 @@
 import copy
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +316,20 @@ class TestMainCommands:
         assert 0.0 < records[-1].t < 0.05
         assert all(math.isfinite(getattr(r, name))
                    for r in records for name in ASSERTED_COLUMNS)
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [(["brackets", "0.5"], 0),
+                                            (["no-such-command"], 2)])
+    def test_python_m_nsac1d_exit_codes(self, argv, code):
+        src = str(Path(ns.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "nsac1d", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stdout.split() == [f"{r:.17g}" for r in ns.bracket_roots(0.5)]
 
 
 class TestFloatFormatting:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,26 @@ class TestCellAverageBrackets:
         assert report.count == 32  # every unit interval, v only
         assert all(kind == "v" for kind, _, _ in report.violations)
 
+    def test_violations_match_a_loop_over_the_averages(self, params):
+        grid = ns.make_grid(16, 512)
+        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        rng = np.random.default_rng(3)
+        for name in ("v", "theta"):  # one constant per unit interval
+            getattr(state, name)[grid.interior] = np.repeat(rng.uniform(0.2, 3.0, 32), 16)
+        roots = ns.bracket_roots(0.5)
+        tol = 1e-6 + grid.dx**2
+        want = []
+        for name in ("v", "theta"):
+            averages = state.interior(name).reshape(32, 16).mean(axis=1)
+            for j, avg in enumerate(averages):
+                if avg < roots[0] - tol or avg > roots[1] + tol:
+                    want.append((name, j - 16, float(avg)))
+        assert 0 < len(want) < 64
+        for report in (ns.cell_average_brackets(state, params, 0.5),
+                       ns.cell_average_brackets(state, params, 0.5, roots=roots)):
+            assert report.violations == want
+            assert all(type(n) is int for _, n, _ in report.violations)
+
     def test_rejects_non_integer_half_width(self, params):
         grid = ns.make_grid(8.5, 64)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
@@ -247,6 +268,21 @@ class TestLemma24Residual:
             ns.lemma24_residual(a, b)
 
 
+class TestFunctionalGuard:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["v", "theta"]), cell=st.integers(0, 63),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_v_or_theta_raises(self, params, name, cell, bad):
+        grid = ns.make_grid(8, 64)
+        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        getattr(state, name)[grid.n_ghost + cell] = bad
+        for functional in (lambda s: ns.lyapunov_energy(s, params),
+                           lambda s: ns.dissipation_rate(s, params),
+                           lambda s: ns.weighted_dissipation(s, params, 0.5, 0)):
+            with pytest.raises(ValueError, match="functional needs"):
+                functional(state)
+
+
 class TestRecord:
     def test_equilibrium_all_zeros(self, params):
         grid = ns.make_grid(16, 128)
@@ -267,20 +303,53 @@ class TestRecord:
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
         recs = [ns.record(state, p, ctx)]
-        prev_t = state.t
 
         def observer(s):
-            nonlocal prev_t
-            if s.t <= prev_t:
-                return
-            ctx.diss_cum += (s.t - prev_t) * ns.dissipation_rate(s, p)
-            prev_t = s.t
-            recs.append(ns.record(s, p, ctx))
+            if s.t > ctx.t_last:
+                recs.append(ns.record(s, p, ctx, ctx.accumulate(s, p)))
 
         ns.run(state, p, bc, 0.05, observer=observer)
         for a, b in zip(recs, recs[1:]):
             assert (b.e_lyap + (b.diss_cum - a.diss_cum)
                     <= a.e_lyap + 1e-3 * ctx.e0 + 1e-14)
+
+    def test_reused_values_equal_a_record_from_scratch(self, flagship_ic):
+        # record() reuses the roots, ln v0, the cutoff weights and the V that
+        # accumulate() returns; each field must equal the functional itself
+        p, grid, bc, state = flagship_ic(256, half_width=32)
+        pairs = ((0.5, 0), (0.25, -3), (0.75, 0))
+        ctx = ns.make_context(state, p, weighted_pairs=pairs)
+        e0 = ns.lyapunov_energy(state, p)
+        got = [ns.record(state, p, ctx)]
+        want = []
+        prev_t, diss_cum = state.t, 0.0
+
+        def scratch(s):
+            bracket = ns.cell_average_brackets(s, p, e0)
+            phi, v, theta = s.interior("phi"), s.interior("v"), s.interior("theta")
+            return ns.DiagnosticsRecord(
+                t=s.t, mass_excess=ns.mass_excess(s), energy_total=ns.total_energy(s, p),
+                e_lyap=ns.lyapunov_energy(s, p), v_diss=ns.dissipation_rate(s, p),
+                diss_cum=diss_cum, e0=e0, alpha1=bracket.alpha1, alpha2=bracket.alpha2,
+                phi_min=float(phi.min()), phi_max=float(phi.max()),
+                v_min=float(v.min()), v_max=float(v.max()),
+                theta_min=float(theta.min()), theta_max=float(theta.max()),
+                bracket_violations=bracket.count,
+                lemma24_residual=ns.lemma24_residual(s, state),
+                weighted={(a, n): ns.weighted_dissipation(s, p, a, n) for a, n in pairs})
+
+        def observer(s):
+            nonlocal prev_t, diss_cum
+            if s.t > ctx.t_last:
+                got.append(ns.record(s, p, ctx, ctx.accumulate(s, p)))
+                diss_cum += (s.t - prev_t) * ns.dissipation_rate(s, p)
+                prev_t = s.t
+            want.append(scratch(s))
+
+        ns.run(state, p, bc, 0.02, observer=observer)
+        assert len(got) == len(want) > 2
+        for a, b in zip(got, want):
+            assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 class TestTranslationInvariance:

@@ -75,6 +75,23 @@ class TestManufacturedCase:
             assert v.min() >= 0.5 and theta.min() >= 0.5
             assert phi.min() >= -1.0 - 1e-12 and phi.max() <= 1.0 + 1e-12
 
+    def test_sources_follow_the_values_of_x(self, params):
+        # the t-independent factors are kept per grid: a new grid, a return
+        # to an old one and an x edited in place must all give exactly what
+        # a fresh case gives
+        def fresh(x, t):
+            return ns.default_case(params, ns.make_grid(16, 128)).sources(x.copy(), t)
+
+        case = ns.default_case(params, ns.make_grid(16, 128))
+        a, b = ns.make_grid(16, 128).x.copy(), ns.make_grid(16, 256).x
+        case.fields(a, 0.1)[3][:] = 0.0  # a caller may write to what it gets
+        for x, t in ((a, 0.1), (b, 0.1), (a, 0.2), (a, 0.2)):
+            for got, want in zip(case.sources(x, t), fresh(x, t)):
+                assert np.array_equal(got, want)
+        a[40] += 0.05
+        for got, want in zip(case.sources(a, 0.2), fresh(a, 0.2)):
+            assert np.array_equal(got, want)
+
     def test_zero_amplitude_sources_vanish(self, params):
         grid = ns.make_grid(16, 128)
         flat = ns.default_case(params, grid, amplitude=0.0)
