@@ -35,17 +35,12 @@ def _fmt(x):
 
 # -- run configuration -------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    epsilon: float = 1.0
-    beta: float = 1.0
-    nu: float = 1.0
-    gas_R: float = 1.0
-    c_v: float = 1.0
-    kappa_tilde: float = 1.0
-    cfl: float = 0.4
+@dataclass(frozen=True)
+class RunConfig(SimParams):
+    """A run's config: the SimParams fields (validated on construction), then
+    the run, output and MMS-study settings."""
+
     t_final: float = 1.0
-    positivity_floor: float = 1e-10
     L: float = 16.0
     N: int = 512
     phi_left: float = -1.0
@@ -66,7 +61,6 @@ class RunConfig:
     snapshot_every_time: float = 0.0
     diag_every_steps: int = 10
     weighted_diss: tuple = ((0.5, 0),)
-    seed: int = 0
     mms_resolutions: tuple = (128, 256, 512)
     mms_t_final: float = 0.25
     mms_amplitude: float = 0.1
@@ -121,21 +115,13 @@ def _parse_resolutions(text):
     return tuple(int(n) for n in text.split(",") if n.strip())
 
 
-_PARSERS = {
-    "ic": str,
-    "outdir": str,
-    "N": int,
-    "snapshot_every_steps": int,
-    "diag_every_steps": int,
-    "seed": int,
-    "weighted_diss": _parse_weighted,
-    "mms_resolutions": _parse_resolutions,
-}
+# every other key parses with the type of its default
+_PARSERS = {"weighted_diss": _parse_weighted, "mms_resolutions": _parse_resolutions}
 
 
 def parse_config(text):
     """Parse the `key = value` format; unknown keys are a hard error."""
-    known = {f.name for f in dc_fields(RunConfig)}
+    defaults = {f.name: f.default for f in dc_fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,21 +132,23 @@ def parse_config(text):
             raise ConfigError(f"expected 'key = value' (line {lineno}): {raw.strip()!r}")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
-        parser = _PARSERS.get(key, float)
+        parser = _PARSERS.get(key, type(defaults[key]))
         try:
             values[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for '{key}' (line {lineno}): {exc}") from None
-    cfg = RunConfig(**values)
+    try:
+        cfg = RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg):
     try:
-        cfg.params()
         BoundaryConfig(cfg.phi_left, cfg.phi_right)
         make_grid(cfg.L, cfg.N)
     except ValueError as exc:
@@ -174,7 +162,7 @@ def _validate_config(cfg):
         raise ConfigError(f"ic must be 'interface' or 'equilibrium', got '{cfg.ic}'")
     if cfg.t_final < 0:
         raise ConfigError(f"t_final must be >= 0, got {cfg.t_final}")
-    for key in ("snapshot_every_steps", "diag_every_steps", "seed"):
+    for key in ("snapshot_every_steps", "diag_every_steps"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0")
     if cfg.snapshot_every_time < 0:
@@ -215,10 +203,8 @@ def read_snapshot(path):
 
 # -- diagnostics time series ---------------------------------------------------
 
-_RECORD_SCALARS = ("t", "mass_excess", "energy_total", "e_lyap", "v_diss",
-                   "diss_cum", "e0", "alpha1", "alpha2", "phi_min", "phi_max",
-                   "v_min", "v_max", "theta_min", "theta_max",
-                   "bracket_violations", "lemma24_residual")
+_RECORD_SCALARS = tuple(f.name for f in dc_fields(DiagnosticsRecord)
+                        if f.name != "weighted")
 
 
 def _weighted_column(alpha, n):

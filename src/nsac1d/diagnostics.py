@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FlowState
+from .core import FlowState, check_positive
 from .operators import chemical_potential, d1_center
-
-
-def _require_positive(state):
-    vals = state.data[2:4, state.grid.interior]  # theta, v; NaN fails both tests
-    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-        raise ValueError("functional needs finite v > 0 and theta > 0 on the interior")
 
 
 def mass_excess(state):
@@ -42,7 +36,7 @@ def total_energy(state, params):
 
 def lyapunov_energy(state, params):
     """The five-term entropy functional; zero exactly at the far-field state."""
-    _require_positive(state)
+    check_positive(state, params)
     s = state.grid.interior
     v, theta = state.v[s], state.theta[s]
     eps = params.epsilon
@@ -57,7 +51,7 @@ def lyapunov_energy(state, params):
 
 def dissipation_rate(state, params):
     """Entropy production V = int theta^b theta_x^2/(v theta^2) + u_x^2/(v theta) + v mu^2/theta."""
-    _require_positive(state)
+    check_positive(state, params)
     s = state.grid.interior
     dx = state.grid.dx
     v, theta = state.v[s], state.theta[s]
@@ -175,7 +169,7 @@ def weighted_dissipation(state, params, alpha, n, weight=None):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _require_positive(state)
+    check_positive(state, params)
     s = state.grid.interior
     dx = state.grid.dx
     v, theta = state.v[s], state.theta[s]

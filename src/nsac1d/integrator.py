@@ -19,7 +19,6 @@ LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
 @dataclass
 class StepControl:
-    dt_last: float = 0.0
     limit_kind: str = "diffusion"
     step_count: int = 0
 
@@ -34,12 +33,11 @@ class SimulationAbort(RuntimeError):
 
 
 def step_limits(state, params):
-    """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL."""
+    """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL,
+    of a state that first passes check_positive."""
+    check_positive(state, params)
     grid = state.grid
-    s = grid.interior
-    phi, theta, v = state.data[1:4, s]
-    if not np.isfinite(state.data[:4, s]).all():  # u, phi, theta, v
-        raise ValueError(f"non-finite field values at t = {state.t:.6e}")
+    phi, theta, v = state.data[1:4, grid.interior]
 
     eps = params.epsilon
     diffusivity = (params.nu / v
@@ -103,13 +101,11 @@ class RunResult:
     control: StepControl
 
 
-def run(initial, params, bc, t_final, observer=None, observe_every=1,
-        dt_cap=None, sources=None):
+def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     """Advance from initial.t to t_final; the last step lands on it exactly.
 
-    observer(state) is called on the initial state, after every
-    observe_every-th accepted step, and on the final state.  Any step error
-    aborts with the last accepted state attached.
+    observer(state) is called on the initial state and after every accepted
+    step.  Any step error aborts with the last accepted state attached.
     """
     if t_final < initial.t:
         raise ValueError(f"t_final = {t_final} is before initial t = {initial.t}")
@@ -138,7 +134,6 @@ def run(initial, params, bc, t_final, observer=None, observe_every=1,
             state.t = t_final  # reproducible final stamp
             apply_bc(state, bc)
         control.step_count += 1
-        control.dt_last = dt
-        if observer is not None and (control.step_count % observe_every == 0 or last):
+        if observer is not None:
             observer(state)
     return RunResult(state=state, control=control)

@@ -128,17 +128,19 @@ class ManufacturedCase:
         theta, theta_t, theta_x, theta_xx = d["theta"], d["theta_t"], d["theta_x"], d["theta_xx"]
         phi, phi_x, phi_xx = d["phi"], d["phi_x"], d["phi_xx"]
 
-        ratio_x = phi_xx / v - phi_x * v_x / v**2  # (phi_x / v)_x
+        v2 = v**2
+        theta_b = theta**pr.beta
+        ratio_x = phi_xx / v - phi_x * v_x / v2  # (phi_x / v)_x
         mu = potential_from(phi, ratio_x, eps)
 
         s_v = v_t - u_x
-        s_u = (u_t + pr.gas_R * (theta_x / v - theta * v_x / v**2)
+        s_u = (u_t + pr.gas_R * (theta_x / v - theta * v_x / v2)
                + eps * (phi_x / v) * ratio_x
-               - pr.nu * (u_xx / v - u_x * v_x / v**2))
+               - pr.nu * (u_xx / v - u_x * v_x / v2))
         s_phi = 0.0 * phi + v * mu
         cond = pr.kappa_tilde * (pr.beta * theta ** (pr.beta - 1.0) * theta_x**2 / v
-                                 + theta**pr.beta * theta_xx / v
-                                 - theta**pr.beta * theta_x * v_x / v**2)
+                                 + theta_b * theta_xx / v
+                                 - theta_b * theta_x * v_x / v2)
         # in theta_t units, matching the dtheta component it is added to
         s_theta = (pr.c_v * theta_t + pr.gas_R * (theta / v) * u_x - cond
                    - pr.nu * u_x**2 / v - v * mu**2) / pr.c_v

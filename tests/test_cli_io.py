@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import math
 import os
@@ -55,6 +56,9 @@ class TestParseConfig:
     def test_unknown_key_names_line(self):
         with pytest.raises(ns.ConfigError, match=r"unknown key 'betta' \(line 1\)"):
             ns.parse_config("betta = 2.5")
+        # seed was never read, so it is no longer a key
+        with pytest.raises(ns.ConfigError, match=r"unknown key 'seed' \(line 1\)"):
+            ns.parse_config("seed = 0")
 
     def test_bad_value_names_line_and_key(self):
         with pytest.raises(ns.ConfigError, match=r"'N' \(line 2\)"):
@@ -81,9 +85,42 @@ class TestParseConfig:
         assert cfg.weighted_diss == ((0.25, -1), (0.75, 2))
 
     def test_round_trip_lossless(self):
-        cfg = ns.parse_config("beta = 2.5\nN = 128\nweighted_diss = 0.3:1\n"
-                              "outdir = results/a\nmms_resolutions = 64,128,256\n"
-                              "theta_amp = -0.125")
+        cfg = ns.parse_config("""\
+epsilon = 0.5
+beta = 2.5
+nu = 1.5
+gas_R = 0.75
+c_v = 2.0
+kappa_tilde = 0.125
+cfl = 0.3
+positivity_floor = 1e-9
+t_final = 0.5
+L = 8
+N = 128
+phi_left = 1
+phi_right = -1
+ic = equilibrium
+phi_width = 0.5
+v_amp = 0.1
+v_width = 1.25
+v_center = -1.5
+u_amp = -0.2
+u_width = 1.75
+u_center = 2.5
+theta_amp = -0.125
+theta_width = 3.0
+theta_center = 0.25
+outdir = results/a
+snapshot_every_steps = 7
+snapshot_every_time = 0.05
+diag_every_steps = 3
+weighted_diss = 0.3:1
+mms_resolutions = 64,128,256
+mms_t_final = 0.125
+mms_amplitude = 0.2
+""")
+        for f in dataclasses.fields(ns.RunConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
         again = ns.parse_config(cfg.to_text())
         assert again == cfg
 

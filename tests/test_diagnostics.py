@@ -66,7 +66,7 @@ class TestLyapunovEnergy:
         grid = ns.make_grid(4, 16)
         state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         state.v[grid.n_ghost] = -0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ns.PositivityError, match="v = -5.000000e-01 at cell 0"):
             ns.lyapunov_energy(state, params)
 
 
@@ -269,18 +269,23 @@ class TestLemma24Residual:
 
 
 class TestFunctionalGuard:
-    @settings(max_examples=40, deadline=None)
-    @given(name=st.sampled_from(["v", "theta"]), cell=st.integers(0, 63),
-           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
-    def test_non_finite_v_or_theta_raises(self, params, name, cell, bad):
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["v", "theta", "u", "phi"]), cell=st.integers(0, 63),
+           data=st.data())
+    def test_bad_value_raises_naming_field_and_cell(self, params, name, cell, data):
+        bad = st.sampled_from([math.nan, math.inf, -math.inf])
+        if name in ("v", "theta"):  # or at or below the positivity floor
+            bad = bad | st.floats(max_value=params.positivity_floor)
+        value = data.draw(bad)
         grid = ns.make_grid(8, 64)
         state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
-        getattr(state, name)[grid.n_ghost + cell] = bad
+        getattr(state, name)[grid.n_ghost + cell] = value
         for functional in (lambda s: ns.lyapunov_energy(s, params),
                            lambda s: ns.dissipation_rate(s, params),
                            lambda s: ns.weighted_dissipation(s, params, 0.5, 0)):
-            with pytest.raises(ValueError, match="functional needs"):
+            with pytest.raises(ns.PositivityError) as exc_info:
                 functional(state)
+            assert (exc_info.value.field, exc_info.value.cell) == (name, cell)
 
 
 class TestRecord:

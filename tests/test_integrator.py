@@ -43,8 +43,9 @@ class TestStableDt:
         grid = ns.make_grid(4, 16)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         eq.u[grid.n_ghost + 3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ns.PositivityError, match="not finite") as exc_info:
             ns.stable_dt(eq, params)
+        assert (exc_info.value.field, exc_info.value.cell) == ("u", 3)
 
 
 class TestStep:
@@ -148,11 +149,12 @@ class TestRun:
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.equilibrium_state(grid, bc)
         seen = []
-        result = ns.run(eq, params, bc, 0.01, observer=lambda s: seen.append(s.t),
-                        observe_every=3)
+        result = ns.run(eq, params, bc, 0.01, observer=lambda s: seen.append(s.t))
+        # the initial state, then every accepted step; the last lands on t_final
+        assert len(seen) == result.control.step_count + 1
         assert seen[0] == 0.0
+        assert all(a < b for a, b in zip(seen, seen[1:]))
         assert seen[-1] == 0.01
-        assert len(seen) <= result.control.step_count + 2
 
     def test_lyapunov_and_mass_per_step(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(512, half_width=32)
