@@ -4,11 +4,10 @@ engine for the conservation, entropy, and phase-field structure of the model."""
 from .core import (BoundaryConfig, FlowState, MassGrid, PositivityError,
                    SimParams, apply_bc, equilibrium_state,
                    interface_initial_state, make_grid, state_from_fields)
-from .diagnostics import (BracketReport, DiagnosticsRecord, RunContext,
-                          bracket_roots, cell_average_brackets, cutoff_weight,
-                          dissipation_rate, lemma24_residual, lyapunov_energy,
-                          make_context, mass_excess, record, total_energy,
-                          weighted_dissipation)
+from .diagnostics import (DiagnosticsRecord, RunContext, bracket_roots,
+                          cell_average_brackets, cutoff_weight, dissipation_rate,
+                          lemma24_residual, lyapunov_energy, make_context,
+                          mass_excess, record, total_energy, weighted_dissipation)
 from .integrator import (RunResult, SimulationAbort, StepControl, run,
                          stable_dt, step, step_limits)
 from .mms import ConvergenceRow, ManufacturedCase, convergence_study, default_case

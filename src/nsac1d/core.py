@@ -62,17 +62,13 @@ class SimParams:
     positivity_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        for name in ("nu", "gas_R", "c_v", "kappa_tilde"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("epsilon", "beta", "nu", "gas_R", "c_v", "kappa_tilde",
+                     "positivity_floor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also rejects nan
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must be in (0, 1), got {self.cfl}")
-        if self.positivity_floor <= 0:
-            raise ValueError(f"positivity_floor must be > 0, got {self.positivity_floor}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,10 @@ class MassGrid:
 
 
 def make_grid(half_width, n_cells):
-    """Build a uniform MassGrid; rejects n_cells odd or < 8 and L <= 0."""
-    if half_width <= 0:
-        raise ValueError(f"half_width must be > 0, got {half_width}")
+    """Build a uniform MassGrid; rejects n_cells odd or < 8 and L not finite
+    or <= 0."""
+    if not 0.0 < half_width < math.inf:  # also rejects nan
+        raise ValueError(f"half_width must be finite and > 0, got {half_width}")
     if n_cells < 8 or n_cells % 2 != 0:
         raise ValueError(f"n_cells must be even and >= 8, got {n_cells}")
     return MassGrid(half_width=float(half_width), n_cells=int(n_cells),
@@ -210,11 +207,9 @@ def _blank_state(grid, t=0.0):
     return state
 
 
-def state_from_fields(grid, bc, v, u, theta, phi, t=0.0, params=None):
-    """Assemble a FlowState from interior field arrays; G starts at zero.
-
-    The fields are checked with check_positive when params is given.
-    """
+def state_from_fields(grid, bc, v, u, theta, phi, params, t=0.0):
+    """Assemble a FlowState from interior field arrays, checked with
+    check_positive; G starts at zero."""
     state = _blank_state(grid, t)
     s = grid.interior
     for name, arr in (("v", v), ("u", u), ("theta", theta), ("phi", phi)):
@@ -224,8 +219,7 @@ def state_from_fields(grid, bc, v, u, theta, phi, t=0.0, params=None):
                              f"got shape {arr.shape}")
         getattr(state, name)[s] = arr
     apply_bc(state, bc)
-    if params is not None:
-        check_positive(state, params)
+    check_positive(state, params)
     return state
 
 
@@ -288,4 +282,4 @@ def interface_initial_state(grid, params, bc, phi_width=1.0,
             gap = abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2))
             _check_reach(name, gap)
 
-    return state_from_fields(grid, bc, v, u, theta, phi, t=0.0, params=params)
+    return state_from_fields(grid, bc, v, u, theta, phi, params)

@@ -112,24 +112,12 @@ def _bisect(lo, hi, e0, decreasing):
     return min(lo, hi, key=lambda y: abs(_well(y) - e0))
 
 
-@dataclass
-class BracketReport:
-    alpha1: float
-    alpha2: float
-    tol: float
-    violations: list = field(default_factory=list)
-
-    @property
-    def count(self):
-        return len(self.violations)
-
-
-def cell_average_brackets(state, params, e0_initial, roots=None):
+def cell_average_brackets(state, alpha1, alpha2):
     """Check unit-interval averages of v and theta against [alpha1, alpha2].
 
     The grid must span whole unit mass intervals (integer L, cells tiling
-    each interval).  Violations beyond alpha +- (1e-6 + dx^2) are listed as
-    (field, n, average) for the interval [n, n+1].  roots: bracket_roots(e0_initial), if known.
+    each interval).  Returns the violations beyond alpha +- (1e-6 + dx^2) as
+    (field, n, average) for the interval [n, n+1].
     """
     grid = state.grid
     L = grid.half_width
@@ -140,15 +128,14 @@ def cell_average_brackets(state, params, e0_initial, roots=None):
         raise ValueError(f"N = {grid.n_cells} cells do not tile {n_units} unit intervals")
     per_unit = grid.n_cells // n_units
 
-    alpha1, alpha2 = bracket_roots(e0_initial) if roots is None else roots
     tol = 1e-6 + grid.dx**2
-    report = BracketReport(alpha1=alpha1, alpha2=alpha2, tol=tol)
+    violations = []
     for name in ("v", "theta"):
         averages = state.interior(name).reshape(n_units, per_unit).mean(axis=1)
         outside = (averages < alpha1 - tol) | (averages > alpha2 + tol)
-        report.violations += [(name, int(j) - int(L), float(averages[j]))
-                              for j in np.flatnonzero(outside)]
-    return report
+        violations += [(name, int(j) - int(L), float(averages[j]))
+                       for j in np.flatnonzero(outside)]
+    return violations
 
 
 def cutoff_weight(n, x):
@@ -159,13 +146,13 @@ def cutoff_weight(n, x):
     return np.minimum(1.0, np.minimum(left, right))
 
 
-def weighted_dissipation(state, params, alpha, n, weight=None):
+def weighted_dissipation(state, params, alpha, weight):
     """Cutoff-weighted, temperature-rescaled conduction dissipation.
 
-    Integrand theta^beta theta_x^2 / (v theta^(alpha+1)) * w_n(x); the caller
-    accumulates it in time.  Reported only: its continuum bound has a
-    non-constructive constant.  Requires 0 < alpha < 1.  weight:
-    cutoff_weight(n, state.grid.x), if known.
+    Integrand theta^beta theta_x^2 / (v theta^(alpha+1)) * w_n(x), with the
+    cutoff weight w_n = cutoff_weight(n, state.grid.x) given as `weight`; the
+    caller accumulates it in time.  Reported only: its continuum bound has a
+    non-constructive constant.  Requires 0 < alpha < 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -174,24 +161,22 @@ def weighted_dissipation(state, params, alpha, n, weight=None):
     dx = state.grid.dx
     v, theta = state.v[s], state.theta[s]
     theta_x = d1_center(state.theta, dx)[s]
-    w = cutoff_weight(n, state.grid.x) if weight is None else weight
-    integrand = theta**params.beta * theta_x**2 / (v * theta ** (alpha + 1.0)) * w
+    integrand = theta**params.beta * theta_x**2 / (v * theta ** (alpha + 1.0)) * weight
     return float(np.sum(integrand) * dx)
 
 
-def lemma24_residual(state, initial, log_v0=None):
+def lemma24_residual(state, initial):
     """L2 norm of the discrete integrated-momentum identity residual.
 
     R_i = d1((ln v - ln v0) - (G - G0))_i - (u_i - u0_i); identically zero in
     the continuum, pure truncation error for the scheme.  Zero exactly at
-    t = 0 and to roundoff on equilibrium runs.  log_v0: np.log(initial.v), if known.
+    t = 0 and to roundoff on equilibrium runs.
     """
     if state.grid != initial.grid:
         raise ValueError("state and initial live on different grids")
     grid = state.grid
     s = grid.interior
-    log_v0 = np.log(initial.v) if log_v0 is None else log_v0
-    combo = np.log(state.v) - log_v0 - (state.G - initial.G)
+    combo = np.log(state.v) - np.log(initial.v) - (state.G - initial.G)
     resid = d1_center(combo, grid.dx)[s] - (state.u[s] - initial.u[s])
     return float(math.sqrt(np.sum(resid**2) * grid.dx))
 
@@ -199,9 +184,9 @@ def lemma24_residual(state, initial, log_v0=None):
 @dataclass
 class RunContext:
     """The run monitor: per-run inputs for record() (the initial state, its
-    Lyapunov energy, the bracket roots, the weighted-dissipation pairs, and
-    ln v0 and each pair's cutoff weight w_n(x), computed once per run) and
-    diss_cum, the running sum of V(t) dt that accumulate() grows."""
+    Lyapunov energy, the bracket roots, the weighted-dissipation pairs and
+    each pair's cutoff weight w_n(x), computed once per run) and diss_cum,
+    the running sum of V(t) dt that accumulate() grows."""
 
     initial: FlowState
     e0: float
@@ -210,12 +195,10 @@ class RunContext:
     weighted_pairs: tuple = ()
     diss_cum: float = 0.0
     t_last: float = field(init=False)  # time of the last state folded in
-    log_v0: np.ndarray = field(init=False, repr=False)
     weights: dict = field(init=False, repr=False)  # n -> w_n on the grid
 
     def __post_init__(self):
         self.t_last = self.initial.t
-        self.log_v0 = np.log(self.initial.v)
         self.weights = {n: cutoff_weight(n, self.initial.grid.x)
                         for _, n in self.weighted_pairs}
 
@@ -258,34 +241,32 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(state, params, context, v_diss=None):
+def record(state, params, context, v_diss):
     """Evaluate every functional on one state; pure in (state, context).
-    v_diss: dissipation_rate(state, params), if known (context.accumulate)."""
+    v_diss: dissipation_rate(state, params), as context.accumulate returns it."""
     phi = state.interior("phi")
     v = state.interior("v")
     theta = state.interior("theta")
-    bracket = cell_average_brackets(state, params, context.e0,
-                                    roots=(context.alpha1, context.alpha2))
-    weighted = {(alpha, n): weighted_dissipation(state, params, alpha, n,
-                                                 weight=context.weights[n])
+    violations = cell_average_brackets(state, context.alpha1, context.alpha2)
+    weighted = {(alpha, n): weighted_dissipation(state, params, alpha, context.weights[n])
                 for alpha, n in context.weighted_pairs}
     return DiagnosticsRecord(
         t=float(state.t),
         mass_excess=mass_excess(state),
         energy_total=total_energy(state, params),
         e_lyap=lyapunov_energy(state, params),
-        v_diss=dissipation_rate(state, params) if v_diss is None else v_diss,
+        v_diss=v_diss,
         diss_cum=float(context.diss_cum),
         e0=float(context.e0),
-        alpha1=bracket.alpha1,
-        alpha2=bracket.alpha2,
+        alpha1=context.alpha1,
+        alpha2=context.alpha2,
         phi_min=float(phi.min()),
         phi_max=float(phi.max()),
         v_min=float(v.min()),
         v_max=float(v.max()),
         theta_min=float(theta.min()),
         theta_max=float(theta.max()),
-        bracket_violations=bracket.count,
-        lemma24_residual=lemma24_residual(state, context.initial, context.log_v0),
+        bracket_violations=len(violations),
+        lemma24_residual=lemma24_residual(state, context.initial),
         weighted=weighted,
     )

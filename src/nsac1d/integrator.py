@@ -66,15 +66,13 @@ def _add_sources(rhs, sources, x, t):
     rhs.dphi += sphi
 
 
-def step(state, params, bc, dt=None, sources=None):
+def step(state, params, bc, dt, sources=None):
     """One Heun step: s* = s + dt F(s); s_new = (s + s* + dt F(s*)) / 2.
 
     Ghosts are refreshed before each F evaluation; G advances with the same
     RK2 weights as the physical fields.  An optional sources(x, t) callable
     (verification harness) is evaluated at both stage times.
     """
-    if dt is None:
-        dt = stable_dt(state, params)
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.grid
@@ -124,7 +122,7 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
             last = state.t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
             if last:
                 dt = t_final - state.t
-            state = step(state, params, bc, dt=dt, sources=sources)
+            state = step(state, params, bc, dt, sources=sources)
         except Exception as exc:
             raise SimulationAbort(
                 state, control.step_count,

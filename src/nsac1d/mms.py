@@ -16,6 +16,10 @@ from .core import BoundaryConfig, make_grid, state_from_fields
 from .integrator import run
 from .operators import potential_from
 
+# dt cap of the refinement study, in units of dx^2: small enough that the
+# temporal error does not pollute the observed spatial order
+DT_CAP_FACTOR = 0.05
+
 
 def _sigmoid(y):
     out = np.empty_like(y)
@@ -177,13 +181,13 @@ class ConvergenceRow:
     order_phi: float
 
 
-def convergence_study(case, params, resolutions, dt_factor=0.05):
-    """Run the integrator with injected sources at each resolution and
-    measure L2 errors against the manufactured fields at t_star.
+def convergence_study(case, resolutions):
+    """Run the integrator with injected sources at each resolution, with the
+    parameters the sources were built from, and measure L2 errors against
+    the manufactured fields at t_star.
 
-    dt is capped at dt_factor * dx^2 so the spatial order is not polluted by
-    temporal error.  Resolutions must be at least three, each double the
-    previous.
+    dt is capped at DT_CAP_FACTOR * dx^2.  Resolutions must be at least
+    three, each double the previous.
     """
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 3:
@@ -196,9 +200,9 @@ def convergence_study(case, params, resolutions, dt_factor=0.05):
     for n in resolutions:
         grid = make_grid(case.half_width, n)
         v, u, theta, phi = case.fields(grid.x, 0.0)
-        state = state_from_fields(grid, case.bc, v, u, theta, phi, params=params)
-        result = run(state, params, case.bc, case.t_star,
-                     dt_cap=dt_factor * grid.dx**2, sources=case.sources)
+        state = state_from_fields(grid, case.bc, v, u, theta, phi, case.params)
+        result = run(state, case.params, case.bc, case.t_star,
+                     dt_cap=DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
         final = result.state
         exact = case.fields(grid.x, case.t_star)
         errs = [math.sqrt(np.sum((final.interior(name) - ex) ** 2) * grid.dx)

@@ -71,7 +71,7 @@ def tracked_run(params, grid, bc, state, t_final, brackets=True):
         tr.theta_min = min(tr.theta_min, float(s.interior("theta").min()))
         tr.v_min = min(tr.v_min, float(s.interior("v").min()))
         if brackets:
-            tr.bracket_violations += ns.cell_average_brackets(s, params, ctx.e0).count
+            tr.bracket_violations += len(ns.cell_average_brackets(s, ctx.alpha1, ctx.alpha2))
 
     tr.result = ns.run(state, params, bc, t_final, observer=observer)
     return tr

@@ -82,7 +82,7 @@ def mms_rows():
     params = ns.SimParams()
     grid = ns.make_grid(16, 128)
     case = ns.default_case(params, grid, amplitude=0.1, t_star=0.25)
-    return ns.convergence_study(case, params, [128, 256, 512])
+    return ns.convergence_study(case, [128, 256, 512])
 
 
 def test_criterion_1_mass_conservation(flagship_512):

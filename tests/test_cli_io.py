@@ -59,6 +59,10 @@ class TestParseConfig:
         # seed was never read, so it is no longer a key
         with pytest.raises(ns.ConfigError, match=r"unknown key 'seed' \(line 1\)"):
             ns.parse_config("seed = 0")
+        # the time cadence of snapshots is gone; snapshot_every_steps remains
+        with pytest.raises(ns.ConfigError,
+                           match=r"unknown key 'snapshot_every_time' \(line 1\)"):
+            ns.parse_config("snapshot_every_time = 0.05")
 
     def test_bad_value_names_line_and_key(self):
         with pytest.raises(ns.ConfigError, match=r"'N' \(line 2\)"):
@@ -112,7 +116,6 @@ theta_width = 3.0
 theta_center = 0.25
 outdir = results/a
 snapshot_every_steps = 7
-snapshot_every_time = 0.05
 diag_every_steps = 3
 weighted_diss = 0.3:1
 mms_resolutions = 64,128,256
@@ -144,7 +147,7 @@ class TestSnapshotIO:
         state = ns.interface_initial_state(
             grid, params, bc, phi_width=0.5,
             v_amp=0.123456789123, v_width=1.0, u_amp=-0.05, u_width=1.0)
-        state = ns.step(state, params, bc)
+        state = ns.step(state, params, bc, ns.stable_dt(state, params))
         path = tmp_path / "snap.csv"
         write_snapshot(state, params, path)
         data = read_snapshot(path)
@@ -161,7 +164,7 @@ class TestSnapshotIO:
         write_snapshot(state, params, path)
         data = read_snapshot(path)
         rebuilt = ns.state_from_fields(grid, bc, data["v"], data["u"],
-                                       data["theta"], data["phi"])
+                                       data["theta"], data["phi"], params)
         mu = ns.chemical_potential(rebuilt, params)[grid.interior]
         assert np.max(np.abs(mu - data["mu"])) <= 1e-15
 
@@ -173,10 +176,11 @@ class TestDiagnosticsIO:
         state = ns.interface_initial_state(grid, params, bc,
                                            theta_amp=-0.2, theta_width=1.5)
         ctx = ns.make_context(state, params, weighted_pairs=((0.5, 0), (0.25, -2)))
-        recs = [ns.record(state, params, ctx)]
+        recs = [ns.record(state, params, ctx, ns.dissipation_rate(state, params))]
         result = ns.run(state, params, bc, 0.01)
         ctx.diss_cum = 1.2345e-3
-        recs.append(ns.record(result.state, params, ctx))
+        recs.append(ns.record(result.state, params, ctx,
+                              ns.dissipation_rate(result.state, params)))
         path = tmp_path / "diag.csv"
         write_diagnostics(recs, path)
         assert path.read_text().startswith("#")
@@ -272,7 +276,10 @@ class TestMainCommands:
         assert (a1, a2) == ns.bracket_roots(0.5)
 
     def test_brackets_negative_is_usage_error(self):
-        assert ns.main(["brackets", "-1"], out=io.StringIO()) == 2
+        for e0 in ("-1", "nan"):
+            out = io.StringIO()
+            assert ns.main(["brackets", e0], out=out) == 2
+            assert "e0 must be >= 0" in out.getvalue()
 
     def test_equilibrium_run_all_zero(self, tmp_path):
         cfg = tmp_path / "eq.cfg"
@@ -319,6 +326,15 @@ class TestMainCommands:
         bad = tmp_path / "bad.cfg"
         bad.write_text("betta = 1\n")
         assert ns.main(["run", str(bad)], out=io.StringIO()) == 2
+
+    @pytest.mark.parametrize("line, name", [("epsilon = nan", "epsilon"),
+                                            ("L = inf", "half_width")])
+    def test_non_finite_config_value_exits_2(self, tmp_path, line, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert f"error: {name} must be finite" in out.getvalue()
 
     def test_aborted_run_exits_1_with_dump(self, tmp_path):
         cfg = tmp_path / "violent.cfg"

@@ -33,6 +33,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             ns.make_grid(-2, 64)
 
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan])
+    def test_rejects_non_finite_half_width(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite"):
+            ns.make_grid(half_width, 64)
+
     def test_ghost_layout(self):
         grid = ns.make_grid(2, 8)
         assert grid.n_ghost == 2
@@ -206,6 +211,13 @@ class TestSimParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ns.SimParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["epsilon", "beta", "nu", "gas_R", "c_v",
+                                      "kappa_tilde", "positivity_floor"])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ns.SimParams(**{name: value})
 
 
 class TestBoundaryConfig:

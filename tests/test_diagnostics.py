@@ -24,7 +24,8 @@ def smooth_state(grid):
     u = 0.2 * np.exp(-(((x - 2.0) / 2.0) ** 2))
     theta = 1.0 + 0.15 * np.exp(-((x / 2.0) ** 2))
     phi = np.tanh(x / 2.0)
-    return ns.state_from_fields(grid, ns.BoundaryConfig(-1.0, 1.0), v, u, theta, phi)
+    return ns.state_from_fields(grid, ns.BoundaryConfig(-1.0, 1.0), v, u, theta, phi,
+                                ns.SimParams())
 
 
 def smooth_state_derivatives(x):
@@ -149,23 +150,23 @@ class TestBracketRoots:
 
 
 class TestCellAverageBrackets:
-    def test_equilibrium_no_violations(self, params):
+    def test_equilibrium_no_violations(self):
         grid = ns.make_grid(16, 512)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
-        report = ns.cell_average_brackets(eq, params, 0.0)
-        assert report.count == 0
-        assert report.alpha1 == report.alpha2 == 1.0
+        assert ns.bracket_roots(0.0) == (1.0, 1.0)
+        assert ns.cell_average_brackets(eq, 1.0, 1.0) == []
 
-    def test_constructed_breach_is_flagged(self, params):
+    def test_constructed_breach_is_flagged(self):
         grid = ns.make_grid(16, 512)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
-        report0 = ns.cell_average_brackets(eq, params, 0.5)
-        eq.v[grid.interior] = 2.0 * report0.alpha2
-        report = ns.cell_average_brackets(eq, params, 0.5)
-        assert report.count == 32  # every unit interval, v only
-        assert all(kind == "v" for kind, _, _ in report.violations)
+        alpha1, alpha2 = ns.bracket_roots(0.5)
+        assert ns.cell_average_brackets(eq, alpha1, alpha2) == []
+        eq.v[grid.interior] = 2.0 * alpha2
+        violations = ns.cell_average_brackets(eq, alpha1, alpha2)
+        assert len(violations) == 32  # every unit interval, v only
+        assert all(kind == "v" for kind, _, _ in violations)
 
-    def test_violations_match_a_loop_over_the_averages(self, params):
+    def test_violations_match_a_loop_over_the_averages(self):
         grid = ns.make_grid(16, 512)
         state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         rng = np.random.default_rng(3)
@@ -180,22 +181,21 @@ class TestCellAverageBrackets:
                 if avg < roots[0] - tol or avg > roots[1] + tol:
                     want.append((name, j - 16, float(avg)))
         assert 0 < len(want) < 64
-        for report in (ns.cell_average_brackets(state, params, 0.5),
-                       ns.cell_average_brackets(state, params, 0.5, roots=roots)):
-            assert report.violations == want
-            assert all(type(n) is int for _, n, _ in report.violations)
+        violations = ns.cell_average_brackets(state, *roots)
+        assert violations == want
+        assert all(type(n) is int for _, n, _ in violations)
 
-    def test_rejects_non_integer_half_width(self, params):
+    def test_rejects_non_integer_half_width(self):
         grid = ns.make_grid(8.5, 64)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="integer"):
-            ns.cell_average_brackets(eq, params, 0.0)
+            ns.cell_average_brackets(eq, 1.0, 1.0)
 
-    def test_rejects_non_tiling_cells(self, params):
+    def test_rejects_non_tiling_cells(self):
         grid = ns.make_grid(24, 512)  # 512 cells over 48 unit intervals
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="tile"):
-            ns.cell_average_brackets(eq, params, 0.0)
+            ns.cell_average_brackets(eq, 1.0, 1.0)
 
 
 class TestCutoffWeight:
@@ -221,16 +221,17 @@ class TestCutoffWeight:
 
 class TestWeightedDissipation:
     def test_equilibrium_zero(self, params):
-        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
-        assert ns.weighted_dissipation(eq, params, 0.5, 0) == 0.0
+        grid = ns.make_grid(8, 64)
+        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        assert ns.weighted_dissipation(eq, params, 0.5, ns.cutoff_weight(0, grid.x)) == 0.0
 
     def test_sine_temperature_oracle(self, params):
         grid = ns.make_grid(16, 1024)
         ones = np.ones(grid.n_cells)
         theta = 1.0 + 0.1 * np.sin(np.pi * grid.x / 16.0)
         state = ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0),
-                                     ones, 0 * ones, theta, ones)
-        got = ns.weighted_dissipation(state, params, 0.5, 0)
+                                     ones, 0 * ones, theta, ones, params)
+        got = ns.weighted_dissipation(state, params, 0.5, ns.cutoff_weight(0, grid.x))
         fine = ns.make_grid(16, 10240)
         x = fine.x
         th = 1.0 + 0.1 * np.sin(np.pi * x / 16.0)
@@ -240,9 +241,10 @@ class TestWeightedDissipation:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
     def test_rejects_alpha_outside_unit_interval(self, params, alpha):
-        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
+        grid = ns.make_grid(8, 64)
+        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError):
-            ns.weighted_dissipation(eq, params, alpha, 0)
+            ns.weighted_dissipation(eq, params, alpha, ns.cutoff_weight(0, grid.x))
 
 
 class TestLemma24Residual:
@@ -282,7 +284,8 @@ class TestFunctionalGuard:
         getattr(state, name)[grid.n_ghost + cell] = value
         for functional in (lambda s: ns.lyapunov_energy(s, params),
                            lambda s: ns.dissipation_rate(s, params),
-                           lambda s: ns.weighted_dissipation(s, params, 0.5, 0)):
+                           lambda s: ns.weighted_dissipation(
+                               s, params, 0.5, ns.cutoff_weight(0, grid.x))):
             with pytest.raises(ns.PositivityError) as exc_info:
                 functional(state)
             assert (exc_info.value.field, exc_info.value.cell) == (name, cell)
@@ -294,7 +297,7 @@ class TestRecord:
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.equilibrium_state(grid, bc)
         ctx = ns.make_context(eq, params, weighted_pairs=((0.5, 0),))
-        rec = ns.record(eq, params, ctx)
+        rec = ns.record(eq, params, ctx, ns.dissipation_rate(eq, params))
         assert rec.mass_excess == 0.0 and rec.energy_total == 0.0
         assert rec.e_lyap == 0.0 and rec.v_diss == 0.0
         assert rec.phi_min == rec.phi_max == 1.0
@@ -307,7 +310,7 @@ class TestRecord:
     def test_lyapunov_chain_between_records(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
-        recs = [ns.record(state, p, ctx)]
+        recs = [ns.record(state, p, ctx, ns.dissipation_rate(state, p))]
 
         def observer(s):
             if s.t > ctx.t_last:
@@ -319,29 +322,31 @@ class TestRecord:
                     <= a.e_lyap + 1e-3 * ctx.e0 + 1e-14)
 
     def test_reused_values_equal_a_record_from_scratch(self, flagship_ic):
-        # record() reuses the roots, ln v0, the cutoff weights and the V that
+        # record() reuses the roots, the cutoff weights and the V that
         # accumulate() returns; each field must equal the functional itself
         p, grid, bc, state = flagship_ic(256, half_width=32)
         pairs = ((0.5, 0), (0.25, -3), (0.75, 0))
         ctx = ns.make_context(state, p, weighted_pairs=pairs)
         e0 = ns.lyapunov_energy(state, p)
-        got = [ns.record(state, p, ctx)]
+        alpha1, alpha2 = ns.bracket_roots(e0)
+        got = [ns.record(state, p, ctx, ns.dissipation_rate(state, p))]
         want = []
         prev_t, diss_cum = state.t, 0.0
 
         def scratch(s):
-            bracket = ns.cell_average_brackets(s, p, e0)
+            violations = ns.cell_average_brackets(s, alpha1, alpha2)
             phi, v, theta = s.interior("phi"), s.interior("v"), s.interior("theta")
             return ns.DiagnosticsRecord(
                 t=s.t, mass_excess=ns.mass_excess(s), energy_total=ns.total_energy(s, p),
                 e_lyap=ns.lyapunov_energy(s, p), v_diss=ns.dissipation_rate(s, p),
-                diss_cum=diss_cum, e0=e0, alpha1=bracket.alpha1, alpha2=bracket.alpha2,
+                diss_cum=diss_cum, e0=e0, alpha1=alpha1, alpha2=alpha2,
                 phi_min=float(phi.min()), phi_max=float(phi.max()),
                 v_min=float(v.min()), v_max=float(v.max()),
                 theta_min=float(theta.min()), theta_max=float(theta.max()),
-                bracket_violations=bracket.count,
+                bracket_violations=len(violations),
                 lemma24_residual=ns.lemma24_residual(s, state),
-                weighted={(a, n): ns.weighted_dissipation(s, p, a, n) for a, n in pairs})
+                weighted={(a, n): ns.weighted_dissipation(s, p, a, ns.cutoff_weight(n, grid.x))
+                          for a, n in pairs})
 
         def observer(s):
             nonlocal prev_t, diss_cum
@@ -378,6 +383,6 @@ class TestTranslationInvariance:
                    lambda st: ns.dissipation_rate(st, params)):
             a, b = fn(state), fn(shifted)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
-        w0 = ns.weighted_dissipation(state, params, 0.5, 0)
-        w3 = ns.weighted_dissipation(shifted, params, 0.5, 3)
+        w0 = ns.weighted_dissipation(state, params, 0.5, ns.cutoff_weight(0, grid.x))
+        w3 = ns.weighted_dissipation(shifted, params, 0.5, ns.cutoff_weight(3, grid.x))
         assert w3 == pytest.approx(w0, rel=1e-12, abs=1e-12)

@@ -53,7 +53,7 @@ class TestStep:
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(-1.0, -1.0)
         eq = ns.equilibrium_state(grid, bc)
-        out = ns.step(eq, params, bc)
+        out = ns.step(eq, params, bc, ns.stable_dt(eq, params))
         dt = out.t
         for name in ("v", "u", "theta", "phi"):
             assert np.array_equal(getattr(out, name), getattr(eq, name))
@@ -96,7 +96,7 @@ class TestStep:
             grid, params, bc, phi_width=1.0,
             u_amp=0.3, u_width=1.5, u_center=2.0)
         for _ in range(50):
-            state = ns.step(state, params, bc)
+            state = ns.step(state, params, bc, ns.stable_dt(state, params))
             phi = state.interior("phi")
             assert phi.min() >= -1.0 - 1e-8 and phi.max() <= 1.0 + 1e-8
 
@@ -169,7 +169,7 @@ class TestRun:
             grid, params, bc, phi_width=1.0, theta_amp=-0.3, theta_width=2.0)
         prev = state.interior("G").copy()
         for _ in range(20):
-            state = ns.step(state, params, bc)
+            state = ns.step(state, params, bc, ns.stable_dt(state, params))
             cur = state.interior("G")
             assert np.all(cur > prev)
             prev = cur.copy()

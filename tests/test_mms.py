@@ -117,21 +117,21 @@ class TestConvergenceStudy:
     def test_zero_amplitude_errors_at_roundoff(self, params):
         grid = ns.make_grid(16, 64)
         flat = ns.default_case(params, grid, amplitude=0.0, t_star=0.05)
-        rows = ns.convergence_study(flat, params, [64, 128, 256])
+        rows = ns.convergence_study(flat, [64, 128, 256])
         for row in rows:
             assert max(row.err_v, row.err_u, row.err_theta, row.err_phi) < 1e-10
 
     def test_rejects_bad_resolutions(self, params, case):
         with pytest.raises(ValueError, match="at least 3"):
-            ns.convergence_study(case, params, [128, 256])
+            ns.convergence_study(case, [128, 256])
         with pytest.raises(ValueError, match="double"):
-            ns.convergence_study(case, params, [128, 192, 256])
+            ns.convergence_study(case, [128, 192, 256])
 
     def test_observed_second_order_smoke(self, params):
         # the acceptance suite runs {128, 256, 512}; keep a cheap smoke here
         grid = ns.make_grid(16, 64)
         case = ns.default_case(params, grid, amplitude=0.1, t_star=0.1)
-        rows = ns.convergence_study(case, params, [64, 128, 256])
+        rows = ns.convergence_study(case, [64, 128, 256])
         assert rows[-1].order_v >= 1.8
         assert rows[-1].order_u >= 1.8
         assert rows[-1].order_theta >= 1.8
