@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
+import re
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -21,7 +22,7 @@ from .core import (BoundaryConfig, SimParams, equilibrium_state,
 from .diagnostics import (DiagnosticsRecord, bracket_roots, dissipation_rate,
                           make_context, record)
 from .integrator import SimulationAbort, run
-from .mms import convergence_study, default_case
+from .mms import ManufacturedCase, convergence_study
 from .operators import chemical_potential
 
 
@@ -160,8 +161,10 @@ def _validate_config(cfg):
                           "intervals; pick N divisible by 2L")
     if cfg.ic not in ("interface", "equilibrium"):
         raise ConfigError(f"ic must be 'interface' or 'equilibrium', got '{cfg.ic}'")
-    if cfg.t_final < 0:
-        raise ConfigError(f"t_final must be >= 0, got {cfg.t_final}")
+    if not 0 <= cfg.t_final < np.inf:  # also rejects nan
+        raise ConfigError(f"t_final must be finite and >= 0, got {cfg.t_final}")
+    if not 0 < cfg.mms_t_final < np.inf:
+        raise ConfigError(f"mms_t_final must be finite and > 0, got {cfg.mms_t_final}")
     for key in ("snapshot_every_steps", "diag_every_steps"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0")
@@ -223,20 +226,23 @@ def write_diagnostics(records, path):
             fh.write(",".join(cells) + "\n")
 
 
+_WEIGHTED_COLUMN = re.compile(r"wdiss_a(\d+(?:\.\d+)?(?:e[-+]?\d+)?)_n(-?\d+)")
+
+
 def read_diagnostics(path):
+    """The records of a diagnostics CSV, whose header must be the record
+    scalars followed by wdiss_a<alpha>_n<n> columns."""
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    header = next(reader)
-    pairs = []
-    for name in header[len(_RECORD_SCALARS):]:
-        body = name[len("wdiss_a"):]
-        alpha_str, _, n_str = body.rpartition("_n")
-        pairs.append((float(alpha_str), int(n_str)))
+        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    header = rows[0] if rows else []
+    matches = [_WEIGHTED_COLUMN.fullmatch(name) for name in header[len(_RECORD_SCALARS):]]
+    if tuple(header[:len(_RECORD_SCALARS)]) != _RECORD_SCALARS or not all(matches):
+        raise ValueError(f"unexpected diagnostics header in {path}: {header}")
+    pairs = [(float(m[1]), int(m[2])) for m in matches]
     records = []
-    for row in reader:
-        if not row:
-            continue
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{len(row)} cells for {len(header)} columns in {path}")
         kwargs = {}
         for name, cell in zip(_RECORD_SCALARS, row):
             kwargs[name] = int(cell) if name == "bracket_violations" else float(cell)
@@ -379,19 +385,17 @@ def _cmd_run(cfg, out=sys.stdout):
     (outdir / "config.txt").write_text(cfg.to_text())
 
     ctx = make_context(initial, params, cfg.weighted_diss)
-    records = [record(initial, params, ctx, dissipation_rate(initial, params))]
-    state_tracker = {"steps": 0, "v_diss": None}
+    records = []
+    steps = itertools.count()  # run() observes the initial state as step 0
 
     def observer(state):
-        tr = state_tracker
-        if state.t <= ctx.t_last:
-            return  # initial state, already recorded
-        tr["v_diss"] = ctx.accumulate(state, params)
-        tr["steps"] += 1
-        if cfg.diag_every_steps and tr["steps"] % cfg.diag_every_steps == 0:
-            records.append(record(state, params, ctx, tr["v_diss"]))
-        if cfg.snapshot_every_steps and tr["steps"] % cfg.snapshot_every_steps == 0:
-            write_snapshot(state, params, outdir / f"snapshot_step{tr['steps']:07d}.csv")
+        v_diss = ctx.accumulate(state, params)
+        n = next(steps)
+        diag, snap = cfg.diag_every_steps, cfg.snapshot_every_steps
+        if n == 0 or state.t == cfg.t_final or (diag and n % diag == 0):
+            records.append(record(state, params, ctx, v_diss))
+        if snap and n and n % snap == 0:
+            write_snapshot(state, params, outdir / f"snapshot_step{n:07d}.csv")
 
     try:
         result = run(initial, params, bc, cfg.t_final, observer=observer)
@@ -405,8 +409,6 @@ def _cmd_run(cfg, out=sys.stdout):
         return 1
 
     final = result.state
-    if records[-1].t != final.t:  # run() observes the final state, so it is folded in
-        records.append(record(final, params, ctx, state_tracker["v_diss"]))
     write_diagnostics(records, outdir / "diagnostics.csv")
     write_snapshot(final, params, outdir / "snapshot_final.csv")
     (outdir / "plot_diagnostics.py").write_text(PLOT_SCRIPT)
@@ -431,9 +433,8 @@ def _cmd_audit(path, out=sys.stdout):
 
 
 def _cmd_mms(cfg, out=sys.stdout):
-    grid = make_grid(cfg.L, cfg.mms_resolutions[0])
-    case = default_case(cfg.params(), grid, amplitude=cfg.mms_amplitude,
-                        t_star=cfg.mms_t_final)
+    case = ManufacturedCase(cfg.params(), cfg.L, amplitude=cfg.mms_amplitude,
+                            t_star=cfg.mms_t_final)
     rows = convergence_study(case, cfg.mms_resolutions)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -105,8 +105,8 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     observer(state) is called on the initial state and after every accepted
     step.  Any step error aborts with the last accepted state attached.
     """
-    if t_final < initial.t:
-        raise ValueError(f"t_final = {t_final} is before initial t = {initial.t}")
+    if not initial.t <= t_final < np.inf:  # also rejects nan
+        raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
     control = StepControl()
     state = initial
     if observer is not None:

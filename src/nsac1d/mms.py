@@ -46,8 +46,8 @@ class ManufacturedCase:
             raise ValueError(f"manufactured case needs L >= 8, got {half_width}")
         if not 0.0 <= amplitude <= 0.3:
             raise ValueError(f"amplitude must be in [0, 0.3], got {amplitude}")
-        if t_star <= 0:
-            raise ValueError(f"t_star must be > 0, got {t_star}")
+        if not 0 < t_star < math.inf:  # also rejects nan
+            raise ValueError(f"t_star must be finite and > 0, got {t_star}")
         self.params = params
         self.half_width = float(half_width)
         self.amplitude = float(amplitude)

@@ -1,8 +1,7 @@
-"""Shared fixtures: default parameters, a per-step tracking runner used by
-the integrator tests and the acceptance suite, and a NaN-injecting sources
-hook."""
-
-from dataclasses import dataclass, field
+"""Shared fixtures: default parameters, the flagship initial data, a runner
+that takes the CLI's diagnostics record on every step (the acceptance suite
+asserts through these records and audit_records), and a NaN-injecting
+sources hook."""
 
 import numpy as np
 import pytest
@@ -15,66 +14,14 @@ def params():
     return ns.SimParams()
 
 
-@dataclass
-class TrackedRun:
-    """Per-step time series of every asserted functional."""
-
-    e0: float
-    mass0: float
-    energy0: float
-    t: list = field(default_factory=list)
-    mass_dev: list = field(default_factory=list)
-    lyap_excess: list = field(default_factory=list)   # e_lyap + diss_cum - e0
-    energy_dev: list = field(default_factory=list)
-    phi_min: float = 0.0
-    phi_max: float = 0.0
-    theta_min: float = np.inf
-    v_min: float = np.inf
-    bracket_violations: int = 0
-    result: object = None
-    initial: object = None
-
-    @property
-    def max_mass_rel(self):
-        return max(self.mass_dev) / max(abs(self.mass0), 1.0)
-
-    @property
-    def max_energy_rel(self):
-        return max(self.energy_dev) / abs(self.energy0)
-
-    @property
-    def max_lyap_excess(self):
-        return max(self.lyap_excess)
-
-    @property
-    def phi_overshoot(self):
-        return max(self.phi_max - 1.0, -1.0 - self.phi_min, 0.0)
-
-
-def tracked_run(params, grid, bc, state, t_final, brackets=True):
+def recorded_run(params, bc, state, t_final):
+    """run() with record() taken on every observed state, as `nsac1d run`
+    records them at diag_every_steps = 1; returns (result, records)."""
     ctx = ns.make_context(state, params)
-    tr = TrackedRun(e0=ctx.e0, mass0=ns.mass_excess(state),
-                    energy0=ns.total_energy(state, params), initial=state.copy())
-
-    def observer(s):
-        if s.t > ctx.t_last:
-            ctx.accumulate(s, params)
-        elif tr.t:
-            return
-        tr.t.append(s.t)
-        tr.mass_dev.append(abs(ns.mass_excess(s) - tr.mass0))
-        tr.lyap_excess.append(ns.lyapunov_energy(s, params) + ctx.diss_cum - ctx.e0)
-        tr.energy_dev.append(abs(ns.total_energy(s, params) - tr.energy0))
-        phi = s.interior("phi")
-        tr.phi_min = min(tr.phi_min, float(phi.min()))
-        tr.phi_max = max(tr.phi_max, float(phi.max()))
-        tr.theta_min = min(tr.theta_min, float(s.interior("theta").min()))
-        tr.v_min = min(tr.v_min, float(s.interior("v").min()))
-        if brackets:
-            tr.bracket_violations += len(ns.cell_average_brackets(s, ctx.alpha1, ctx.alpha2))
-
-    tr.result = ns.run(state, params, bc, t_final, observer=observer)
-    return tr
+    records = []
+    result = ns.run(state, params, bc, t_final, observer=lambda s: records.append(
+        ns.record(s, params, ctx, ctx.accumulate(s, params))))
+    return result, records
 
 
 def nan_sources_after(t_bad):

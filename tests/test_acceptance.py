@@ -1,5 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Every run is observed through the diagnostics record `nsac1d run` writes,
+taken on every step; the criteria read its fields and, on the runs they
+cover, also require every asserted check of audit_records to pass.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary.  All runs are desk scale (N <= 1024, each under a minute).
 """
@@ -9,26 +13,55 @@ import math
 import pytest
 
 import nsac1d as ns
-from conftest import tracked_run
+from conftest import recorded_run
 
 from test_diagnostics import PINNED_BRACKET_ROOTS
 
 
-def criterion(number, name, ok, detail):
+def criterion(number, name, ok, detail, audited=()):
+    """Print and assert one criterion; each record list in `audited` must
+    also pass every asserted audit check."""
+    failed = sorted({check for records in audited for check in ns.audit_records(records)[0]})
+    if failed:
+        ok, detail = False, f"{detail}; audit failed: {', '.join(failed)}"
     print(f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
+
+
+def mass_rel(records):
+    m0 = records[0].mass_excess
+    return max(abs(r.mass_excess - m0) for r in records) / max(abs(m0), 1.0)
+
+
+def energy_rel(records):
+    e0 = records[0].energy_total
+    return max(abs(r.energy_total - e0) for r in records) / abs(e0)
+
+
+def lyap_excess(records):
+    """max of e_lyap + diss_cum - e0: criterion 3 has no roundoff allowance."""
+    return max(r.e_lyap + r.diss_cum - r.e0 for r in records)
+
+
+def phi_overshoot(records):
+    return max(max(r.phi_max for r in records) - 1.0,
+               -1.0 - min(r.phi_min for r in records), 0.0)
+
+
+def field_min(runs, name):
+    return min(getattr(r, name) for records in runs for r in records)
 
 
 @pytest.fixture(scope="module")
 def flagship_512(flagship_ic):
     p, grid, bc, state = flagship_ic(512)
-    return tracked_run(p, grid, bc, state, 1.0)
+    return recorded_run(p, bc, state, 1.0)[1]
 
 
 @pytest.fixture(scope="module")
 def flagship_1024(flagship_ic):
     p, grid, bc, state = flagship_ic(1024)
-    return tracked_run(p, grid, bc, state, 1.0)
+    return recorded_run(p, bc, state, 1.0)[1]
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +77,7 @@ def matrix_runs(flagship_ic):
                 v_amp=0.15, v_width=1.5, v_center=-2.0,
                 u_amp=0.2, u_width=1.5, u_center=2.0,
                 theta_amp=0.2, theta_width=1.5, theta_center=0.0)
-            runs[(beta, eps)] = tracked_run(p, grid, bc, state, 1.0)
+            runs[(beta, eps)] = recorded_run(p, bc, state, 1.0)[1]
     return runs
 
 
@@ -56,7 +89,7 @@ def cold_spot_run():
     state = ns.interface_initial_state(grid, p, bc, phi_width=1.0,
                                        theta_amp=-0.8, theta_width=2.0)
     assert state.interior("theta").min() == pytest.approx(0.2, abs=2e-3)
-    return tracked_run(p, grid, bc, state, 1.0)
+    return recorded_run(p, bc, state, 1.0)[1]
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +119,15 @@ def mms_rows():
 
 
 def test_criterion_1_mass_conservation(flagship_512):
-    rel = flagship_512.max_mass_rel
+    rel = mass_rel(flagship_512)
     criterion(1, "mass conservation", rel <= 1e-12,
-              f"max relative variation {rel:.3e} over {len(flagship_512.t)} steps "
-              "(limit 1e-12)")
+              f"max relative variation {rel:.3e} over {len(flagship_512)} steps "
+              "(limit 1e-12)", audited=[flagship_512])
 
 
 def test_criterion_2_total_energy_drift(flagship_512, flagship_1024):
-    drift_512 = flagship_512.max_energy_rel
-    drift_1024 = flagship_1024.max_energy_rel
+    drift_512 = energy_rel(flagship_512)
+    drift_1024 = energy_rel(flagship_1024)
     ratio = drift_512 / drift_1024
     ok = drift_512 <= 1e-3 and ratio >= 3.0
     criterion(2, "total energy", ok,
@@ -105,26 +138,28 @@ def test_criterion_2_total_energy_drift(flagship_512, flagship_1024):
 def test_criterion_3_lyapunov_inequality(matrix_runs):
     details = []
     ok = True
-    for (beta, eps), tr in matrix_runs.items():
-        slack = 1e-3 * tr.e0
-        ok = ok and tr.max_lyap_excess <= slack
-        details.append(f"beta={beta},eps={eps}: {tr.max_lyap_excess:.2e}<= {slack:.2e}")
-    criterion(3, "Lyapunov inequality", ok, "; ".join(details))
+    for (beta, eps), records in matrix_runs.items():
+        excess, slack = lyap_excess(records), 1e-3 * records[0].e0
+        ok = ok and excess <= slack
+        details.append(f"beta={beta},eps={eps}: {excess:.2e}<= {slack:.2e}")
+    criterion(3, "Lyapunov inequality", ok, "; ".join(details),
+              audited=matrix_runs.values())
 
 
 def test_criterion_4_maximum_principle(flagship_512, flagship_1024, matrix_runs,
                                         cold_spot_run):
-    worst = max(tr.phi_overshoot for tr in
-                [flagship_512, flagship_1024, cold_spot_run, *matrix_runs.values()])
+    runs = [flagship_512, flagship_1024, cold_spot_run, *matrix_runs.values()]
+    worst = max(phi_overshoot(records) for records in runs)
     criterion(4, "phase maximum principle", worst <= 1e-8,
-              f"max overshoot beyond [-1, 1] is {worst:.3e} (limit 1e-8)")
+              f"max overshoot beyond [-1, 1] is {worst:.3e} (limit 1e-8)", audited=runs)
 
 
 def test_criterion_5_cell_average_brackets(flagship_512, matrix_runs, cold_spot_run):
-    total = (flagship_512.bracket_violations + cold_spot_run.bracket_violations
-             + sum(tr.bracket_violations for tr in matrix_runs.values()))
+    runs = [flagship_512, cold_spot_run, *matrix_runs.values()]
+    total = sum(r.bracket_violations for records in runs for r in records)
     criterion(5, "cell-average brackets", total == 0,
-              f"{total} violations across all unit intervals and recorded times")
+              f"{total} violations across all unit intervals and recorded times",
+              audited=runs)
 
 
 def test_criterion_6_integrated_momentum_residual(lemma24_study, params):
@@ -147,10 +182,8 @@ def test_criterion_6_integrated_momentum_residual(lemma24_study, params):
 
 
 def test_criterion_7_positivity(flagship_512, matrix_runs, cold_spot_run, params):
-    guarded = min(tr.v_min for tr in [flagship_512, cold_spot_run,
-                                      *matrix_runs.values()]) > 0 and \
-              min(tr.theta_min for tr in [flagship_512, cold_spot_run,
-                                          *matrix_runs.values()]) > 0
+    runs = [flagship_512, cold_spot_run, *matrix_runs.values()]
+    guarded = field_min(runs, "v_min") > 0 and field_min(runs, "theta_min") > 0
 
     grid = ns.make_grid(16, 16)
     bc = ns.BoundaryConfig(-1.0, 1.0)
@@ -168,7 +201,7 @@ def test_criterion_7_positivity(flagship_512, matrix_runs, cold_spot_run, params
                  and cause.field in ("v", "theta") and isinstance(cause.cell, int))
     criterion(7, "positivity", guarded and named,
               f"no guard trips in the test matrix: {guarded}; under-resolved "
-              f"N=16 run aborted naming cell and field: {named}")
+              f"N=16 run aborted naming cell and field: {named}", audited=runs)
 
 
 def test_criterion_8_mms_convergence(mms_rows):
@@ -201,17 +234,18 @@ def test_criterion_9_bracket_roots():
 
 
 def test_criterion_10_degenerate_conductivity(cold_spot_run):
-    tr = cold_spot_run
+    records = cold_spot_run
+    theta_min = field_min([records], "theta_min")
     checks = {
-        "completed to T=1": tr.result.state.t == 1.0,
-        "theta positive": tr.theta_min > 0.0,
-        "mass (criterion 1)": tr.max_mass_rel <= 1e-12,
-        "energy drift (criterion 2)": tr.max_energy_rel <= 1e-3,
-        "Lyapunov (criterion 3)": tr.max_lyap_excess <= 1e-3 * tr.e0,
-        "phi range (criterion 4)": tr.phi_overshoot <= 1e-8,
-        "brackets (criterion 5)": tr.bracket_violations == 0,
+        "completed to T=1": records[-1].t == 1.0,
+        "theta positive": theta_min > 0.0,
+        "mass (criterion 1)": mass_rel(records) <= 1e-12,
+        "energy drift (criterion 2)": energy_rel(records) <= 1e-3,
+        "Lyapunov (criterion 3)": lyap_excess(records) <= 1e-3 * records[0].e0,
+        "phi range (criterion 4)": phi_overshoot(records) <= 1e-8,
+        "brackets (criterion 5)": sum(r.bracket_violations for r in records) == 0,
     }
     ok = all(checks.values())
     criterion(10, "degenerate conductivity (beta=2, cold spot)", ok,
               "; ".join(f"{k}: {v}" for k, v in checks.items())
-              + f"; min theta over run {tr.theta_min:.3f}")
+              + f"; min theta over run {theta_min:.3f}", audited=[records])

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
-from conftest import nan_sources_after
+from conftest import nan_sources_after, recorded_run
 from nsac1d import cli_io
-from nsac1d.cli_io import (ASSERTED_COLUMNS, _fmt, read_diagnostics,
-                           read_snapshot, write_diagnostics, write_snapshot)
+from nsac1d.cli_io import (_RECORD_SCALARS, ASSERTED_COLUMNS, _fmt,
+                           read_diagnostics, read_snapshot, write_diagnostics,
+                           write_snapshot)
 
 
 EQ_CONFIG = """\
@@ -83,6 +84,12 @@ class TestParseConfig:
     def test_semantic_validation(self, text):
         with pytest.raises(ns.ConfigError):
             ns.parse_config(text)
+
+    @pytest.mark.parametrize("key", ["t_final", "mms_t_final"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_horizon_rejected(self, key, value):
+        with pytest.raises(ns.ConfigError, match=f"{key} must be finite"):
+            ns.parse_config(f"{key} = {value}")
 
     def test_weighted_pairs_parse(self):
         cfg = ns.parse_config("weighted_diss = 0.25:-1, 0.75:2")
@@ -186,6 +193,45 @@ class TestDiagnosticsIO:
         assert path.read_text().startswith("#")
         again = read_diagnostics(path)
         assert again == recs
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "x,v,u\n1,2,3\n",
+        ",".join(_RECORD_SCALARS) + ",wdiss_ahalf_n0\n",
+        ",".join(_RECORD_SCALARS) + "\n0.0,1.0,2.0\n",
+    ], ids=["empty", "snapshot-like", "bad-weighted-column", "short-row"])
+    def test_malformed_file_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "diag.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="diag.csv"):
+            read_diagnostics(path)
+        out = io.StringIO()
+        assert ns.main(["audit", str(path)], out=out) == 2
+        assert out.getvalue().startswith("error: ")
+
+
+class TestRecordCadence:
+    """`nsac1d run` records the states the library's every-step record series
+    holds, at its own cadence; a second CLI recording path would break this."""
+
+    @pytest.mark.parametrize("every", [0, 1, 3])
+    def test_cli_records_are_the_library_records(self, tmp_path, every):
+        cfg = ns.parse_config(
+            "L = 8\nN = 256\nt_final = 0.0025\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            f"theta_width = 1\ndiag_every_steps = {every}\nsnapshot_every_steps = 4\n"
+            f"outdir = {tmp_path}\n")
+        assert cli_io._cmd_run(cfg, out=io.StringIO()) == 0
+        result, records = recorded_run(cfg.params(), cfg.bc(), cfg.initial_state(),
+                                       cfg.t_final)
+        steps = result.control.step_count
+        assert steps > 4 and steps % 3 != 0  # the final state falls off the cadence
+        kept = sorted(set(range(0, steps + 1, every or steps)) | {steps})
+        written = read_diagnostics(tmp_path / "diagnostics.csv")
+        for name in _RECORD_SCALARS:
+            assert [getattr(r, name) for r in written] == \
+                   [getattr(records[n], name) for n in kept], name
+        assert sorted(p.name for p in tmp_path.glob("snapshot_step*.csv")) == \
+               [f"snapshot_step{n:07d}.csv" for n in range(4, steps + 1, 4)]
 
 
 class TestAudit:
@@ -326,9 +372,15 @@ class TestMainCommands:
         bad = tmp_path / "bad.cfg"
         bad.write_text("betta = 1\n")
         assert ns.main(["run", str(bad)], out=io.StringIO()) == 2
+        # convergence_study rejects the empty ladder before any grid is built
+        bad.write_text(f"mms_resolutions =\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["mms", str(bad)], out=out) == 2
+        assert "need at least 3 resolutions" in out.getvalue()
 
     @pytest.mark.parametrize("line, name", [("epsilon = nan", "epsilon"),
-                                            ("L = inf", "half_width")])
+                                            ("L = inf", "half_width"),
+                                            ("t_final = nan", "t_final")])
     def test_non_finite_config_value_exits_2(self, tmp_path, line, name):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{line}\noutdir = {tmp_path / 'out'}\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nsac1d as ns
-from conftest import nan_sources_after, tracked_run
+from conftest import nan_sources_after, recorded_run
 
 
 class TestStableDt:
@@ -118,6 +118,11 @@ class TestRun:
         with pytest.raises(ValueError):
             ns.run(eq, params, bc, 0.5)
 
+    def test_rejects_nan_t_final(self, params):
+        eq = ns.equilibrium_state(ns.make_grid(4, 16), ns.BoundaryConfig(1.0, 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            ns.run(eq, params, ns.BoundaryConfig(1.0, 1.0), math.nan)
+
     def test_equilibrium_step_count(self, params):
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
@@ -158,9 +163,10 @@ class TestRun:
 
     def test_lyapunov_and_mass_per_step(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(512, half_width=32)
-        tr = tracked_run(p, grid, bc, state, 0.25)
-        assert tr.max_mass_rel <= 1e-12
-        assert tr.max_lyap_excess <= 1e-3 * tr.e0
+        _, records = recorded_run(p, bc, state, 0.25)
+        assert ns.audit_records(records)[0] == []  # mass_conservation among them
+        # stricter than lyapunov_global, which adds a roundoff allowance
+        assert max(r.e_lyap + r.diss_cum - r.e0 for r in records) <= 1e-3 * records[0].e0
 
     def test_G_strictly_increasing(self, params):
         grid = ns.make_grid(16, 64)

@@ -112,6 +112,11 @@ class TestManufacturedCase:
         with pytest.raises(ValueError):
             ns.default_case(params, grid, t_star=0.0)
 
+    @pytest.mark.parametrize("t_star", [math.inf, math.nan])
+    def test_rejects_non_finite_t_star(self, params, t_star):
+        with pytest.raises(ValueError, match="t_star must be finite"):
+            ns.ManufacturedCase(params, 16.0, t_star=t_star)
+
 
 class TestConvergenceStudy:
     def test_zero_amplitude_errors_at_roundoff(self, params):
