@@ -404,7 +404,8 @@ def _cmd_run(cfg, out=sys.stdout):
         dump = record(exc.state, params, ctx, dissipation_rate(exc.state, params))
         for name in _RECORD_SCALARS:
             print(f"  {name} = {getattr(dump, name)}", file=out)
-        records.append(dump)
+        if dump.t > records[-1].t:  # the observer may have recorded it already
+            records.append(dump)
         write_diagnostics(records, outdir / "diagnostics.csv")
         return 1
 

@@ -44,26 +44,17 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical and numerical constants.
-
-    The defaults nu = gas_R = c_v = kappa_tilde = 1 are the normalized
-    coefficients the governing equations are written in; epsilon is the
-    interface-thickness parameter and beta the conductivity exponent in
-    kappa(theta) = kappa_tilde * theta**beta.
-    """
+    """The model's two parameters, epsilon (interface thickness) and beta
+    (heat conductivity theta**beta; every other coefficient is 1), and the
+    numerical constants."""
 
     epsilon: float = 1.0
     beta: float = 1.0
-    nu: float = 1.0
-    gas_R: float = 1.0
-    c_v: float = 1.0
-    kappa_tilde: float = 1.0
     cfl: float = 0.4
     positivity_floor: float = 1e-10
 
     def __post_init__(self):
-        for name in ("epsilon", "beta", "nu", "gas_R", "c_v", "kappa_tilde",
-                     "positivity_floor"):
+        for name in ("epsilon", "beta", "positivity_floor"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also rejects nan
                 raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -10,6 +10,7 @@ phase range, brackets) are asserted by the audit layer and the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,14 @@ def bracket_roots(e0):
     """The two roots 0 < alpha1 <= 1 <= alpha2 of y - ln y - 1 = e0.
 
     Bisection on each monotone branch of the convex well, with a doubling
-    upper bracket; both roots satisfy the defining equation to 1e-12.  For
-    e0 beyond ~690 the lower root underflows double precision and is
-    clamped to the smallest certifiable positive value.
+    upper bracket capped at the largest double.  alpha2 satisfies the
+    defining equation to 1e-12, or to 1e-15 relative to e0 where that is
+    larger; alpha1 does so only for e0 up to about 110, because 200 linear
+    bisection steps do not resolve a smaller root.  For e0 beyond ~690
+    alpha1 is clamped to the smallest certifiable positive value.
     """
-    if not e0 >= 0:  # also rejects nan
-        raise ValueError(f"e0 must be >= 0, got {e0}")
+    if not 0 <= e0 < math.inf:  # also rejects nan
+        raise ValueError(f"e0 must be >= 0 and finite, got {e0}")
     if e0 == 0.0:
         return 1.0, 1.0
 
@@ -90,14 +93,14 @@ def bracket_roots(e0):
 
     hi = 2.0
     while _well(hi) < e0:
-        hi *= 2.0
+        hi = min(2.0 * hi, sys.float_info.max)
     alpha2 = _bisect(1.0, hi, e0, decreasing=False)
     return alpha1, alpha2
 
 
 def _bisect(lo, hi, e0, decreasing):
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if mid == lo or mid == hi:
             break
         r = _well(mid) - e0

@@ -40,13 +40,10 @@ def step_limits(state, params):
     phi, theta, v = state.data[1:4, grid.interior]
 
     eps = params.epsilon
-    diffusivity = (params.nu / v
-                   + params.kappa_tilde * theta**params.beta / (params.c_v * v)
-                   + eps / v)
+    diffusivity = 1.0 / v + theta**params.beta / v + eps / v
     diffusion = grid.dx**2 / (2.0 * np.max(diffusivity))
 
-    gamma = 1.0 + params.gas_R / params.c_v
-    sound = np.sqrt(gamma * theta) / v
+    sound = np.sqrt(2.0 * theta) / v  # gamma = 2
     acoustic = grid.dx / np.max(sound)
 
     reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
@@ -69,7 +66,7 @@ def _add_sources(rhs, sources, x, t):
 def step(state, params, bc, dt, sources=None):
     """One Heun step: s* = s + dt F(s); s_new = (s + s* + dt F(s*)) / 2.
 
-    Ghosts are refreshed before each F evaluation; G advances with the same
+    Ghosts are refreshed by each F evaluation; G advances with the same
     RK2 weights as the physical fields.  An optional sources(x, t) callable
     (verification harness) is evaluated at both stage times.
     """
@@ -81,7 +78,6 @@ def step(state, params, bc, dt, sources=None):
     if sources is not None:
         _add_sources(f1, sources, grid.x, state.t)
     stage = FlowState(grid, state.t + dt, state.data + dt * f1.data)
-    apply_bc(stage, bc)
 
     f2 = semi_discrete_rhs(stage, params, bc)
     if sources is not None:

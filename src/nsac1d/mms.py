@@ -138,16 +138,14 @@ class ManufacturedCase:
         mu = potential_from(phi, ratio_x, eps)
 
         s_v = v_t - u_x
-        s_u = (u_t + pr.gas_R * (theta_x / v - theta * v_x / v2)
+        s_u = (u_t + (theta_x / v - theta * v_x / v2)
                + eps * (phi_x / v) * ratio_x
-               - pr.nu * (u_xx / v - u_x * v_x / v2))
+               - (u_xx / v - u_x * v_x / v2))
         s_phi = 0.0 * phi + v * mu
-        cond = pr.kappa_tilde * (pr.beta * theta ** (pr.beta - 1.0) * theta_x**2 / v
-                                 + theta_b * theta_xx / v
-                                 - theta_b * theta_x * v_x / v2)
-        # in theta_t units, matching the dtheta component it is added to
-        s_theta = (pr.c_v * theta_t + pr.gas_R * (theta / v) * u_x - cond
-                   - pr.nu * u_x**2 / v - v * mu**2) / pr.c_v
+        cond = (pr.beta * theta ** (pr.beta - 1.0) * theta_x**2 / v
+                + theta_b * theta_xx / v
+                - theta_b * theta_x * v_x / v2)
+        s_theta = theta_t + (theta / v) * u_x - cond - u_x**2 / v - v * mu**2
         return s_v, s_u, s_theta, s_phi
 
     # -- validity ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Second-order spatial discretization of the governing system.
 
 Grouping of the momentum flux: the capillary stress joins the thermal
-pressure in a single effective pressure p_eff = R*theta/v + (eps/2)(phi_x/v)^2
+pressure in a single effective pressure p_eff = theta/v + (eps/2)(phi_x/v)^2
 which is differenced once, so the discrete momentum sum telescopes to the
 two outer faces.  All stencils assume populated ghost layers; d1_center,
 diffusion_flux and chemical_potential return full-length arrays whose
@@ -81,15 +81,13 @@ def semi_discrete_rhs(state, params, bc):
     """Full second-order semi-discrete right-hand side.
 
     dv     = u_x
-    du     = -(p_eff)_x + nu (u_x / v)_x
+    du     = -(p_eff)_x + (u_x / v)_x
     dphi   = -v mu
-    dtheta = (-R theta/v u_x + kappa_tilde (theta^beta theta_x / v)_x
-              + nu u_x^2 / v + v mu^2) / c_v
-    dG     = theta/v + (eps/2)(phi_x/v)^2
+    dtheta = -theta/v u_x + (theta^beta theta_x / v)_x + u_x^2 / v + v mu^2
+    dG     = p_eff = theta/v + (eps/2)(phi_x/v)^2
 
     Refreshes the ghost layers from bc first, then fails hard on any
-    positivity violation.  With the defaults nu = R = c_v = kappa_tilde = 1
-    these are exactly the normalized equations.
+    positivity violation.
     """
     apply_bc(state, bc)
     check_positive(state, params)
@@ -103,12 +101,12 @@ def semi_discrete_rhs(state, params, bc):
     v, theta = data[3], data[2]
     v_i = v[s]
 
-    # (a f_x)_x for f = u, phi, theta with a = nu/v, 1/v, kappa_tilde theta^beta/v,
+    # (a f_x)_x for f = u, phi, theta with a = 1/v, 1/v, theta^beta/v,
     # as one stencil along the flattened rows; where it straddles two rows
     # it lands in a ghost column, which is never read
     coef = np.empty((3, m))
-    coef[:2] = ((params.nu,), (1.0,))
-    coef[2] = params.kappa_tilde * theta**params.beta
+    coef[:2] = 1.0
+    coef[2] = theta**params.beta
     coef /= v
     lap = diffusion_flux(face_average(coef.reshape(-1)), data[:3].reshape(-1), dx)
     visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
@@ -118,14 +116,13 @@ def semi_discrete_rhs(state, params, bc):
     u_x = _centered(data[0, e], dx)
     phi_x = _centered(data[1, g - 2:g + n + 2], dx)
     mu = potential_from(data[1, s], phi_lap, eps)
-    p_thermal = params.gas_R * theta[e] / v[e]
-    capillary = 0.5 * eps * (phi_x / v[e]) ** 2
+    p_thermal = theta[e] / v[e]
+    p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
 
     rhs = Rhs(np.zeros(data.shape))
-    rhs.du = visc - _centered(p_thermal + capillary, dx)
+    rhs.du = visc - _centered(p_eff, dx)
     rhs.dphi = -v_i * mu
-    rhs.dtheta = (conduct - p_thermal[1:-1] * u_x + params.nu * u_x**2 / v_i
-                  + v_i * mu**2) / params.c_v
+    rhs.dtheta = conduct - p_thermal[1:-1] * u_x + u_x**2 / v_i + v_i * mu**2
     rhs.dv = u_x
-    rhs.dG = theta[s] / v_i + capillary[1:-1]
+    rhs.dG = p_eff[1:-1]
     return rhs

@@ -64,6 +64,10 @@ class TestParseConfig:
         with pytest.raises(ns.ConfigError,
                            match=r"unknown key 'snapshot_every_time' \(line 1\)"):
             ns.parse_config("snapshot_every_time = 0.05")
+        # the coefficients of the normalized system are fixed at 1
+        for key in ("nu", "gas_R", "c_v", "kappa_tilde"):
+            with pytest.raises(ns.ConfigError, match=rf"unknown key '{key}' \(line 2\)"):
+                ns.parse_config(f"beta = 2\n{key} = 1.0")
 
     def test_bad_value_names_line_and_key(self):
         with pytest.raises(ns.ConfigError, match=r"'N' \(line 2\)"):
@@ -99,10 +103,6 @@ class TestParseConfig:
         cfg = ns.parse_config("""\
 epsilon = 0.5
 beta = 2.5
-nu = 1.5
-gas_R = 0.75
-c_v = 2.0
-kappa_tilde = 0.125
 cfl = 0.3
 positivity_floor = 1e-9
 t_final = 0.5
@@ -322,7 +322,7 @@ class TestMainCommands:
         assert (a1, a2) == ns.bracket_roots(0.5)
 
     def test_brackets_negative_is_usage_error(self):
-        for e0 in ("-1", "nan"):
+        for e0 in ("-1", "nan", "inf"):
             out = io.StringIO()
             assert ns.main(["brackets", e0], out=out) == 2
             assert "e0 must be >= 0" in out.getvalue()
@@ -400,8 +400,11 @@ class TestMainCommands:
         assert ns.main(["run", str(cfg)], out=out) == 1
         text = out.getvalue()
         assert "ABORT" in text and "cell" in text
-        # the partial diagnostics time series is still written for post-mortems
-        assert (tmp_path / "out" / "diagnostics.csv").exists()
+        # the partial diagnostics time series is still written for post-mortems,
+        # each state once
+        records = read_diagnostics(tmp_path / "out" / "diagnostics.csv")
+        times = [r.t for r in records]
+        assert times and all(a < b for a, b in zip(times, times[1:])), times
 
     def test_nan_on_final_step_exits_1_with_diagnostics(self, tmp_path, monkeypatch):
         run = cli_io.run

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ class TestBracketRoots:
     def test_defining_equation_residual(self, e0):
         for root in ns.bracket_roots(e0):
             assert abs(root - math.log(root) - 1.0 - e0) <= 1e-12
+
+    @pytest.mark.parametrize("e0", [1e308, sys.float_info.max])
+    def test_upper_root_near_the_largest_double(self, e0):
+        # the doubling bracket and the bisection midpoint must not overflow
+        _, alpha2 = ns.bracket_roots(e0)
+        assert alpha2 > 1.0
+        assert abs(alpha2 - math.log(alpha2) - 1.0 - e0) <= 1e-15 * e0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

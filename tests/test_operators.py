@@ -204,7 +204,9 @@ class TestSemiDiscreteRhs:
         lo, hi = grid.n_ghost, grid.n_ghost + grid.n_cells
         u, v = state.u, state.v
         phi_x = ns.d1_center(state.phi, grid.dx)
-        p_eff = params.gas_R * state.theta / v + 0.5 * params.epsilon * (phi_x / v) ** 2
+        p_eff = state.theta / v + 0.5 * params.epsilon * (phi_x / v) ** 2
+        # G integrates the same effective pressure that du differences
+        assert np.array_equal(rhs.dG, p_eff[grid.interior])
         a = ns.face_average(1.0 / v)
         right = a[hi - 1] * (u[hi] - u[hi - 1]) / grid.dx - 0.5 * (p_eff[hi - 1] + p_eff[hi])
         left = a[lo - 1] * (u[lo] - u[lo - 1]) / grid.dx - 0.5 * (p_eff[lo - 1] + p_eff[lo])
