@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BoundaryConfig, SimParams, equilibrium_state,
+from .core import (BoundaryConfig, PositivityError, SimParams, equilibrium_state,
                    interface_initial_state, make_grid)
 from .diagnostics import (DiagnosticsRecord, bracket_roots, dissipation_rate,
                           make_context, record)
@@ -154,11 +154,6 @@ def _validate_config(cfg):
         make_grid(cfg.L, cfg.N)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.L != int(cfg.L):
-        raise ConfigError(f"L must be an integer (unit-interval averages), got {cfg.L}")
-    if cfg.N % (2 * int(cfg.L)) != 0:
-        raise ConfigError(f"N = {cfg.N} cells do not tile {2 * int(cfg.L)} unit "
-                          "intervals; pick N divisible by 2L")
     if cfg.ic not in ("interface", "equilibrium"):
         raise ConfigError(f"ic must be 'interface' or 'equilibrium', got '{cfg.ic}'")
     if not 0 <= cfg.t_final < np.inf:  # also rejects nan
@@ -377,14 +372,13 @@ print(here / "diagnostics.png")
 
 def _cmd_run(cfg, out=sys.stdout):
     params = cfg.params()
-    grid = cfg.grid()
     bc = cfg.bc()
     initial = cfg.initial_state()
+    ctx = make_context(initial, params, cfg.weighted_diss)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(cfg.to_text())
 
-    ctx = make_context(initial, params, cfg.weighted_diss)
     records = []
     steps = itertools.count()  # run() observes the initial state as step 0
 
@@ -489,7 +483,8 @@ def main(argv=None, out=sys.stdout):
             return _cmd_mms(cfg, out=out)
         if args.command == "brackets":
             return _cmd_brackets(args.e0, out=out)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, PositivityError, ValueError) as exc:
+        # a PositivityError here means bad initial data; run() raises SimulationAbort
         print(f"error: {exc}", file=out)
         return 2
     return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,8 +69,11 @@ class MassGrid:
 
     half_width: float
     n_cells: int
-    dx: float
-    n_ghost: int = N_GHOST
+    n_ghost: ClassVar[int] = N_GHOST
+
+    @cached_property
+    def dx(self):
+        return 2.0 * self.half_width / self.n_cells
 
     @property
     def n_total(self):
@@ -99,8 +103,7 @@ def make_grid(half_width, n_cells):
         raise ValueError(f"half_width must be finite and > 0, got {half_width}")
     if n_cells < 8 or n_cells % 2 != 0:
         raise ValueError(f"n_cells must be even and >= 8, got {n_cells}")
-    return MassGrid(half_width=float(half_width), n_cells=int(n_cells),
-                    dx=2.0 * half_width / n_cells)
+    return MassGrid(half_width=float(half_width), n_cells=int(n_cells))
 
 
 @dataclass(frozen=True)

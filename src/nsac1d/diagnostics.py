@@ -10,7 +10,6 @@ phase range, brackets) are asserted by the audit layer and the test suite.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,72 +70,64 @@ def _well(y):
 def bracket_roots(e0):
     """The two roots 0 < alpha1 <= 1 <= alpha2 of y - ln y - 1 = e0.
 
-    Bisection on each monotone branch of the convex well, with a doubling
-    upper bracket capped at the largest double.  alpha2 satisfies the
-    defining equation to 1e-12, or to 1e-15 relative to e0 where that is
-    larger; alpha1 does so only for e0 up to about 110, because 200 linear
-    bisection steps do not resolve a smaller root.  For e0 beyond ~690
-    alpha1 is clamped to the smallest certifiable positive value.
+    Each is bisected to adjacent doubles on a closed bracket, alpha1 in
+    [e^(-e0-1), e^(-e0)] and alpha2 in [1 + e0, 3 + e0 + 2 ln(1 + e0)], and
+    meets the equation to 1e-14 * max(1, e0) while alpha1 is a normal double
+    (e0 below about 708); a subnormal alpha1 is as close as its spacing
+    allows.  For e0 above about 743.4 the lower root lies below the smallest
+    positive double, and alpha1 is that double.
     """
     if not 0 <= e0 < math.inf:  # also rejects nan
         raise ValueError(f"e0 must be >= 0 and finite, got {e0}")
     if e0 == 0.0:
         return 1.0, 1.0
-
-    lo = 1.0
-    while _well(lo) < e0 and lo > 1e-300:
-        lo *= 0.5
-    if _well(lo) < e0:
-        alpha1 = lo
-    else:
-        alpha1 = _bisect(lo, 1.0, e0, decreasing=True)
-
-    hi = 2.0
-    while _well(hi) < e0:
-        hi = min(2.0 * hi, sys.float_info.max)
-    alpha2 = _bisect(1.0, hi, e0, decreasing=False)
+    # at the bracket ends e0 - well is -e^(-e0-1) and 1 - e^(-e0), and
+    # well - e0 is -l and 2 + 2l - ln(3 + e0 + 2l) >= 0, with l = ln(1 + e0)
+    tiny, ell = math.ulp(0.0), math.log1p(e0)
+    alpha1 = _bisect(lambda y: e0 - _well(y),
+                     max(math.exp(-e0 - 1.0), tiny), max(math.exp(-e0), tiny))
+    alpha2 = _bisect(lambda y: _well(y) - e0, 1.0 + e0, 3.0 + e0 + 2.0 * ell)
     return alpha1, alpha2
 
 
-def _bisect(lo, hi, e0, decreasing):
-    for _ in range(200):
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+def _bisect(f, lo, hi):
+    """Bisect [lo, hi], on which f increases through 0, until no double lies
+    between the ends; return the end with the smaller |f|."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)  # cannot overflow or fall below lo
         if mid == lo or mid == hi:
-            break
-        r = _well(mid) - e0
-        if decreasing:
-            r = -r
-        # r now increases along [lo, hi]: negative means left of the root
-        if r < 0.0:
+            return min(lo, hi, key=lambda y: abs(f(y)))
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    # pick the endpoint with the smaller residual
-    return min(lo, hi, key=lambda y: abs(_well(y) - e0))
 
 
-def cell_average_brackets(state, alpha1, alpha2):
-    """Check unit-interval averages of v and theta against [alpha1, alpha2].
-
-    The grid must span whole unit mass intervals (integer L, cells tiling
-    each interval).  Returns the violations beyond alpha +- (1e-6 + dx^2) as
-    (field, n, average) for the interval [n, n+1].
-    """
-    grid = state.grid
+def _unit_interval_cells(grid):
+    """Cells per unit mass interval; L must be an integer and N tile 2L intervals."""
     L = grid.half_width
     if L != int(L):
         raise ValueError(f"unit-interval averages need integer L, got {L}")
     n_units = 2 * int(L)
     if grid.n_cells % n_units != 0:
-        raise ValueError(f"N = {grid.n_cells} cells do not tile {n_units} unit intervals")
-    per_unit = grid.n_cells // n_units
+        raise ValueError(f"N = {grid.n_cells} cells do not tile {n_units} unit "
+                         "intervals; pick N divisible by 2L")
+    return grid.n_cells // n_units
 
-    tol = 1e-6 + grid.dx**2
+
+def cell_average_brackets(state, alpha1, alpha2):
+    """Check unit-interval averages of v and theta against [alpha1, alpha2].
+
+    L must be an integer and N divisible by 2L.  Returns the violations
+    beyond alpha +- (1e-6 + dx^2) as (field, n, average) for [n, n+1].
+    """
+    per_unit = _unit_interval_cells(state.grid)
+    tol = 1e-6 + state.grid.dx**2
     violations = []
     for name in ("v", "theta"):
-        averages = state.interior(name).reshape(n_units, per_unit).mean(axis=1)
+        averages = state.interior(name).reshape(-1, per_unit).mean(axis=1)
         outside = (averages < alpha1 - tol) | (averages > alpha2 + tol)
-        violations += [(name, int(j) - int(L), float(averages[j]))
+        violations += [(name, int(j) - int(state.grid.half_width), float(averages[j]))
                        for j in np.flatnonzero(outside)]
     return violations
 
@@ -214,6 +205,7 @@ class RunContext:
 
 
 def make_context(initial, params, weighted_pairs=()):
+    _unit_interval_cells(initial.grid)  # record() needs whole unit intervals
     e0 = lyapunov_energy(initial, params)
     alpha1, alpha2 = bracket_roots(e0)
     return RunContext(initial=initial.copy(), e0=e0, alpha1=alpha1, alpha2=alpha2,

@@ -106,31 +106,28 @@ class ManufacturedCase:
             cached = self._grid_factors = (x.copy(), self._spatial(x), self._phase(x))
         return cached[1], cached[2]
 
-    def _all(self, x, t):
-        (a, a1, a2, b, b1, b2), phase = self._factors(np.asarray(x, dtype=float))
+    def _terms(self, x, t):
+        """v, u, theta, phi, then the derivatives sources() reads."""
+        (a, a1, a2, b, b1, b2), (phi, phi_x, phi_xx) = self._factors(
+            np.asarray(x, dtype=float))
         decay = math.exp(-t)
         rise = 1.0 - decay
-        d = {}
-        d["v"], d["v_t"], d["v_x"], d["v_xx"] = 1.0 + a * decay, -a * decay, a1 * decay, a2 * decay
-        d["u"], d["u_t"], d["u_x"], d["u_xx"] = a * decay, -a * decay, a1 * decay, a2 * decay
-        d["theta"], d["theta_t"] = 1.0 + b * rise, b * decay
-        d["theta_x"], d["theta_xx"] = b1 * rise, b2 * rise
-        d["phi"], d["phi_x"], d["phi_xx"] = phase
-        return d
+        u = a * decay
+        return (1.0 + u, u, 1.0 + b * rise, phi,
+                -a * decay, a1 * decay, a2 * decay,
+                b * decay, b1 * rise, b2 * rise, phi_x, phi_xx)
 
     def fields(self, x, t):
-        d = self._all(x, t)
-        return d["v"], d["u"], d["theta"], d["phi"].copy()
+        v, u, theta, phi = self._terms(x, t)[:4]
+        return v, u, theta, phi.copy()
 
     def sources(self, x, t):
         """Residuals of the governing equations on the manufactured fields."""
         pr = self.params
         eps = pr.epsilon
-        d = self._all(x, t)
-        v, v_t, v_x = d["v"], d["v_t"], d["v_x"]
-        u_t, u_x, u_xx = d["u_t"], d["u_x"], d["u_xx"]
-        theta, theta_t, theta_x, theta_xx = d["theta"], d["theta_t"], d["theta_x"], d["theta_xx"]
-        phi, phi_x, phi_xx = d["phi"], d["phi_x"], d["phi_xx"]
+        (v, _, theta, phi, u_t, u_x, u_xx,
+         theta_t, theta_x, theta_xx, phi_x, phi_xx) = self._terms(x, t)
+        v_t, v_x = u_t, u_x  # v - 1 = u on the manufactured fields
 
         v2 = v**2
         theta_b = theta**pr.beta

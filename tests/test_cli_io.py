@@ -82,7 +82,7 @@ class TestParseConfig:
             ns.parse_config("beta 2.0")
 
     @pytest.mark.parametrize("text", [
-        "phi_left = 0.5", "N = 511", "L = 8.5", "cfl = 1.5",
+        "phi_left = 0.5", "N = 511", "cfl = 1.5",
         "ic = shock", "weighted_diss = 1.5:0", "epsilon = -1",
     ])
     def test_semantic_validation(self, text):
@@ -316,10 +316,13 @@ class TestMainCommands:
         assert out.getvalue().strip() == "1 1"
 
     def test_brackets_value_matches_library(self):
-        out = io.StringIO()
-        assert ns.main(["brackets", "0.5"], out=out) == 0
-        a1, a2 = map(float, out.getvalue().split())
-        assert (a1, a2) == ns.bracket_roots(0.5)
+        for e0 in (0.5, 600.0):  # alpha1 is about 1e-261 at e0 = 600
+            out = io.StringIO()
+            assert ns.main(["brackets", str(e0)], out=out) == 0
+            a1, a2 = map(float, out.getvalue().split())
+            assert (a1, a2) == ns.bracket_roots(e0)
+            for root in (a1, a2):
+                assert abs(root - math.log(root) - 1.0 - e0) <= 1e-12 * max(1.0, e0)
 
     def test_brackets_negative_is_usage_error(self):
         for e0 in ("-1", "nan", "inf"):
@@ -364,6 +367,41 @@ class TestMainCommands:
         table = (tmp_path / "out" / "mms_convergence.csv").read_text().splitlines()
         assert table[0].startswith("N,err_v,err_u,err_theta,err_phi,order_v")
         assert len(table) == 4
+
+    @pytest.mark.parametrize("L", ["10", "10.5"])
+    def test_mms_ignores_the_run_grid(self, tmp_path, L):
+        # the unit-interval tiling binds `run` only; L = 10 does not divide N = 512
+        cfg = tmp_path / "mms.cfg"
+        cfg.write_text(f"L = {L}\noutdir = {tmp_path / 'out'}\n"
+                       "mms_resolutions = 64,128,256\nmms_t_final = 0.05\n")
+        out = io.StringIO()
+        assert ns.main(["mms", str(cfg)], out=out) == 0, out.getvalue()
+        assert (tmp_path / "out" / "mms_convergence.csv").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("ic = equilibrium\nphi_left = 1\nL = 8.5",
+         "unit-interval averages need integer L, got 8.5"),
+        ("L = 16.5", "unit-interval averages need integer L, got 16.5"),
+        ("L = 16\nN = 40", "N = 40 cells do not tile 32 unit intervals; pick N divisible by 2L"),
+    ], ids=["L = 8.5", "L = 16.5", "N = 40"])
+    def test_untiled_run_grid_exits_2_without_output(self, tmp_path, lines, message):
+        text = f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n"
+        ns.parse_config(text)  # a valid config: only `run` needs unit intervals
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert out.getvalue() == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_inadmissible_initial_data_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"L = 16\nN = 64\nv_amp = -1.5\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert out.getvalue().startswith("error: v = -")
+        assert "at cell 29" in out.getvalue() and "positivity floor" in out.getvalue()
+        assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert ns.main(["run", str(tmp_path / "missing.cfg")], out=io.StringIO()) == 2

@@ -39,6 +39,17 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="half_width must be finite"):
             ns.make_grid(half_width, 64)
 
+    def test_spacing_and_ghosts_are_not_settable(self):
+        # dx follows from L and N, and the kernel is written for two ghosts
+        grid = ns.MassGrid(half_width=16.0, n_cells=64)
+        assert grid.dx == ns.make_grid(16, 64).dx == 0.5
+        assert grid.x[0] == -15.75
+        with pytest.raises(TypeError):
+            ns.MassGrid(half_width=16.0, n_cells=64, dx=1.0)
+        with pytest.raises(TypeError):
+            ns.MassGrid(half_width=16.0, n_cells=64, n_ghost=3)
+        assert [f.name for f in dataclasses.fields(grid)] == ["half_width", "n_cells"]
+
     def test_ghost_layout(self):
         grid = ns.make_grid(2, 8)
         assert grid.n_ghost == 2

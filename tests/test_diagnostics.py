@@ -126,7 +126,9 @@ class TestBracketRoots:
         assert a1 == pytest.approx(want1, abs=1e-10)
         assert a2 == pytest.approx(want2, abs=1e-10)
 
-    @pytest.mark.parametrize("e0", [0.01, 0.1, 0.5, 1.0, 5.0, 30.0])
+    # from e0 = 111 on, alpha1 (1e-49 down to 1e-305) lies far below 2^-200
+    @pytest.mark.parametrize("e0", [0.01, 0.1, 0.5, 1.0, 5.0, 30.0,
+                                    111.0, 130.0, 140.0, 166.668, 600.0, 700.0])
     def test_defining_equation_residual(self, e0):
         for root in ns.bracket_roots(e0):
             assert abs(root - math.log(root) - 1.0 - e0) <= 1e-12
@@ -137,6 +139,11 @@ class TestBracketRoots:
         _, alpha2 = ns.bracket_roots(e0)
         assert alpha2 > 1.0
         assert abs(alpha2 - math.log(alpha2) - 1.0 - e0) <= 1e-15 * e0
+
+    @pytest.mark.parametrize("e0", [745.0, 1e5, 1e308])
+    def test_lower_root_below_every_double(self, e0):
+        # the root lies below the smallest positive double, which stands in for it
+        assert ns.bracket_roots(e0)[0] == math.ulp(0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -204,6 +211,15 @@ class TestCellAverageBrackets:
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="tile"):
             ns.cell_average_brackets(eq, 1.0, 1.0)
+
+    @pytest.mark.parametrize("half_width, n_cells, match", [(8.5, 64, "integer"),
+                                                            (24, 512, "tile")])
+    def test_run_context_rejects_the_grid_before_a_step(self, params, half_width,
+                                                        n_cells, match):
+        eq = ns.equilibrium_state(ns.make_grid(half_width, n_cells),
+                                  ns.BoundaryConfig(1.0, 1.0))
+        with pytest.raises(ValueError, match=match):
+            ns.make_context(eq, params)
 
 
 class TestCutoffWeight:
