@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BoundaryConfig, PositivityError, SimParams, equilibrium_state,
+from .core import (BoundaryConfig, PositivityError, SimParams,
                    interface_initial_state, make_grid)
 from .diagnostics import (DiagnosticsRecord, bracket_roots, dissipation_rate,
                           make_context, record)
 from .integrator import SimulationAbort, run
-from .mms import ManufacturedCase, convergence_study
+from .mms import ConvergenceRow, ManufacturedCase, convergence_study
 from .operators import chemical_potential
 
 
@@ -39,15 +39,14 @@ def _fmt(x):
 
 @dataclass(frozen=True)
 class RunConfig(SimParams):
-    """A run's config: the SimParams fields (validated on construction), then
-    the run, output and MMS-study settings."""
+    """A run's config: the SimParams fields, then the run, output and
+    MMS-study settings; every field is validated on construction."""
 
     t_final: float = 1.0
     L: float = 16.0
     N: int = 512
     phi_left: float = -1.0
     phi_right: float = 1.0
-    ic: str = "interface"
     phi_width: float = 1.0
     v_amp: float = 0.0
     v_width: float = 2.0
@@ -66,6 +65,21 @@ class RunConfig(SimParams):
     mms_t_final: float = 0.25
     mms_amplitude: float = 0.1
 
+    def __post_init__(self):
+        super().__post_init__()
+        self.bc()  # each raises on a value it does not accept
+        self.grid()
+        if not 0 <= self.t_final < np.inf:  # also rejects nan
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if not 0 < self.mms_t_final < np.inf:
+            raise ValueError(f"mms_t_final must be finite and > 0, got {self.mms_t_final}")
+        for key in ("snapshot_every_steps", "diag_every_steps"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        for alpha, _ in self.weighted_diss:
+            if not 0.0 < alpha < 1.0:
+                raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
+
     def params(self):
         return SimParams(**{f.name: getattr(self, f.name) for f in dc_fields(SimParams)})
 
@@ -76,8 +90,6 @@ class RunConfig(SimParams):
         return BoundaryConfig(self.phi_left, self.phi_right)
 
     def initial_state(self):
-        if self.ic == "equilibrium":
-            return equilibrium_state(self.grid(), self.bc())
         return interface_initial_state(
             self.grid(), self.params(), self.bc(), phi_width=self.phi_width,
             v_amp=self.v_amp, v_width=self.v_width, v_center=self.v_center,
@@ -141,31 +153,9 @@ def parse_config(text):
         except ValueError as exc:
             raise ConfigError(f"bad value for '{key}' (line {lineno}): {exc}") from None
     try:
-        cfg = RunConfig(**values)
+        return RunConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg):
-    try:
-        BoundaryConfig(cfg.phi_left, cfg.phi_right)
-        make_grid(cfg.L, cfg.N)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.ic not in ("interface", "equilibrium"):
-        raise ConfigError(f"ic must be 'interface' or 'equilibrium', got '{cfg.ic}'")
-    if not 0 <= cfg.t_final < np.inf:  # also rejects nan
-        raise ConfigError(f"t_final must be finite and >= 0, got {cfg.t_final}")
-    if not 0 < cfg.mms_t_final < np.inf:
-        raise ConfigError(f"mms_t_final must be finite and > 0, got {cfg.mms_t_final}")
-    for key in ("snapshot_every_steps", "diag_every_steps"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be >= 0")
-    for alpha, _ in cfg.weighted_diss:
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
 
 
 # -- snapshots ----------------------------------------------------------------
@@ -433,13 +423,11 @@ def _cmd_mms(cfg, out=sys.stdout):
     rows = convergence_study(case, cfg.mms_resolutions)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    header = ("N,err_v,err_u,err_theta,err_phi,"
-              "order_v,order_u,order_theta,order_phi")
-    csv_lines = [header]
+    names = [f.name for f in dc_fields(ConvergenceRow)]
+    csv_lines = [",".join("N" if name == "n_cells" else name for name in names)]
     for r in rows:
-        csv_lines.append(",".join([str(r.n_cells)] + [
-            _fmt(val) for val in (r.err_v, r.err_u, r.err_theta, r.err_phi,
-                                  r.order_v, r.order_u, r.order_theta, r.order_phi)]))
+        csv_lines.append(",".join(str(r.n_cells) if name == "n_cells"
+                                  else _fmt(getattr(r, name)) for name in names))
     (outdir / "mms_convergence.csv").write_text("\n".join(csv_lines) + "\n")
     for line in csv_lines:
         print(line, file=out)

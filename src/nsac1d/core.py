@@ -179,20 +179,23 @@ def apply_bc(state, bc):
 
 
 def check_positive(state, params):
-    """Hard error naming field and first offending interior cell if a field
-    is not finite, or if v or theta is at or below the positivity floor."""
+    """Hard error naming field and first offending cell if u, phi, theta or v
+    is not finite, ghost cells included, or if interior v or theta is at or
+    below the positivity floor.  Cells count from the first interior cell,
+    so the ghost cells are -2, -1, N and N + 1."""
     s = state.grid.interior
     floor = params.positivity_floor
-    # fast path over the contiguous rows u, phi, theta, v, ghosts included:
-    # apply_bc keeps those finite
+    # fast path over the contiguous rows u, phi, theta, v, ghosts included
     if np.isfinite(state.data[:4]).all() and state.data[2:4, s].min() > floor:
         return
     for name in ("v", "theta", "u", "phi"):
-        vals = state.interior(name)
-        ok = np.isfinite(vals) & (vals > floor if name in ("v", "theta") else True)
+        vals = getattr(state, name)
+        ok = np.isfinite(vals)
+        if name in ("v", "theta"):
+            ok[s] &= vals[s] > floor
         if not ok.all():
             j = int(np.argmin(ok))
-            raise PositivityError(name, j, vals[j], state.t, floor)
+            raise PositivityError(name, j - s.start, vals[j], state.t, floor)
 
 
 def _blank_state(grid, t=0.0):
@@ -250,30 +253,30 @@ def interface_initial_state(grid, params, bc, phi_width=1.0,
     phi0 connects phi_left to phi_right over the given width; v0, u0, theta0
     are the far-field constants plus bumps amp * exp(-((x-c)/w)^2).  Every
     profile must come back to its far-field value at |x| = L to within 1e-12,
-    and v0, theta0 must stay above the positivity floor.
+    and v0, theta0 must stay above the positivity floor.  Widths must be
+    finite and > 0, amplitudes and centres finite.
     """
-    if phi_width <= 0:
-        raise ValueError(f"phi_width must be > 0, got {phi_width}")
-    for name, w in (("v", v_width), ("u", u_width), ("theta", theta_width)):
-        if w <= 0:
-            raise ValueError(f"{name}_width must be > 0, got {w}")
+    if not 0.0 < phi_width < math.inf:  # also rejects nan
+        raise ValueError(f"phi_width must be finite and > 0, got {phi_width}")
+    bumps = (("v", FARFIELD_V, v_amp, v_width, v_center),
+             ("u", FARFIELD_U, u_amp, u_width, u_center),
+             ("theta", FARFIELD_THETA, theta_amp, theta_width, theta_center))
+    for name, _, amp, w, c in bumps:
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"{name}_width must be finite and > 0, got {w}")
+        for key, value in (("amp", amp), ("center", c)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}_{key} must be finite, got {value}")
 
     L = grid.half_width
     x = grid.x
     mid = 0.5 * (bc.phi_right + bc.phi_left)
     dphi = 0.5 * (bc.phi_right - bc.phi_left)
-    phi = mid + dphi * np.tanh(x / phi_width)
-    v = FARFIELD_V + _gaussian_bump(x, v_amp, v_width, v_center)
-    u = FARFIELD_U + _gaussian_bump(x, u_amp, u_width, u_center)
-    theta = FARFIELD_THETA + _gaussian_bump(x, theta_amp, theta_width, theta_center)
-
+    fields = {"phi": mid + dphi * np.tanh(x / phi_width)}
     if dphi != 0.0:
         _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / phi_width)))
-    for name, amp, w, c in (("v", v_amp, v_width, v_center),
-                            ("u", u_amp, u_width, u_center),
-                            ("theta", theta_amp, theta_width, theta_center)):
+    for name, farfield, amp, w, c in bumps:
+        fields[name] = farfield + _gaussian_bump(x, amp, w, c)
         if amp != 0.0:
-            gap = abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2))
-            _check_reach(name, gap)
-
-    return state_from_fields(grid, bc, v, u, theta, phi, params)
+            _check_reach(name, abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2)))
+    return state_from_fields(grid, bc, params=params, **fields)

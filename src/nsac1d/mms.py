@@ -42,8 +42,8 @@ class ManufacturedCase:
     """
 
     def __init__(self, params, half_width, amplitude=0.1, t_star=0.25):
-        if half_width < 8:
-            raise ValueError(f"manufactured case needs L >= 8, got {half_width}")
+        if not 8 <= half_width < math.inf:  # also rejects nan
+            raise ValueError(f"manufactured case needs a finite L >= 8, got {half_width}")
         if not 0.0 <= amplitude <= 0.3:
             raise ValueError(f"amplitude must be in [0, 0.3], got {amplitude}")
         if not 0 < t_star < math.inf:  # also rejects nan

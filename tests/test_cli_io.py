@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,7 @@ from nsac1d.cli_io import (_RECORD_SCALARS, ASSERTED_COLUMNS, _fmt,
 
 
 EQ_CONFIG = """\
-# equilibrium sanity run
-ic = equilibrium
+# equilibrium sanity run: equal far-field phases and no bumps
 phi_left = 1
 phi_right = 1
 L = 8
@@ -68,6 +68,10 @@ class TestParseConfig:
         for key in ("nu", "gas_R", "c_v", "kappa_tilde"):
             with pytest.raises(ns.ConfigError, match=rf"unknown key '{key}' \(line 2\)"):
                 ns.parse_config(f"beta = 2\n{key} = 1.0")
+        # equal phases and no bumps give the equilibrium, so there is no ic switch
+        for value in ("equilibrium", "interface", "shock"):
+            with pytest.raises(ns.ConfigError, match=r"unknown key 'ic' \(line 1\)"):
+                ns.parse_config(f"ic = {value}")
 
     def test_bad_value_names_line_and_key(self):
         with pytest.raises(ns.ConfigError, match=r"'N' \(line 2\)"):
@@ -83,7 +87,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", [
         "phi_left = 0.5", "N = 511", "cfl = 1.5",
-        "ic = shock", "weighted_diss = 1.5:0", "epsilon = -1",
+        "weighted_diss = 1.5:0", "epsilon = -1",
     ])
     def test_semantic_validation(self, text):
         with pytest.raises(ns.ConfigError):
@@ -110,7 +114,6 @@ L = 8
 N = 128
 phi_left = 1
 phi_right = -1
-ic = equilibrium
 phi_width = 0.5
 v_amp = 0.1
 v_width = 1.25
@@ -133,6 +136,42 @@ mms_amplitude = 0.2
             assert getattr(cfg, f.name) != f.default, f.name
         again = ns.parse_config(cfg.to_text())
         assert again == cfg
+
+
+# values RunConfig rejects on construction, with the message it raises and
+# the config line that sets them
+INVALID_FIELDS = [
+    ("phi_left", 0.5, "0.5", "phi_left must be +1 or -1, got 0.5"),
+    ("N", 511, "511", "n_cells must be even and >= 8, got 511"),
+    ("L", math.nan, "nan", "half_width must be finite and > 0, got nan"),
+    ("t_final", math.nan, "nan", "t_final must be finite and >= 0, got nan"),
+    ("t_final", math.inf, "inf", "t_final must be finite and >= 0, got inf"),
+    ("t_final", -1.0, "-1", "t_final must be finite and >= 0, got -1.0"),
+    ("mms_t_final", 0.0, "0", "mms_t_final must be finite and > 0, got 0.0"),
+    ("mms_t_final", math.nan, "nan", "mms_t_final must be finite and > 0, got nan"),
+    ("snapshot_every_steps", -1, "-1", "snapshot_every_steps must be >= 0"),
+    ("diag_every_steps", -1, "-1", "diag_every_steps must be >= 0"),
+    ("weighted_diss", ((1.5, 0),), "1.5:0", "weighted_diss alpha must be in (0, 1), got 1.5"),
+    ("weighted_diss", ((0.5, 0), (0.0, 1)), "0.5:0, 0:1",
+     "weighted_diss alpha must be in (0, 1), got 0.0"),
+]
+
+
+class TestRunConfig:
+    """A RunConfig built in code is checked like a parsed one."""
+
+    @pytest.mark.parametrize("key, value, text, message", INVALID_FIELDS,
+                             ids=[f"{key} = {text}" for key, _, text, _ in INVALID_FIELDS])
+    def test_invalid_field_raises_on_construction(self, key, value, text, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            ns.RunConfig(**{key: value})
+        with pytest.raises(ns.ConfigError, match=exact):
+            ns.parse_config(f"{key} = {text}\n")
+
+    def test_ic_is_not_a_field(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'ic'"):
+            ns.RunConfig(ic="equilibrium")
 
 
 class TestSnapshotIO:
@@ -365,7 +404,9 @@ class TestMainCommands:
         out = io.StringIO()
         assert ns.main(["mms", str(cfg)], out=out) == 0
         table = (tmp_path / "out" / "mms_convergence.csv").read_text().splitlines()
-        assert table[0].startswith("N,err_v,err_u,err_theta,err_phi,order_v")
+        assert table[0] == ("N,err_v,err_u,err_theta,err_phi,"
+                            "order_v,order_u,order_theta,order_phi")
+        assert out.getvalue().splitlines() == table
         assert len(table) == 4
 
     @pytest.mark.parametrize("L", ["10", "10.5"])
@@ -379,7 +420,7 @@ class TestMainCommands:
         assert (tmp_path / "out" / "mms_convergence.csv").exists()
 
     @pytest.mark.parametrize("lines, message", [
-        ("ic = equilibrium\nphi_left = 1\nL = 8.5",
+        ("phi_left = 1\nL = 8.5",
          "unit-interval averages need integer L, got 8.5"),
         ("L = 16.5", "unit-interval averages need integer L, got 16.5"),
         ("L = 16\nN = 40", "N = 40 cells do not tile 32 unit intervals; pick N divisible by 2L"),
@@ -401,6 +442,19 @@ class TestMainCommands:
         assert ns.main(["run", str(cfg)], out=out) == 2
         assert out.getvalue().startswith("error: v = -")
         assert "at cell 29" in out.getvalue() and "positivity floor" in out.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("phi_width = nan", "phi_width must be finite and > 0, got nan"),
+        ("theta_width = nan", "theta_width must be finite and > 0, got nan"),
+        ("v_amp = 0.1\nv_center = inf", "v_center must be finite, got inf"),
+    ], ids=["phi_width", "theta_width", "v_center"])
+    def test_non_finite_initial_data_keyword_exits_2(self, tmp_path, lines, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert out.getvalue() == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_2(self, tmp_path):
@@ -462,6 +516,20 @@ class TestMainCommands:
         assert 0.0 < records[-1].t < 0.05
         assert all(math.isfinite(getattr(r, name))
                    for r in records for name in ASSERTED_COLUMNS)
+
+
+class TestReadme:
+    def test_config_table_lists_every_key(self):
+        """The first column of README's config table names each RunConfig
+        field once, and nothing else."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        keys = []
+        for line in table.splitlines():
+            if not line.startswith("|"):
+                break
+            keys += re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ns.RunConfig))
 
 
 class TestModuleEntryPoint:

@@ -95,12 +95,14 @@ class TestEquilibrium:
 
 class TestInterfaceInitialState:
     def test_zero_amplitude_is_equilibrium(self, params):
-        grid = ns.make_grid(16, 128)
-        bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.interface_initial_state(grid, params, bc)
-        eq = ns.equilibrium_state(grid, bc)
-        for name in ("v", "u", "theta", "phi", "G"):
-            assert np.array_equal(getattr(state, name), getattr(eq, name))
+        # bit for bit, so no separate equilibrium initial condition is needed
+        for half_width, n_cells in ((16, 128), (8, 16), (16, 512), (4, 64)):
+            grid = ns.make_grid(half_width, n_cells)
+            for phi in (1.0, -1.0):
+                bc = ns.BoundaryConfig(phi, phi)
+                state = ns.interface_initial_state(grid, params, bc)
+                eq = ns.equilibrium_state(grid, bc)
+                assert state.data.tobytes() == eq.data.tobytes()
 
     def test_tanh_reaches_far_field(self, params):
         # L / w = 16 >= 15 keeps the profile within 1e-12 of +-1 at |x| = L
@@ -142,6 +144,16 @@ class TestInterfaceInitialState:
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError, match="far-field"):
             ns.interface_initial_state(grid, params, bc, v_amp=0.5, v_width=8.0)
+
+    @pytest.mark.parametrize("keyword", [
+        "phi_width", "v_amp", "v_width", "v_center", "u_amp", "u_width", "u_center",
+        "theta_amp", "theta_width", "theta_center"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_keyword_is_named(self, params, keyword, value):
+        grid = ns.make_grid(16, 256)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{keyword} must be finite"):
+            ns.interface_initial_state(grid, params, bc, **{keyword: value})
 
     @settings(max_examples=25, deadline=None)
     @given(v_amp=st.floats(-0.5, 2.0), u_amp=st.floats(-1.0, 1.0),

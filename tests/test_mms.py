@@ -112,6 +112,11 @@ class TestManufacturedCase:
         with pytest.raises(ValueError):
             ns.default_case(params, grid, t_star=0.0)
 
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan])
+    def test_rejects_non_finite_half_width(self, params, half_width):
+        with pytest.raises(ValueError, match="needs a finite L >= 8"):
+            ns.ManufacturedCase(params, half_width)
+
     @pytest.mark.parametrize("t_star", [math.inf, math.nan])
     def test_rejects_non_finite_t_star(self, params, t_star):
         with pytest.raises(ValueError, match="t_star must be finite"):

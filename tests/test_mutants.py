@@ -1,0 +1,156 @@
+"""Audit sensitivity: seeded mistakes in the kernel and the time step must be
+caught by the checks the suite and `nsac1d run` assert.
+
+Each mutant is patched in, in process, for one pair of runs:
+
+* the flagship data at L = 32, N = 512 to t = 0.05, recorded on every step
+  and checked by audit_records;
+* a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05.
+
+A mutant is killed by a failed asserted audit check, an abort, or a
+finest-pair order below the acceptance thresholds.  A survivor is a finding;
+it is marked xfail(strict=True) with the reason it survives, so a check that
+starts to kill it shows up as an unexpected pass.
+
+Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
+"""
+
+import pytest
+
+import nsac1d as ns
+from conftest import recorded_run
+from nsac1d import integrator, operators
+from nsac1d.core import check_positive
+
+FLAGSHIP_N = 512
+FLAGSHIP_T = 0.05
+MMS_L = 8
+MMS_RESOLUTIONS = (32, 64, 128)
+MMS_T = 0.05
+# the acceptance thresholds on the observed orders (criterion 8)
+MIN_ORDER = {"v": 1.9, "u": 1.9, "theta": 1.9, "phi": 1.5}
+
+
+def _kernel_then(edit):
+    """A mutant that runs the kernel, then edits its Rhs in place."""
+
+    def patch(mp):
+        kernel = operators.semi_discrete_rhs
+
+        def mutant(state, params, bc):
+            rhs = kernel(state, params, bc)
+            edit(state, rhs)
+            return rhs
+
+        mp.setattr(integrator, "semi_discrete_rhs", mutant)
+
+    return patch
+
+
+def _drop_viscous_heating(state, rhs):
+    # the kernel refreshed the ghosts, and its u_x is this central difference
+    grid = state.grid
+    u_x = ns.d1_center(state.u, grid.dx)[grid.interior]
+    rhs.dtheta -= u_x**2 / state.interior("v")
+
+
+def _freeze_G(state, rhs):
+    rhs.dG = 0.0
+
+
+def _scale_cube_in_kernel_mu(mp):
+    """phi^3 * 0.99 in the kernel's mu; the diagnostics keep the true mu."""
+    kernel = operators.semi_discrete_rhs
+
+    def potential(phi, phi_lap, eps):
+        return (0.99 * phi * phi * phi - phi) / eps - eps * phi_lap
+
+    def mutant(state, params, bc):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(operators, "potential_from", potential)
+            return kernel(state, params, bc)
+
+    mp.setattr(integrator, "semi_discrete_rhs", mutant)
+
+
+def _forward_euler(mp):
+    def euler_step(state, params, bc, dt, sources=None):
+        rhs = integrator.semi_discrete_rhs(state, params, bc)
+        if sources is not None:
+            integrator._add_sources(rhs, sources, state.grid.x, state.t)
+        out = ns.FlowState(state.grid, state.t + dt, state.data + dt * rhs.data)
+        ns.apply_bc(out, bc)
+        check_positive(out, params)
+        return out
+
+    mp.setattr(integrator, "step", euler_step)
+
+
+MUTANTS = {
+    "viscous_heating_dropped": _kernel_then(_drop_viscous_heating),
+    "phi_cubed_x0.99_in_kernel_mu": _scale_cube_in_kernel_mu,
+    "dG_zero": _kernel_then(_freeze_G),
+    "forward_euler": _forward_euler,
+}
+
+SURVIVORS = {
+    "dG_zero": "G feeds only the monitored lemma24_residual; no asserted "
+               "check and no manufactured field reads it",
+    "forward_euler": "both runs take dt of order dx^2 (the diffusion limit and "
+                     "the MMS cap), so Euler's O(dt) error is O(dx^2) and the "
+                     "spatial orders stay near 2; no check measures the order in time",
+}
+
+
+def _run_pair(patch, flagship_ic):
+    """The kill-matrix columns of the run pair with `patch` applied, and the
+    set of those it fails."""
+    columns, failed = ["abort"], set()
+    with pytest.MonkeyPatch.context() as mp:
+        if patch is not None:
+            patch(mp)
+        params, _, bc, state = flagship_ic(FLAGSHIP_N)
+        try:
+            _, records = recorded_run(params, bc, state, FLAGSHIP_T)
+        except ns.SimulationAbort:
+            failed.add("abort")
+        else:
+            failures, lines = ns.audit_records(records)
+            columns += [line.split()[1].rstrip(":") for line in lines
+                        if not line.startswith("MONITORED")]
+            failed.update(failures)
+        case = ns.ManufacturedCase(params, MMS_L, t_star=MMS_T)
+        columns += [f"order_{name}" for name in MIN_ORDER]
+        try:
+            finest = ns.convergence_study(case, MMS_RESOLUTIONS)[-1]
+        except ns.SimulationAbort:
+            failed.add("abort")
+        else:
+            failed.update(f"order_{name}" for name, low in MIN_ORDER.items()
+                          if not getattr(finest, f"order_{name}") >= low)
+    return columns, failed
+
+
+@pytest.fixture(scope="module")
+def kill_matrix(flagship_ic):
+    """(columns, failed columns) per run pair, "unmutated" first."""
+    return {name: _run_pair(patch, flagship_ic)
+            for name, patch in {"unmutated": None, **MUTANTS}.items()}
+
+
+def test_unmutated_pair_passes(kill_matrix):
+    columns = kill_matrix["unmutated"][0]
+    width = max(map(len, kill_matrix))
+    print("\n" + " " * width + "  " + "  ".join(columns))
+    for name, (_, failed) in kill_matrix.items():
+        marks = (("KILL" if c in failed else ".").center(len(c)) for c in columns)
+        print(f"{name:<{width}}  " + "  ".join(marks))
+    assert kill_matrix["unmutated"][1] == set()
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(reason=SURVIVORS[name], strict=True))
+    if name in SURVIVORS else name for name in MUTANTS])
+def test_mutant_is_killed(kill_matrix, name):
+    assert kill_matrix["unmutated"][1] == set(), "the unmutated run pair must pass"
+    assert kill_matrix[name][1], f"{name} passes every asserted check and order"

@@ -266,6 +266,20 @@ class TestCheckPositive:
             ns.state_from_fields(grid, bc, **fields, params=params)
         assert (exc_info.value.field, exc_info.value.cell) == (name, cell)
 
+    @pytest.mark.parametrize("name", ["v", "u", "theta", "phi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ghost_names_its_offset(self, params, name, value):
+        grid = ns.make_grid(4, 16)
+        n = grid.n_cells
+        for column, cell in ((0, -2), (1, -1), (n + 2, n), (n + 3, n + 1)):
+            state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+            getattr(state, name)[column] = value
+            with pytest.raises(ns.PositivityError) as exc_info:
+                check_positive(state, params)
+            err = exc_info.value
+            assert (err.field, err.cell) == (name, cell)
+            assert f"{name} = {value} at cell {cell} " in str(err)
+
     def test_nan_message_says_not_finite(self, params):
         grid = ns.make_grid(4, 16)
         state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
