@@ -87,7 +87,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", [
         "phi_left = 0.5", "N = 511", "cfl = 1.5",
-        "weighted_diss = 1.5:0", "epsilon = -1",
+        # ic is no longer a key, so this now fails as an unknown key
+        "ic = shock", "weighted_diss = 1.5:0", "epsilon = -1",
     ])
     def test_semantic_validation(self, text):
         with pytest.raises(ns.ConfigError):
