@@ -180,7 +180,7 @@ class RunContext:
     """The run monitor: per-run inputs for record() (the initial state, its
     Lyapunov energy, the bracket roots, the weighted-dissipation pairs and
     each pair's cutoff weight w_n(x), computed once per run) and diss_cum,
-    the running sum of V(t) dt that accumulate() grows."""
+    the trapezoid-rule integral of V(t) that accumulate() grows."""
 
     initial: FlowState
     e0: float
@@ -189,18 +189,22 @@ class RunContext:
     weighted_pairs: tuple = ()
     diss_cum: float = 0.0
     t_last: float = field(init=False)  # time of the last state folded in
+    v_last: float = field(init=False)  # its V; 0 before the first fold
     weights: dict = field(init=False, repr=False)  # n -> w_n on the grid
 
     def __post_init__(self):
         self.t_last = self.initial.t
+        self.v_last = 0.0
         self.weights = {n: cutoff_weight(n, self.initial.grid.x)
                         for _, n in self.weighted_pairs}
 
     def accumulate(self, state, params):
-        """Fold an accepted state into diss_cum (right-endpoint rule); return its V."""
+        """Fold an accepted state into diss_cum by the trapezoid rule over
+        [t_last, state.t]; return its V.  Fold the initial state first: at
+        t_last it adds 0 and only sets v_last."""
         v_diss = dissipation_rate(state, params)
-        self.diss_cum += (state.t - self.t_last) * v_diss
-        self.t_last = state.t
+        self.diss_cum += 0.5 * (state.t - self.t_last) * (self.v_last + v_diss)
+        self.t_last, self.v_last = state.t, v_diss
         return v_diss
 
 

@@ -1,7 +1,11 @@
 """Explicit SSP-RK2 (Heun) time advancement with an adaptive stable step.
 
 The step size is the CFL fraction of the tightest of three per-cell limits:
-diffusion (viscous + conductive + capillary), acoustic, and phase reaction.
+diffusion, acoustic, and phase reaction.  The diffusion limit bounds the
+largest of the viscous, conductive and capillary stencils, not their sum:
+phi_xx feeds the u and theta equations but no second derivative feeds back
+into phi, so the second-order part is triangular and each equation keeps
+its own eigenvalues.  A dt_cap below the stability step sets dt instead.
 Positivity failures abort the run; fields are never clamped.
 """
 
@@ -12,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FlowState, apply_bc
-from .operators import check_positive, semi_discrete_rhs
+from .operators import check_positive, face_average, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
 
 @dataclass
 class StepControl:
-    limit_kind: str = "diffusion"
+    limit_kind: str = "diffusion"  # a LIMIT_KINDS entry, or "cap"
     step_count: int = 0
 
 
@@ -34,14 +38,27 @@ class SimulationAbort(RuntimeError):
 
 def step_limits(state, params):
     """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL,
-    of a state that first passes check_positive."""
+    of a state that first passes check_positive.
+
+    diffusion = dx^2 / (2 max_i r_i) over the rows of the kernel's three
+    stencils (a f_x)_x, their ghost neighbours included: r = (a[i-1/2] +
+    a[i+1/2]) / 2 with a the face average of 1/v for u and of theta^beta/v
+    for theta, and eps v_i times the u row for phi, whose dphi = -v mu holds
+    -eps (a phi_x)_x.
+    """
     check_positive(state, params)
     grid = state.grid
-    phi, theta, v = state.data[1:4, grid.interior]
+    s = grid.interior
+    phi, theta, v = state.data[1:4, s]
 
     eps = params.epsilon
-    diffusivity = 1.0 / v + theta**params.beta / v + eps / v
-    diffusion = grid.dx**2 / (2.0 * np.max(diffusivity))
+    coef = np.empty((grid.n_total, 2))  # the kernel's 1/v and theta^beta/v
+    coef[:, 0] = 1.0 / state.v
+    coef[:, 1] = state.theta**params.beta * coef[:, 0]
+    a = face_average(coef)  # face k lies between cells k and k + 1
+    rows = 0.5 * (a[s.start - 1:s.stop - 1] + a[s])
+    largest = max(np.max(rows), eps * np.max(v * rows[:, 0]))
+    diffusion = grid.dx**2 / (2.0 * largest)
 
     sound = np.sqrt(2.0 * theta) / v  # gamma = 2
     acoustic = grid.dx / np.max(sound)
@@ -112,8 +129,8 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
             limits = step_limits(state, params)
             dt = params.cfl * min(limits)
             control.limit_kind = LIMIT_KINDS[int(np.argmin(limits))]
-            if dt_cap is not None:
-                dt = min(dt, dt_cap)
+            if dt_cap is not None and dt_cap < dt:
+                dt, control.limit_kind = dt_cap, "cap"
             # absorb float-accumulation slivers into the final step
             last = state.t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
             if last:

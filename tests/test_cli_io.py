@@ -39,7 +39,7 @@ phi_width = 0.5
 theta_amp = 0.1   # mild hot spot
 theta_width = 1.0
 diag_every_steps = 5
-snapshot_every_steps = 20
+snapshot_every_steps = 10
 """
 
 
@@ -257,7 +257,7 @@ class TestRecordCadence:
     @pytest.mark.parametrize("every", [0, 1, 3])
     def test_cli_records_are_the_library_records(self, tmp_path, every):
         cfg = ns.parse_config(
-            "L = 8\nN = 256\nt_final = 0.0025\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            "L = 8\nN = 256\nt_final = 0.0075\nphi_width = 0.5\ntheta_amp = 0.1\n"
             f"theta_width = 1\ndiag_every_steps = {every}\nsnapshot_every_steps = 4\n"
             f"outdir = {tmp_path}\n")
         assert cli_io._cmd_run(cfg, out=io.StringIO()) == 0

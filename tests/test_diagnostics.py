@@ -334,7 +334,7 @@ class TestRecord:
     def test_lyapunov_chain_between_records(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
-        recs = [ns.record(state, p, ctx, ns.dissipation_rate(state, p))]
+        recs = [ns.record(state, p, ctx, ctx.accumulate(state, p))]
 
         def observer(s):
             if s.t > ctx.t_last:
@@ -353,9 +353,10 @@ class TestRecord:
         ctx = ns.make_context(state, p, weighted_pairs=pairs)
         e0 = ns.lyapunov_energy(state, p)
         alpha1, alpha2 = ns.bracket_roots(e0)
-        got = [ns.record(state, p, ctx, ns.dissipation_rate(state, p))]
+        got = [ns.record(state, p, ctx, ctx.accumulate(state, p))]
         want = []
-        prev_t, diss_cum = state.t, 0.0
+        # the trapezoid rule over the observed states
+        prev_t, prev_v, diss_cum = state.t, ns.dissipation_rate(state, p), 0.0
 
         def scratch(s):
             violations = ns.cell_average_brackets(s, alpha1, alpha2)
@@ -373,11 +374,12 @@ class TestRecord:
                           for a, n in pairs})
 
         def observer(s):
-            nonlocal prev_t, diss_cum
+            nonlocal prev_t, prev_v, diss_cum
             if s.t > ctx.t_last:
                 got.append(ns.record(s, p, ctx, ctx.accumulate(s, p)))
-                diss_cum += (s.t - prev_t) * ns.dissipation_rate(s, p)
-                prev_t = s.t
+                v_diss = ns.dissipation_rate(s, p)
+                diss_cum += 0.5 * (s.t - prev_t) * (prev_v + v_diss)
+                prev_t, prev_v = s.t, v_diss
             want.append(scratch(s))
 
         ns.run(state, p, bc, 0.02, observer=observer)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,20 +9,52 @@ import nsac1d as ns
 from conftest import nan_sources_after, recorded_run
 
 
+def _loop_diffusion_limit(state, params):
+    """dx^2 / (2 max row bound), one cell and one stencil row at a time."""
+    g, n, dx = state.grid.n_ghost, state.grid.n_cells, state.grid.dx
+    v, theta = state.v, state.theta
+    eps, beta = params.epsilon, params.beta
+
+    def row(coef, i):
+        left = 0.5 * (coef[i - 1] + coef[i])
+        right = 0.5 * (coef[i] + coef[i + 1])
+        return 0.5 * (left + right)
+
+    rows = {"u": [], "theta": [], "phi": []}
+    inv_v = [1.0 / x for x in v]
+    cond = [t**beta / x for t, x in zip(theta, v)]
+    for i in range(g, g + n):
+        rows["u"].append(row(inv_v, i))
+        rows["theta"].append(row(cond, i))
+        rows["phi"].append(eps * v[i] * row(inv_v, i))
+    largest = {name: max(values) for name, values in rows.items()}
+    binding = max(largest, key=largest.get)
+    return dx**2 / (2.0 * largest[binding]), binding
+
+
 class TestStableDt:
     def test_equilibrium_formula(self, params):
         grid = ns.make_grid(16, 512)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
-        expected = 0.4 * min(grid.dx**2 / 6.0, grid.dx / math.sqrt(2.0), 1.0 / 3.0)
+        expected = 0.4 * min(grid.dx**2 / 2.0, grid.dx / math.sqrt(2.0), 1.0 / 3.0)
         assert ns.stable_dt(eq, params) == pytest.approx(expected, rel=1e-15)
 
     def test_limit_kinds(self, params):
         grid = ns.make_grid(16, 512)
         eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         diffusion, acoustic, reaction = ns.step_limits(eq, params)
-        assert diffusion == pytest.approx(grid.dx**2 / 6.0, rel=1e-15)
+        assert diffusion == pytest.approx(grid.dx**2 / 2.0, rel=1e-15)
         assert acoustic == pytest.approx(grid.dx / math.sqrt(2.0), rel=1e-15)
         assert reaction == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_large_epsilon_phase_row_binds(self):
+        # at equilibrium the rows are 1 (u), 1 (theta) and eps (phi)
+        params = ns.SimParams(epsilon=2.0)
+        grid = ns.make_grid(16, 512)
+        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        diffusion, _, reaction = ns.step_limits(eq, params)
+        assert diffusion == pytest.approx(grid.dx**2 / 4.0, rel=1e-15)
+        assert reaction == pytest.approx(1.0, rel=1e-15)
 
     def test_halving_dx_quarters_diffusion_limit(self, params):
         bc = ns.BoundaryConfig(1.0, 1.0)
@@ -29,15 +62,33 @@ class TestStableDt:
         d2 = ns.step_limits(ns.equilibrium_state(ns.make_grid(16, 512), bc), params)[0]
         assert d1 / d2 == pytest.approx(4.0, rel=1e-14)
 
-    def test_hot_state_halves_diffusion_limit(self, params):
-        # theta x4 with beta = 1: diffusivity sum goes 3 -> 6 exactly
+    def test_hot_state_quarters_diffusion_limit(self, params):
+        # theta x4 with beta = 1: the theta row goes 1 -> 4 and binds
         grid = ns.make_grid(16, 512)
         bc = ns.BoundaryConfig(1.0, 1.0)
         base = ns.equilibrium_state(grid, bc)
         hot = ns.equilibrium_state(grid, bc)
         hot.theta[:] = 4.0
         assert (ns.step_limits(base, params)[0] / ns.step_limits(hot, params)[0]
-                == pytest.approx(2.0, rel=1e-14))
+                == pytest.approx(4.0, rel=1e-14))
+
+    @pytest.mark.parametrize("epsilon, beta, theta_amp, binding", [
+        (1.0, 1.0, -0.1, "u"),
+        (2.0, 1.0, 0.1, "phi"),
+        (1.0, 3.0, 0.25, "theta"),
+    ])
+    def test_non_uniform_state_matches_a_loop(self, epsilon, beta, theta_amp, binding):
+        params = ns.SimParams(epsilon=epsilon, beta=beta)
+        grid = ns.make_grid(16, 128)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        state = ns.interface_initial_state(
+            grid, params, bc, phi_width=1.0,
+            v_amp=-0.2, v_width=1.5, v_center=-2.0,
+            u_amp=0.25, u_width=1.5, u_center=2.0,
+            theta_amp=theta_amp, theta_width=1.5, theta_center=0.0)
+        expected, row = _loop_diffusion_limit(state, params)
+        assert row == binding
+        assert ns.step_limits(state, params)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_non_finite(self, params):
         grid = ns.make_grid(4, 16)
@@ -148,6 +199,7 @@ class TestRun:
         cap = 0.25 * ns.stable_dt(eq, params)
         result = ns.run(eq, params, bc, 20 * cap, dt_cap=cap)
         assert result.control.step_count == 20
+        assert result.control.limit_kind == "cap"
 
     def test_observer_cadence(self, params):
         grid = ns.make_grid(8, 64)
@@ -167,6 +219,14 @@ class TestRun:
         assert ns.audit_records(records)[0] == []  # mass_conservation among them
         # stricter than lyapunov_global, which adds a roundoff allowance
         assert max(r.e_lyap + r.diss_cum - r.e0 for r in records) <= 1e-3 * records[0].e0
+
+    def test_cfl_095_keeps_the_audit(self, flagship_ic):
+        # the default cfl of 0.4 keeps more than twice this margin
+        p, grid, bc, state = flagship_ic(512, half_width=32)
+        p = dataclasses.replace(p, cfl=0.95)
+        result, records = recorded_run(p, bc, state, 1.0)
+        assert result.control.limit_kind == "diffusion"
+        assert ns.audit_records(records)[0] == []
 
     def test_G_strictly_increasing(self, params):
         grid = ns.make_grid(16, 64)

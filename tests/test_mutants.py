@@ -1,26 +1,33 @@
 """Audit sensitivity: seeded mistakes in the kernel and the time step must be
 caught by the checks the suite and `nsac1d run` assert.
 
-Each mutant is patched in, in process, for one pair of runs:
+Each mutant is patched in, in process, for one set of runs:
 
 * the flagship data at L = 32, N = 512 to t = 0.05, recorded on every step
   and checked by audit_records;
-* a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05.
+* a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05;
+* the same manufactured case at a fixed N = 64 with the dt cap halved twice,
+  whose self-convergence order in time is the temporal_order column.
 
-A mutant is killed by a failed asserted audit check, an abort, or a
-finest-pair order below the acceptance thresholds.  A survivor is a finding;
+A mutant is killed by a failed asserted audit check, an abort, a
+finest-pair order below the acceptance thresholds, or a temporal order
+below MIN_TEMPORAL_ORDER in any field.  A survivor is a finding;
 it is marked xfail(strict=True) with the reason it survives, so a check that
 starts to kill it shows up as an unexpected pass.
 
 Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import nsac1d as ns
 from conftest import recorded_run
 from nsac1d import integrator, operators
 from nsac1d.core import check_positive
+from nsac1d.mms import DT_CAP_FACTOR
 
 FLAGSHIP_N = 512
 FLAGSHIP_T = 0.05
@@ -29,6 +36,11 @@ MMS_RESOLUTIONS = (32, 64, 128)
 MMS_T = 0.05
 # the acceptance thresholds on the observed orders (criterion 8)
 MIN_ORDER = {"v": 1.9, "u": 1.9, "theta": 1.9, "phi": 1.5}
+# the temporal ladder: dt cap = DT_CAP_FACTOR dx^2 / k at a fixed dx; Heun
+# measures 2.0 in every field, forward Euler 1.0
+TEMPORAL_N = 64
+TEMPORAL_DIVISORS = (1, 2, 4)
+MIN_TEMPORAL_ORDER = 1.8
 
 
 def _kernel_then(edit):
@@ -96,14 +108,31 @@ MUTANTS = {
 SURVIVORS = {
     "dG_zero": "G feeds only the monitored lemma24_residual; no asserted "
                "check and no manufactured field reads it",
-    "forward_euler": "both runs take dt of order dx^2 (the diffusion limit and "
-                     "the MMS cap), so Euler's O(dt) error is O(dx^2) and the "
-                     "spatial orders stay near 2; no check measures the order in time",
 }
 
 
-def _run_pair(patch, flagship_ic):
-    """The kill-matrix columns of the run pair with `patch` applied, and the
+def _temporal_orders(case):
+    """log2 of the ratio of successive differences between the final fields
+    of the manufactured case at TEMPORAL_N under the dt caps of the ladder."""
+    grid = ns.make_grid(case.half_width, TEMPORAL_N)
+    finals = []
+    for k in TEMPORAL_DIVISORS:
+        state = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0),
+                                     case.params)
+        result = ns.run(state, case.params, case.bc, case.t_star,
+                        dt_cap=DT_CAP_FACTOR * grid.dx**2 / k,
+                        sources=case.sources)
+        finals.append(result.state)
+    orders = {}
+    for name in MIN_ORDER:
+        coarse, mid, fine = (final.interior(name) for final in finals)
+        orders[name] = math.log2(np.linalg.norm(coarse - mid)
+                                 / np.linalg.norm(mid - fine))
+    return orders
+
+
+def _run_set(patch, flagship_ic):
+    """The kill-matrix columns of the run set with `patch` applied, and the
     set of those it fails."""
     columns, failed = ["abort"], set()
     with pytest.MonkeyPatch.context() as mp:
@@ -128,13 +157,21 @@ def _run_pair(patch, flagship_ic):
         else:
             failed.update(f"order_{name}" for name, low in MIN_ORDER.items()
                           if not getattr(finest, f"order_{name}") >= low)
+        columns.append("temporal_order")
+        try:
+            orders = _temporal_orders(case)
+        except ns.SimulationAbort:
+            failed.add("abort")
+        else:
+            if not all(order >= MIN_TEMPORAL_ORDER for order in orders.values()):
+                failed.add("temporal_order")
     return columns, failed
 
 
 @pytest.fixture(scope="module")
 def kill_matrix(flagship_ic):
-    """(columns, failed columns) per run pair, "unmutated" first."""
-    return {name: _run_pair(patch, flagship_ic)
+    """(columns, failed columns) per run set, "unmutated" first."""
+    return {name: _run_set(patch, flagship_ic)
             for name, patch in {"unmutated": None, **MUTANTS}.items()}
 
 
@@ -152,5 +189,5 @@ def test_unmutated_pair_passes(kill_matrix):
     pytest.param(name, marks=pytest.mark.xfail(reason=SURVIVORS[name], strict=True))
     if name in SURVIVORS else name for name in MUTANTS])
 def test_mutant_is_killed(kill_matrix, name):
-    assert kill_matrix["unmutated"][1] == set(), "the unmutated run pair must pass"
+    assert kill_matrix["unmutated"][1] == set(), "the unmutated run set must pass"
     assert kill_matrix[name][1], f"{name} passes every asserted check and order"
