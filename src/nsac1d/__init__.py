@@ -11,7 +11,7 @@ from .diagnostics import (DiagnosticsRecord, RunContext, bracket_roots,
 from .integrator import (RunResult, SimulationAbort, StepControl, run,
                          stable_dt, step, step_limits)
 from .mms import ConvergenceRow, ManufacturedCase, convergence_study, default_case
-from .operators import (Rhs, chemical_potential, d1_center, diffusion_flux,
+from .operators import (Rhs, centered, chemical_potential, diffusion_flux,
                         face_average, semi_discrete_rhs)
 from .cli_io import (ConfigError, RunConfig, audit_records, main, parse_config,
                      read_diagnostics, read_snapshot, write_diagnostics,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (BoundaryConfig, PositivityError, SimParams,
                    interface_initial_state, make_grid)
-from .diagnostics import (DiagnosticsRecord, bracket_roots, dissipation_rate,
+from .diagnostics import (DiagnosticsRecord, bracket_roots, check_weighted_pairs,
                           make_context, record)
 from .integrator import SimulationAbort, run
 from .mms import ConvergenceRow, ManufacturedCase, convergence_study
@@ -76,9 +76,7 @@ class RunConfig(SimParams):
         for key in ("snapshot_every_steps", "diag_every_steps"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
-        for alpha, _ in self.weighted_diss:
-            if not 0.0 < alpha < 1.0:
-                raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
+        check_weighted_pairs(self.weighted_diss)
 
     def params(self):
         return SimParams(**{f.name: getattr(self, f.name) for f in dc_fields(SimParams)})
@@ -166,7 +164,7 @@ SNAPSHOT_COLUMNS = ("x", "v", "u", "theta", "phi", "mu", "G")
 def write_snapshot(state, params, path):
     """Interior cells as CSV rows x,v,u,theta,phi,mu,G in ascending x."""
     s = state.grid.interior
-    mu = chemical_potential(state, params)[s]
+    mu = chemical_potential(state, params)
     columns = (state.grid.x, state.v[s], state.u[s], state.theta[s],
                state.phi[s], mu, state.G[s])
     with open(path, "w", newline="") as fh:
@@ -373,11 +371,11 @@ def _cmd_run(cfg, out=sys.stdout):
     steps = itertools.count()  # run() observes the initial state as step 0
 
     def observer(state):
-        v_diss = ctx.accumulate(state, params)
+        ctx.accumulate(state, params)
         n = next(steps)
         diag, snap = cfg.diag_every_steps, cfg.snapshot_every_steps
         if n == 0 or state.t == cfg.t_final or (diag and n % diag == 0):
-            records.append(record(state, params, ctx, v_diss))
+            records.append(record(state, params, ctx))
         if snap and n and n % snap == 0:
             write_snapshot(state, params, outdir / f"snapshot_step{n:07d}.csv")
 
@@ -385,7 +383,7 @@ def _cmd_run(cfg, out=sys.stdout):
         result = run(initial, params, bc, cfg.t_final, observer=observer)
     except SimulationAbort as exc:
         print(f"ABORT: {exc}", file=out)
-        dump = record(exc.state, params, ctx, dissipation_rate(exc.state, params))
+        dump = record(exc.state, params, ctx)  # the last state the observer folded
         for name in _RECORD_SCALARS:
             print(f"  {name} = {getattr(dump, name)}", file=out)
         if dump.t > records[-1].t:  # the observer may have recorded it already

@@ -10,12 +10,13 @@ phase range, brackets) are asserted by the audit layer and the test suite.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FlowState, check_positive
-from .operators import chemical_potential, d1_center
+from .operators import centered, chemical_potential
 
 
 def mass_excess(state):
@@ -23,44 +24,47 @@ def mass_excess(state):
     return float(np.sum(state.interior("v") - 1.0) * state.grid.dx)
 
 
+_Rows = namedtuple("_Rows", "u phi theta v u_x phi_x theta_x dx")
+
+
+def _rows(state, params):
+    """Run check_positive once, then take the interior rows (in FIELDS order)
+    and u_x, phi_x and theta_x, each once, for every functional to read."""
+    check_positive(state, params)
+    g, n, dx = state.grid.n_ghost, state.grid.n_cells, state.grid.dx
+    return _Rows(*state.data[:4, g:g + n],
+                 *(centered(f, dx) for f in state.data[:3, g - 1:g + n + 1]), dx)
+
+
+def _energies(r, eps):
+    """(total energy, Lyapunov energy): the kinetic, mixing and gradient
+    densities are defined once, and each integrand sums them in its order."""
+    kinetic = 0.5 * r.u**2
+    mixing = (r.phi**2 - 1.0) ** 2 / (4.0 * eps)
+    gradient = 0.5 * eps * r.phi_x**2 / r.v
+    total = kinetic + (r.theta - 1.0) + mixing + gradient
+    lyapunov = (kinetic + mixing + gradient + (r.v - np.log(r.v) - 1.0)
+                + (r.theta - np.log(r.theta) - 1.0))
+    return float(np.sum(total) * r.dx), float(np.sum(lyapunov) * r.dx)
+
+
 def total_energy(state, params):
     """Integral of u^2/2 + (theta - 1) + (phi^2-1)^2/(4 eps) + (eps/2) phi_x^2 / v."""
-    s = state.grid.interior
-    eps = params.epsilon
-    phi_x = d1_center(state.phi, state.grid.dx)[s]
-    integrand = (0.5 * state.u[s] ** 2 + (state.theta[s] - 1.0)
-                 + (state.phi[s] ** 2 - 1.0) ** 2 / (4.0 * eps)
-                 + 0.5 * eps * phi_x**2 / state.v[s])
-    return float(np.sum(integrand) * state.grid.dx)
+    return _energies(_rows(state, params), params.epsilon)[0]
 
 
 def lyapunov_energy(state, params):
     """The five-term entropy functional; zero exactly at the far-field state."""
-    check_positive(state, params)
-    s = state.grid.interior
-    v, theta = state.v[s], state.theta[s]
-    eps = params.epsilon
-    phi_x = d1_center(state.phi, state.grid.dx)[s]
-    integrand = (0.5 * state.u[s] ** 2
-                 + (state.phi[s] ** 2 - 1.0) ** 2 / (4.0 * eps)
-                 + 0.5 * eps * phi_x**2 / v
-                 + (v - np.log(v) - 1.0)
-                 + (theta - np.log(theta) - 1.0))
-    return float(np.sum(integrand) * state.grid.dx)
+    return _energies(_rows(state, params), params.epsilon)[1]
 
 
 def dissipation_rate(state, params):
     """Entropy production V = int theta^b theta_x^2/(v theta^2) + u_x^2/(v theta) + v mu^2/theta."""
-    check_positive(state, params)
-    s = state.grid.interior
-    dx = state.grid.dx
-    v, theta = state.v[s], state.theta[s]
-    theta_x = d1_center(state.theta, dx)[s]
-    u_x = d1_center(state.u, dx)[s]
-    mu = chemical_potential(state, params)[s]
-    integrand = (theta**params.beta * theta_x**2 / (v * theta**2)
-                 + u_x**2 / (v * theta) + v * mu**2 / theta)
-    return float(np.sum(integrand) * dx)
+    r = _rows(state, params)
+    integrand = (r.theta**params.beta * r.theta_x**2 / (r.v * r.theta**2)
+                 + r.u_x**2 / (r.v * r.theta)
+                 + r.v * chemical_potential(state, params)**2 / r.theta)
+    return float(np.sum(integrand) * r.dx)
 
 
 def _well(y):
@@ -140,6 +144,16 @@ def cutoff_weight(n, x):
     return np.minimum(1.0, np.minimum(left, right))
 
 
+def check_weighted_pairs(pairs):
+    """The rule for weighted-dissipation pairs (alpha, n): 0 < alpha < 1 and
+    n an integer, the unit interval [n, n+1] of the cutoff weight."""
+    for alpha, n in pairs:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"weighted_diss n must be an integer, got {n!r}")
+
+
 def weighted_dissipation(state, params, alpha, weight):
     """Cutoff-weighted, temperature-rescaled conduction dissipation.
 
@@ -148,21 +162,19 @@ def weighted_dissipation(state, params, alpha, weight):
     caller accumulates it in time.  Reported only: its continuum bound has a
     non-constructive constant.  Requires 0 < alpha < 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    check_positive(state, params)
-    s = state.grid.interior
-    dx = state.grid.dx
-    v, theta = state.v[s], state.theta[s]
-    theta_x = d1_center(state.theta, dx)[s]
-    integrand = theta**params.beta * theta_x**2 / (v * theta ** (alpha + 1.0)) * weight
-    return float(np.sum(integrand) * dx)
+    check_weighted_pairs([(alpha, 0)])  # n is already in the weight
+    return _weighted_dissipation(_rows(state, params), params, alpha, weight)
+
+
+def _weighted_dissipation(r, params, alpha, weight):
+    integrand = r.theta**params.beta * r.theta_x**2 / (r.v * r.theta ** (alpha + 1.0)) * weight
+    return float(np.sum(integrand) * r.dx)
 
 
 def lemma24_residual(state, initial):
     """L2 norm of the discrete integrated-momentum identity residual.
 
-    R_i = d1((ln v - ln v0) - (G - G0))_i - (u_i - u0_i); identically zero in
+    R_i = centered((ln v - ln v0) - (G - G0))_i - (u_i - u0_i); identically zero in
     the continuum, pure truncation error for the scheme.  Zero exactly at
     t = 0 and to roundoff on equilibrium runs.
     """
@@ -171,49 +183,45 @@ def lemma24_residual(state, initial):
     grid = state.grid
     s = grid.interior
     combo = np.log(state.v) - np.log(initial.v) - (state.G - initial.G)
-    resid = d1_center(combo, grid.dx)[s] - (state.u[s] - initial.u[s])
+    resid = centered(combo, grid.dx)[1:-1] - (state.u[s] - initial.u[s])
     return float(math.sqrt(np.sum(resid**2) * grid.dx))
 
 
 @dataclass
 class RunContext:
     """The run monitor: per-run inputs for record() (the initial state, its
-    Lyapunov energy, the bracket roots, the weighted-dissipation pairs and
-    each pair's cutoff weight w_n(x), computed once per run) and diss_cum,
-    the trapezoid-rule integral of V(t) that accumulate() grows."""
+    Lyapunov energy, the bracket roots and the cutoff weight w_n(x) of each
+    weighted-dissipation pair (alpha, n)) and the fold of the accepted states:
+    v_last, the V at t_last, and diss_cum, the trapezoid-rule integral of V."""
 
     initial: FlowState
     e0: float
     alpha1: float
     alpha2: float
-    weighted_pairs: tuple = ()
+    weights: dict = field(repr=False)  # (alpha, n) -> w_n on the grid
+    t_last: float
+    v_last: float
     diss_cum: float = 0.0
-    t_last: float = field(init=False)  # time of the last state folded in
-    v_last: float = field(init=False)  # its V; 0 before the first fold
-    weights: dict = field(init=False, repr=False)  # n -> w_n on the grid
-
-    def __post_init__(self):
-        self.t_last = self.initial.t
-        self.v_last = 0.0
-        self.weights = {n: cutoff_weight(n, self.initial.grid.x)
-                        for _, n in self.weighted_pairs}
 
     def accumulate(self, state, params):
         """Fold an accepted state into diss_cum by the trapezoid rule over
-        [t_last, state.t]; return its V.  Fold the initial state first: at
-        t_last it adds 0 and only sets v_last."""
+        [t_last, state.t]; folding the state at t_last again adds 0."""
         v_diss = dissipation_rate(state, params)
         self.diss_cum += 0.5 * (state.t - self.t_last) * (self.v_last + v_diss)
         self.t_last, self.v_last = state.t, v_diss
-        return v_diss
 
 
 def make_context(initial, params, weighted_pairs=()):
+    """The RunContext of a run from `initial`, which it folds in; a grid or a
+    weighted pair that record() cannot use is rejected before the first step."""
     _unit_interval_cells(initial.grid)  # record() needs whole unit intervals
+    pairs = tuple(weighted_pairs)
+    check_weighted_pairs(pairs)
     e0 = lyapunov_energy(initial, params)
     alpha1, alpha2 = bracket_roots(e0)
     return RunContext(initial=initial.copy(), e0=e0, alpha1=alpha1, alpha2=alpha2,
-                      weighted_pairs=tuple(weighted_pairs))
+                      weights={(a, n): cutoff_weight(n, initial.grid.x) for a, n in pairs},
+                      t_last=initial.t, v_last=dissipation_rate(initial, params))
 
 
 @dataclass
@@ -240,31 +248,33 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(state, params, context, v_diss):
-    """Evaluate every functional on one state; pure in (state, context).
-    v_diss: dissipation_rate(state, params), as context.accumulate returns it."""
-    phi = state.interior("phi")
-    v = state.interior("v")
-    theta = state.interior("theta")
+def record(state, params, context):
+    """Evaluate every functional on one state; V and diss_cum are those of
+    the context's last fold, so the state must be the one it folded last."""
+    if state.t != context.t_last:
+        raise ValueError(f"record() needs the state the context folded last "
+                         f"(t = {context.t_last}), got t = {state.t}")
+    r = _rows(state, params)
+    energy_total, e_lyap = _energies(r, params.epsilon)
     violations = cell_average_brackets(state, context.alpha1, context.alpha2)
-    weighted = {(alpha, n): weighted_dissipation(state, params, alpha, context.weights[n])
-                for alpha, n in context.weighted_pairs}
+    weighted = {(alpha, n): _weighted_dissipation(r, params, alpha, w)
+                for (alpha, n), w in context.weights.items()}
     return DiagnosticsRecord(
         t=float(state.t),
         mass_excess=mass_excess(state),
-        energy_total=total_energy(state, params),
-        e_lyap=lyapunov_energy(state, params),
-        v_diss=v_diss,
+        energy_total=energy_total,
+        e_lyap=e_lyap,
+        v_diss=context.v_last,
         diss_cum=float(context.diss_cum),
         e0=float(context.e0),
         alpha1=context.alpha1,
         alpha2=context.alpha2,
-        phi_min=float(phi.min()),
-        phi_max=float(phi.max()),
-        v_min=float(v.min()),
-        v_max=float(v.max()),
-        theta_min=float(theta.min()),
-        theta_max=float(theta.max()),
+        phi_min=float(r.phi.min()),
+        phi_max=float(r.phi.max()),
+        v_min=float(r.v.min()),
+        v_max=float(r.v.max()),
+        theta_min=float(r.theta.min()),
+        theta_max=float(r.theta.max()),
         bracket_violations=len(violations),
         lemma24_residual=lemma24_residual(state, context.initial),
         weighted=weighted,

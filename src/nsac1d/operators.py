@@ -3,9 +3,9 @@
 Grouping of the momentum flux: the capillary stress joins the thermal
 pressure in a single effective pressure p_eff = theta/v + (eps/2)(phi_x/v)^2
 which is differenced once, so the discrete momentum sum telescopes to the
-two outer faces.  All stencils assume populated ghost layers; d1_center,
-diffusion_flux and chemical_potential return full-length arrays whose
-outermost entry on each side holds no stencil value and must not be read.
+two outer faces.  All stencils assume populated ghost layers.  centered and
+chemical_potential return only the cells they reach; diffusion_flux returns a
+full-length array whose outermost entries hold no value and must not be read.
 """
 
 from __future__ import annotations
@@ -17,20 +17,11 @@ import numpy as np
 from .core import N_GHOST, apply_bc, check_positive, row_property
 
 
-def _centered(f, dx):
-    """(f_{i+1} - f_{i-1}) / (2 dx) at every cell with both neighbours."""
+def centered(f, dx):
+    """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx) at every cell
+    with both neighbours; the divided difference of face averages, so
+    interior sums telescope to the outer face values."""
     return (f[2:] - f[:-2]) / (2.0 * dx)
-
-
-def d1_center(f, dx):
-    """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx).
-
-    Identical to the divided difference of face averages, so interior sums
-    telescope to the outer face values.
-    """
-    out = np.zeros_like(f)
-    out[1:-1] = _centered(f, dx)
-    return out
 
 
 def face_average(c):
@@ -53,13 +44,13 @@ def potential_from(phi, phi_lap, eps):
 
 
 def chemical_potential(state, params):
-    """mu = (1/eps)(phi^3 - phi) - eps ((phi_x / v)_x), flux-form laplacian.
+    """mu = (1/eps)(phi^3 - phi) - eps ((phi_x / v)_x) at interior cells, flux form.
 
     Shares the diffusion stencil with the phase equation so phi_t = -v mu
     holds exactly at the discrete level.
     """
     lap = diffusion_flux(face_average(1.0 / state.v), state.phi, state.grid.dx)
-    return potential_from(state.phi, lap, params.epsilon)
+    return potential_from(state.interior("phi"), lap[state.grid.interior], params.epsilon)
 
 
 @dataclass
@@ -113,14 +104,14 @@ def semi_discrete_rhs(state, params, bc):
 
     # p_eff is differenced, so it is needed one ghost cell beyond the interior
     e = slice(g - 1, g + n + 1)
-    u_x = _centered(data[0, e], dx)
-    phi_x = _centered(data[1, g - 2:g + n + 2], dx)
+    u_x = centered(data[0, e], dx)
+    phi_x = centered(data[1, g - 2:g + n + 2], dx)
     mu = potential_from(data[1, s], phi_lap, eps)
     p_thermal = theta[e] / v[e]
     p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
 
     rhs = Rhs(np.zeros(data.shape))
-    rhs.du = visc - _centered(p_eff, dx)
+    rhs.du = visc - centered(p_eff, dx)
     rhs.dphi = -v_i * mu
     rhs.dtheta = conduct - p_thermal[1:-1] * u_x + u_x**2 / v_i + v_i * mu**2
     rhs.dv = u_x

@@ -3,6 +3,8 @@ that takes the CLI's diagnostics record on every step (the acceptance suite
 asserts through these records and audit_records), and a NaN-injecting
 sources hook."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,33 @@ def recorded_run(params, bc, state, t_final):
     records them at diag_every_steps = 1; returns (result, records)."""
     ctx = ns.make_context(state, params)
     records = []
-    result = ns.run(state, params, bc, t_final, observer=lambda s: records.append(
-        ns.record(s, params, ctx, ctx.accumulate(s, params))))
+
+    def observer(s):
+        ctx.accumulate(s, params)
+        records.append(ns.record(s, params, ctx))
+
+    result = ns.run(state, params, bc, t_final, observer=observer)
     return result, records
+
+
+# Lemma 2.4 on the flagship data: from N = 256 to N = 512 the
+# integrated-momentum residual at t = 0.05 falls by at least 2, an order of
+# at least 1 (Heun: 2.96, an order of 1.56)
+LEMMA24_T = 0.05
+LEMMA24_RESOLUTIONS = (256, 512)
+MIN_LEMMA24_ORDER = 1.0
+
+
+def lemma24_order(flagship_ic):
+    """log2 of lemma24_residual of the flagship data at LEMMA24_T on the
+    coarser of LEMMA24_RESOLUTIONS over that on the finer."""
+    residuals = []
+    for n in LEMMA24_RESOLUTIONS:
+        p, _, bc, state = flagship_ic(n)
+        initial = state.copy()
+        residuals.append(ns.lemma24_residual(ns.run(state, p, bc, LEMMA24_T).state, initial))
+    coarse, fine = residuals
+    return math.log2(coarse / fine)
 
 
 def nan_sources_after(t_bad):

@@ -13,7 +13,8 @@ import math
 import pytest
 
 import nsac1d as ns
-from conftest import recorded_run
+from conftest import (LEMMA24_RESOLUTIONS, LEMMA24_T, MIN_LEMMA24_ORDER, lemma24_order,
+                      recorded_run)
 
 from test_diagnostics import PINNED_BRACKET_ROOTS
 
@@ -179,6 +180,17 @@ def test_criterion_6_integrated_momentum_residual(lemma24_study, params):
               f"norms {r[128]:.2e}/{r[256]:.2e}/{r[512]:.2e}, orders "
               f"{orders[0]:.2f}, {orders[1]:.2f} (need >= 1.5); t=0 gives "
               f"{at_start}; equilibrium run gives {eq_resid:.2e}")
+
+
+def test_criterion_6_flagship_residual_falls_by_two(flagship_ic):
+    # a short run at the flagship's own data, so that a kernel that advances
+    # G wrongly (dG = 0 grows the residual, order -0.43) fails the suite
+    order = lemma24_order(flagship_ic)
+    coarse, fine = LEMMA24_RESOLUTIONS
+    criterion(6, "integrated-momentum residual on the flagship data",
+              order >= MIN_LEMMA24_ORDER,
+              f"order {order:.2f} from N = {coarse} to {fine} at t = {LEMMA24_T} "
+              f"(need >= {MIN_LEMMA24_ORDER}, a fall by 2)")
 
 
 def test_criterion_7_positivity(flagship_512, matrix_runs, cold_spot_run, params):

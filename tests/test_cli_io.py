@@ -170,6 +170,12 @@ class TestRunConfig:
         with pytest.raises(ns.ConfigError, match=exact):
             ns.parse_config(f"{key} = {text}\n")
 
+    def test_non_integer_n_raises_on_construction(self):
+        # n names the unit interval [n, n+1]; n = 0.5 would run and write a
+        # config.txt and a diagnostics column that do not read back
+        with pytest.raises(ValueError, match=r"^weighted_diss n must be an integer, got 0\.5$"):
+            ns.RunConfig(L=16, N=64, weighted_diss=((0.5, 0.5),))
+
     def test_ic_is_not_a_field(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'ic'"):
             ns.RunConfig(ic="equilibrium")
@@ -212,7 +218,7 @@ class TestSnapshotIO:
         data = read_snapshot(path)
         rebuilt = ns.state_from_fields(grid, bc, data["v"], data["u"],
                                        data["theta"], data["phi"], params)
-        mu = ns.chemical_potential(rebuilt, params)[grid.interior]
+        mu = ns.chemical_potential(rebuilt, params)
         assert np.max(np.abs(mu - data["mu"])) <= 1e-15
 
 
@@ -223,11 +229,11 @@ class TestDiagnosticsIO:
         state = ns.interface_initial_state(grid, params, bc,
                                            theta_amp=-0.2, theta_width=1.5)
         ctx = ns.make_context(state, params, weighted_pairs=((0.5, 0), (0.25, -2)))
-        recs = [ns.record(state, params, ctx, ns.dissipation_rate(state, params))]
+        recs = [ns.record(state, params, ctx)]
         result = ns.run(state, params, bc, 0.01)
+        ctx.accumulate(result.state, params)
         ctx.diss_cum = 1.2345e-3
-        recs.append(ns.record(result.state, params, ctx,
-                              ns.dissipation_rate(result.state, params)))
+        recs.append(ns.record(result.state, params, ctx))
         path = tmp_path / "diag.csv"
         write_diagnostics(recs, path)
         assert path.read_text().startswith("#")

@@ -270,6 +270,15 @@ class TestWeightedDissipation:
         with pytest.raises(ValueError):
             ns.weighted_dissipation(eq, params, alpha, ns.cutoff_weight(0, grid.x))
 
+    @pytest.mark.parametrize("pair, match", [((2.0, 0), r"alpha must be in \(0, 1\), got 2\.0"),
+                                             ((0.5, 0.5), "n must be an integer, got 0.5"),
+                                             ((0.5, True), "n must be an integer, got True")])
+    def test_run_context_rejects_the_pair_before_a_step(self, params, pair, match):
+        # the rule holds before the first step, not only when record() runs
+        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
+        with pytest.raises(ValueError, match=match):
+            ns.make_context(eq, params, [(0.5, 0), pair])
+
 
 class TestLemma24Residual:
     def test_zero_at_start(self, params):
@@ -306,7 +315,8 @@ class TestFunctionalGuard:
         grid = ns.make_grid(8, 64)
         state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
         getattr(state, name)[grid.n_ghost + cell] = value
-        for functional in (lambda s: ns.lyapunov_energy(s, params),
+        for functional in (lambda s: ns.total_energy(s, params),
+                           lambda s: ns.lyapunov_energy(s, params),
                            lambda s: ns.dissipation_rate(s, params),
                            lambda s: ns.weighted_dissipation(
                                s, params, 0.5, ns.cutoff_weight(0, grid.x))):
@@ -321,7 +331,7 @@ class TestRecord:
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.equilibrium_state(grid, bc)
         ctx = ns.make_context(eq, params, weighted_pairs=((0.5, 0),))
-        rec = ns.record(eq, params, ctx, ns.dissipation_rate(eq, params))
+        rec = ns.record(eq, params, ctx)
         assert rec.mass_excess == 0.0 and rec.energy_total == 0.0
         assert rec.e_lyap == 0.0 and rec.v_diss == 0.0
         assert rec.phi_min == rec.phi_max == 1.0
@@ -334,11 +344,12 @@ class TestRecord:
     def test_lyapunov_chain_between_records(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
-        recs = [ns.record(state, p, ctx, ctx.accumulate(state, p))]
+        recs = [ns.record(state, p, ctx)]
 
         def observer(s):
             if s.t > ctx.t_last:
-                recs.append(ns.record(s, p, ctx, ctx.accumulate(s, p)))
+                ctx.accumulate(s, p)
+                recs.append(ns.record(s, p, ctx))
 
         ns.run(state, p, bc, 0.05, observer=observer)
         for a, b in zip(recs, recs[1:]):
@@ -346,14 +357,15 @@ class TestRecord:
                     <= a.e_lyap + 1e-3 * ctx.e0 + 1e-14)
 
     def test_reused_values_equal_a_record_from_scratch(self, flagship_ic):
-        # record() reuses the roots, the cutoff weights and the V that
-        # accumulate() returns; each field must equal the functional itself
+        # record() reuses the roots, the cutoff weights, the V of the last
+        # fold and one set of differences; each field must equal the
+        # functional itself
         p, grid, bc, state = flagship_ic(256, half_width=32)
         pairs = ((0.5, 0), (0.25, -3), (0.75, 0))
         ctx = ns.make_context(state, p, weighted_pairs=pairs)
         e0 = ns.lyapunov_energy(state, p)
         alpha1, alpha2 = ns.bracket_roots(e0)
-        got = [ns.record(state, p, ctx, ctx.accumulate(state, p))]
+        got = [ns.record(state, p, ctx)]
         want = []
         # the trapezoid rule over the observed states
         prev_t, prev_v, diss_cum = state.t, ns.dissipation_rate(state, p), 0.0
@@ -376,7 +388,8 @@ class TestRecord:
         def observer(s):
             nonlocal prev_t, prev_v, diss_cum
             if s.t > ctx.t_last:
-                got.append(ns.record(s, p, ctx, ctx.accumulate(s, p)))
+                ctx.accumulate(s, p)
+                got.append(ns.record(s, p, ctx))
                 v_diss = ns.dissipation_rate(s, p)
                 diss_cum += 0.5 * (s.t - prev_t) * (prev_v + v_diss)
                 prev_t, prev_v = s.t, v_diss
@@ -386,6 +399,47 @@ class TestRecord:
         assert len(got) == len(want) > 2
         for a, b in zip(got, want):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+    def test_make_context_folds_the_initial_state(self, flagship_ic):
+        # folding the initial state again adds a zero-width trapezoid
+        p, grid, bc, state = flagship_ic(128, half_width=32)
+        every, later = ns.make_context(state, p), ns.make_context(state, p)
+        assert every.v_last == ns.dissipation_rate(state, p) > 0.0
+
+        def observer(s):
+            every.accumulate(s, p)
+            if s.t > later.t_last:
+                later.accumulate(s, p)
+
+        ns.run(state, p, bc, 0.05, observer=observer)
+        assert every.t_last == later.t_last == 0.05
+        assert later.diss_cum == every.diss_cum > 0.0
+
+    def test_record_needs_the_state_folded_last(self, flagship_ic):
+        p, grid, bc, state = flagship_ic(128, half_width=32)
+        ctx = ns.make_context(state, p)
+        later = ns.run(state, p, bc, 0.01).state
+        with pytest.raises(ValueError, match="folded last"):
+            ns.record(later, p, ctx)
+        ctx.accumulate(later, p)
+        with pytest.raises(ValueError, match="folded last"):
+            ns.record(state, p, ctx)
+        assert ns.record(later, p, ctx).t == 0.01
+
+    def test_one_guard_per_fold_and_per_record(self, flagship_ic, monkeypatch):
+        # accumulate() and record() each run check_positive once, however
+        # many functionals and weighted pairs they evaluate
+        p, grid, bc, state = flagship_ic(128, half_width=32)
+        ctx = ns.make_context(state, p, weighted_pairs=((0.5, 0), (0.25, -3)))
+        later = ns.step(state, p, bc, ns.stable_dt(state, p))
+        calls = []
+        guard = ns.diagnostics.check_positive
+        monkeypatch.setattr(ns.diagnostics, "check_positive",
+                            lambda *args: calls.append(args) or guard(*args))
+        ctx.accumulate(later, p)
+        rec = ns.record(later, p, ctx)
+        assert len(calls) == 2
+        assert set(rec.weighted) == {(0.5, 0), (0.25, -3)}
 
 
 class TestTranslationInvariance:

@@ -7,11 +7,14 @@ Each mutant is patched in, in process, for one set of runs:
   and checked by audit_records;
 * a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05;
 * the same manufactured case at a fixed N = 64 with the dt cap halved twice,
-  whose self-convergence order in time is the temporal_order column.
+  whose self-convergence order in time is the temporal_order column;
+* the flagship data at N = 256 and 512 to t = 0.05, whose Lemma 2.4
+  residual order is the lemma24_order column.
 
 A mutant is killed by a failed asserted audit check, an abort, a
-finest-pair order below the acceptance thresholds, or a temporal order
-below MIN_TEMPORAL_ORDER in any field.  A survivor is a finding;
+finest-pair order below the acceptance thresholds, a temporal order
+below MIN_TEMPORAL_ORDER in any field, or a lemma24_order below
+MIN_LEMMA24_ORDER.  A survivor is a finding;
 it is marked xfail(strict=True) with the reason it survives, so a check that
 starts to kill it shows up as an unexpected pass.
 
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 import nsac1d as ns
-from conftest import recorded_run
+from conftest import MIN_LEMMA24_ORDER, lemma24_order, recorded_run
 from nsac1d import integrator, operators
 from nsac1d.core import check_positive
 from nsac1d.mms import DT_CAP_FACTOR
@@ -62,7 +65,7 @@ def _kernel_then(edit):
 def _drop_viscous_heating(state, rhs):
     # the kernel refreshed the ghosts, and its u_x is this central difference
     grid = state.grid
-    u_x = ns.d1_center(state.u, grid.dx)[grid.interior]
+    u_x = ns.centered(state.u, grid.dx)[1:-1]
     rhs.dtheta -= u_x**2 / state.interior("v")
 
 
@@ -105,10 +108,7 @@ MUTANTS = {
     "forward_euler": _forward_euler,
 }
 
-SURVIVORS = {
-    "dG_zero": "G feeds only the monitored lemma24_residual; no asserted "
-               "check and no manufactured field reads it",
-}
+SURVIVORS = {}
 
 
 def _temporal_orders(case):
@@ -165,6 +165,12 @@ def _run_set(patch, flagship_ic):
         else:
             if not all(order >= MIN_TEMPORAL_ORDER for order in orders.values()):
                 failed.add("temporal_order")
+        columns.append("lemma24_order")
+        try:
+            if not lemma24_order(flagship_ic) >= MIN_LEMMA24_ORDER:
+                failed.add("lemma24_order")
+        except ns.SimulationAbort:
+            failed.add("abort")
     return columns, failed
 
 
