@@ -131,7 +131,7 @@ _PARSERS = {"weighted_diss": _parse_weighted, "mms_resolutions": _parse_resoluti
 
 
 def parse_config(text):
-    """Parse the `key = value` format; unknown keys are a hard error."""
+    """Parse the `key = value` format; an unknown or repeated key is a hard error."""
     defaults = {f.name: f.default for f in dc_fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,6 +145,8 @@ def parse_config(text):
         value = value.strip()
         if key not in defaults:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
+        if key in values:
+            raise ConfigError(f"duplicate key '{key}' (line {lineno})")
         parser = _PARSERS.get(key, type(defaults[key]))
         try:
             values[key] = parser(value)
@@ -367,23 +369,23 @@ def _cmd_run(cfg, out=sys.stdout):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(cfg.to_text())
 
-    records = []
-    steps = itertools.count()  # run() observes the initial state as step 0
+    records = [record(ctx)]  # make_context has folded the initial state
+    steps = itertools.count(1)  # run() observes the accepted steps
 
     def observer(state):
-        ctx.accumulate(state, params)
+        ctx.accumulate(state)
         n = next(steps)
         diag, snap = cfg.diag_every_steps, cfg.snapshot_every_steps
-        if n == 0 or state.t == cfg.t_final or (diag and n % diag == 0):
-            records.append(record(state, params, ctx))
-        if snap and n and n % snap == 0:
+        if state.t == cfg.t_final or (diag and n % diag == 0):
+            records.append(record(ctx))
+        if snap and n % snap == 0:
             write_snapshot(state, params, outdir / f"snapshot_step{n:07d}.csv")
 
     try:
         result = run(initial, params, bc, cfg.t_final, observer=observer)
     except SimulationAbort as exc:
         print(f"ABORT: {exc}", file=out)
-        dump = record(exc.state, params, ctx)  # the last state the observer folded
+        dump = record(ctx)  # exc.state, the last state folded
         for name in _RECORD_SCALARS:
             print(f"  {name} = {getattr(dump, name)}", file=out)
         if dump.t > records[-1].t:  # the observer may have recorded it already

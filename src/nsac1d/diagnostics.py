@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FlowState, check_positive
+from .core import FlowState, SimParams, check_positive
 from .operators import centered, chemical_potential
 
 
@@ -60,7 +60,10 @@ def lyapunov_energy(state, params):
 
 def dissipation_rate(state, params):
     """Entropy production V = int theta^b theta_x^2/(v theta^2) + u_x^2/(v theta) + v mu^2/theta."""
-    r = _rows(state, params)
+    return _dissipation_rate(state, _rows(state, params), params)
+
+
+def _dissipation_rate(state, r, params):
     integrand = (r.theta**params.beta * r.theta_x**2 / (r.v * r.theta**2)
                  + r.u_x**2 / (r.v * r.theta)
                  + r.v * chemical_potential(state, params)**2 / r.theta)
@@ -145,13 +148,18 @@ def cutoff_weight(n, x):
 
 
 def check_weighted_pairs(pairs):
-    """The rule for weighted-dissipation pairs (alpha, n): 0 < alpha < 1 and
-    n an integer, the unit interval [n, n+1] of the cutoff weight."""
+    """The rule for weighted-dissipation pairs (alpha, n): 0 < alpha < 1, n
+    an integer, the unit interval [n, n+1] of the cutoff weight, and each
+    pair listed once."""
+    seen = []
     for alpha, n in pairs:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"weighted_diss n must be an integer, got {n!r}")
+        if (alpha, n) in seen:
+            raise ValueError(f"weighted_diss lists the pair {alpha}:{n} twice")
+        seen.append((alpha, n))
 
 
 def weighted_dissipation(state, params, alpha, weight):
@@ -189,39 +197,44 @@ def lemma24_residual(state, initial):
 
 @dataclass
 class RunContext:
-    """The run monitor: per-run inputs for record() (the initial state, its
-    Lyapunov energy, the bracket roots and the cutoff weight w_n(x) of each
-    weighted-dissipation pair (alpha, n)) and the fold of the accepted states:
-    v_last, the V at t_last, and diss_cum, the trapezoid-rule integral of V."""
+    """The run monitor: record()'s per-run inputs (params, the initial state,
+    its Lyapunov energy e0, the bracket roots, the cutoff weight w_n(x) of each
+    weighted-dissipation pair (alpha, n)) and the last fold (its state and rows,
+    v_last, the V of that state, and diss_cum, the trapezoid-rule integral of V)."""
 
+    params: SimParams
     initial: FlowState
     e0: float
     alpha1: float
     alpha2: float
     weights: dict = field(repr=False)  # (alpha, n) -> w_n on the grid
-    t_last: float
+    state: FlowState
+    rows: _Rows = field(repr=False)
     v_last: float
     diss_cum: float = 0.0
 
-    def accumulate(self, state, params):
+    def accumulate(self, state):
         """Fold an accepted state into diss_cum by the trapezoid rule over
-        [t_last, state.t]; folding the state at t_last again adds 0."""
-        v_diss = dissipation_rate(state, params)
-        self.diss_cum += 0.5 * (state.t - self.t_last) * (self.v_last + v_diss)
-        self.t_last, self.v_last = state.t, v_diss
+        [self.state.t, state.t]; folding the last state again adds 0."""
+        rows = _rows(state, self.params)
+        v_diss = _dissipation_rate(state, rows, self.params)
+        self.diss_cum += 0.5 * (state.t - self.state.t) * (self.v_last + v_diss)
+        self.state, self.rows, self.v_last = state, rows, v_diss
 
 
 def make_context(initial, params, weighted_pairs=()):
-    """The RunContext of a run from `initial`, which it folds in; a grid or a
-    weighted pair that record() cannot use is rejected before the first step."""
+    """The RunContext of a run from `initial`, whose copy it folds; a grid or
+    a weighted pair that record() cannot use is rejected before the first step."""
     _unit_interval_cells(initial.grid)  # record() needs whole unit intervals
     pairs = tuple(weighted_pairs)
     check_weighted_pairs(pairs)
-    e0 = lyapunov_energy(initial, params)
+    state = initial.copy()
+    rows = _rows(state, params)
+    e0 = _energies(rows, params.epsilon)[1]
     alpha1, alpha2 = bracket_roots(e0)
-    return RunContext(initial=initial.copy(), e0=e0, alpha1=alpha1, alpha2=alpha2,
+    return RunContext(params=params, initial=state, e0=e0, alpha1=alpha1, alpha2=alpha2,
                       weights={(a, n): cutoff_weight(n, initial.grid.x) for a, n in pairs},
-                      t_last=initial.t, v_last=dissipation_rate(initial, params))
+                      state=state, rows=rows, v_last=_dissipation_rate(state, rows, params))
 
 
 @dataclass
@@ -248,13 +261,10 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(state, params, context):
-    """Evaluate every functional on one state; V and diss_cum are those of
-    the context's last fold, so the state must be the one it folded last."""
-    if state.t != context.t_last:
-        raise ValueError(f"record() needs the state the context folded last "
-                         f"(t = {context.t_last}), got t = {state.t}")
-    r = _rows(state, params)
+def record(context):
+    """Evaluate every functional on the state the context folded last, from
+    the rows of that fold; V and diss_cum are those of the fold."""
+    state, r, params = context.state, context.rows, context.params
     energy_total, e_lyap = _energies(r, params.epsilon)
     violations = cell_average_brackets(state, context.alpha1, context.alpha2)
     weighted = {(alpha, n): _weighted_dissipation(r, params, alpha, w)

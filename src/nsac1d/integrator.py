@@ -115,15 +115,13 @@ class RunResult:
 def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     """Advance from initial.t to t_final; the last step lands on it exactly.
 
-    observer(state) is called on the initial state and after every accepted
-    step.  Any step error aborts with the last accepted state attached.
+    observer(state) is called after every accepted step, not on the initial
+    state.  Any step error aborts with the last accepted state attached.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
     control = StepControl()
     state = initial
-    if observer is not None:
-        observer(state)
     while state.t < t_final:
         try:
             limits = step_limits(state, params)

@@ -17,14 +17,15 @@ def params():
 
 
 def recorded_run(params, bc, state, t_final):
-    """run() with record() taken on every observed state, as `nsac1d run`
-    records them at diag_every_steps = 1; returns (result, records)."""
+    """run() with record() taken on the initial state and after every
+    accepted step, as `nsac1d run` records them at diag_every_steps = 1;
+    returns (result, records)."""
     ctx = ns.make_context(state, params)
-    records = []
+    records = [ns.record(ctx)]
 
     def observer(s):
-        ctx.accumulate(s, params)
-        records.append(ns.record(s, params, ctx))
+        ctx.accumulate(s)
+        records.append(ns.record(ctx))
 
     result = ns.run(state, params, bc, t_final, observer=observer)
     return result, records

@@ -229,11 +229,11 @@ class TestDiagnosticsIO:
         state = ns.interface_initial_state(grid, params, bc,
                                            theta_amp=-0.2, theta_width=1.5)
         ctx = ns.make_context(state, params, weighted_pairs=((0.5, 0), (0.25, -2)))
-        recs = [ns.record(state, params, ctx)]
+        recs = [ns.record(ctx)]
         result = ns.run(state, params, bc, 0.01)
-        ctx.accumulate(result.state, params)
+        ctx.accumulate(result.state)
         ctx.diss_cum = 1.2345e-3
-        recs.append(ns.record(result.state, params, ctx))
+        recs.append(ns.record(ctx))
         path = tmp_path / "diag.csv"
         write_diagnostics(recs, path)
         assert path.read_text().startswith("#")
@@ -387,6 +387,23 @@ class TestMainCommands:
         assert (tmp_path / "out" / "snapshot_final.csv").exists()
         assert (tmp_path / "out" / "plot_diagnostics.py").exists()
 
+    def test_run_guards_each_observed_state_once(self, tmp_path, monkeypatch):
+        # make_context guards the initial state and each fold the state of an
+        # accepted step; a record reads its fold and guards nothing
+        calls = []
+        guard = ns.diagnostics.check_positive
+        monkeypatch.setattr(ns.diagnostics, "check_positive",
+                            lambda *args: calls.append(args) or guard(*args))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EQ_CONFIG.replace("diag_every_steps = 5", "diag_every_steps = 1")
+                       + f"outdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 0
+        steps = int(re.search(r"steps = (\d+)", out.getvalue()).group(1))
+        assert steps > 1
+        assert len(read_diagnostics(tmp_path / "out" / "diagnostics.csv")) == steps + 1
+        assert len(calls) == steps + 1
+
     def test_run_writes_cadenced_snapshots(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(INTERFACE_CONFIG + f"outdir = {tmp_path / 'out'}\n")
@@ -435,6 +452,24 @@ class TestMainCommands:
     def test_untiled_run_grid_exits_2_without_output(self, tmp_path, lines, message):
         text = f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n"
         ns.parse_config(text)  # a valid config: only `run` needs unit intervals
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert out.getvalue() == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("N = 64\nN = 128\nL = 8", "duplicate key 'N' (line 2)"),
+        ("weighted_diss = 0.5:0,0.5:0", "weighted_diss lists the pair 0.5:0 twice"),
+    ], ids=["key", "pair"])
+    def test_repeated_key_or_pair_exits_2_without_output(self, tmp_path, lines, message):
+        # config.txt could record only one of the values, and the
+        # diagnostics CSV only one column per pair
+        text = f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n"
+        with pytest.raises(ns.ConfigError) as exc_info:
+            ns.parse_config(text)
+        assert str(exc_info.value) == message
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         out = io.StringIO()

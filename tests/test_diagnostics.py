@@ -272,7 +272,8 @@ class TestWeightedDissipation:
 
     @pytest.mark.parametrize("pair, match", [((2.0, 0), r"alpha must be in \(0, 1\), got 2\.0"),
                                              ((0.5, 0.5), "n must be an integer, got 0.5"),
-                                             ((0.5, True), "n must be an integer, got True")])
+                                             ((0.5, True), "n must be an integer, got True"),
+                                             ((0.5, 0), "lists the pair 0.5:0 twice")])
     def test_run_context_rejects_the_pair_before_a_step(self, params, pair, match):
         # the rule holds before the first step, not only when record() runs
         eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
@@ -331,7 +332,7 @@ class TestRecord:
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.equilibrium_state(grid, bc)
         ctx = ns.make_context(eq, params, weighted_pairs=((0.5, 0),))
-        rec = ns.record(eq, params, ctx)
+        rec = ns.record(ctx)
         assert rec.mass_excess == 0.0 and rec.energy_total == 0.0
         assert rec.e_lyap == 0.0 and rec.v_diss == 0.0
         assert rec.phi_min == rec.phi_max == 1.0
@@ -344,12 +345,11 @@ class TestRecord:
     def test_lyapunov_chain_between_records(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
-        recs = [ns.record(state, p, ctx)]
+        recs = [ns.record(ctx)]
 
         def observer(s):
-            if s.t > ctx.t_last:
-                ctx.accumulate(s, p)
-                recs.append(ns.record(s, p, ctx))
+            ctx.accumulate(s)
+            recs.append(ns.record(ctx))
 
         ns.run(state, p, bc, 0.05, observer=observer)
         for a, b in zip(recs, recs[1:]):
@@ -365,8 +365,7 @@ class TestRecord:
         ctx = ns.make_context(state, p, weighted_pairs=pairs)
         e0 = ns.lyapunov_energy(state, p)
         alpha1, alpha2 = ns.bracket_roots(e0)
-        got = [ns.record(state, p, ctx)]
-        want = []
+        got = [ns.record(ctx)]
         # the trapezoid rule over the observed states
         prev_t, prev_v, diss_cum = state.t, ns.dissipation_rate(state, p), 0.0
 
@@ -385,14 +384,15 @@ class TestRecord:
                 weighted={(a, n): ns.weighted_dissipation(s, p, a, ns.cutoff_weight(n, grid.x))
                           for a, n in pairs})
 
+        want = [scratch(state)]
+
         def observer(s):
             nonlocal prev_t, prev_v, diss_cum
-            if s.t > ctx.t_last:
-                ctx.accumulate(s, p)
-                got.append(ns.record(s, p, ctx))
-                v_diss = ns.dissipation_rate(s, p)
-                diss_cum += 0.5 * (s.t - prev_t) * (prev_v + v_diss)
-                prev_t, prev_v = s.t, v_diss
+            ctx.accumulate(s)
+            got.append(ns.record(ctx))
+            v_diss = ns.dissipation_rate(s, p)
+            diss_cum += 0.5 * (s.t - prev_t) * (prev_v + v_diss)
+            prev_t, prev_v = s.t, v_diss
             want.append(scratch(s))
 
         ns.run(state, p, bc, 0.02, observer=observer)
@@ -405,39 +405,42 @@ class TestRecord:
         p, grid, bc, state = flagship_ic(128, half_width=32)
         every, later = ns.make_context(state, p), ns.make_context(state, p)
         assert every.v_last == ns.dissipation_rate(state, p) > 0.0
+        every.accumulate(state)
+        assert every.diss_cum == 0.0
 
         def observer(s):
-            every.accumulate(s, p)
-            if s.t > later.t_last:
-                later.accumulate(s, p)
+            every.accumulate(s)
+            later.accumulate(s)
 
         ns.run(state, p, bc, 0.05, observer=observer)
-        assert every.t_last == later.t_last == 0.05
+        assert every.state.t == later.state.t == 0.05
         assert later.diss_cum == every.diss_cum > 0.0
 
-    def test_record_needs_the_state_folded_last(self, flagship_ic):
+    def test_record_reads_the_last_fold(self, flagship_ic):
         p, grid, bc, state = flagship_ic(128, half_width=32)
         ctx = ns.make_context(state, p)
         later = ns.run(state, p, bc, 0.01).state
-        with pytest.raises(ValueError, match="folded last"):
-            ns.record(later, p, ctx)
-        ctx.accumulate(later, p)
-        with pytest.raises(ValueError, match="folded last"):
-            ns.record(state, p, ctx)
-        assert ns.record(later, p, ctx).t == 0.01
+        assert ns.record(ctx).t == 0.0
+        ctx.accumulate(later)
+        rec = ns.record(ctx)
+        assert rec.t == later.t == 0.01
+        assert rec.e_lyap == ns.lyapunov_energy(later, p)
+        assert rec.v_diss == ns.dissipation_rate(later, p)
 
-    def test_one_guard_per_fold_and_per_record(self, flagship_ic, monkeypatch):
-        # accumulate() and record() each run check_positive once, however
-        # many functionals and weighted pairs they evaluate
+    def test_one_guard_per_observed_state(self, flagship_ic, monkeypatch):
+        # make_context() guards the initial state once, and accumulate() plus
+        # record() guard a later state once, however many functionals and
+        # weighted pairs they evaluate
         p, grid, bc, state = flagship_ic(128, half_width=32)
-        ctx = ns.make_context(state, p, weighted_pairs=((0.5, 0), (0.25, -3)))
         later = ns.step(state, p, bc, ns.stable_dt(state, p))
         calls = []
         guard = ns.diagnostics.check_positive
         monkeypatch.setattr(ns.diagnostics, "check_positive",
                             lambda *args: calls.append(args) or guard(*args))
-        ctx.accumulate(later, p)
-        rec = ns.record(later, p, ctx)
+        ctx = ns.make_context(state, p, weighted_pairs=((0.5, 0), (0.25, -3)))
+        assert len(calls) == 1
+        ctx.accumulate(later)
+        rec = ns.record(ctx)
         assert len(calls) == 2
         assert set(rec.weighted) == {(0.5, 0), (0.25, -3)}
 
