@@ -31,8 +31,32 @@ class ConfigError(ValueError):
 
 
 def _fmt(x):
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))
+    """The one cell format: a float (numpy floats too) as the shortest decimal
+    that round-trips the double exactly, anything else as written."""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _write_csv(path, header, rows, comment=None):
+    """An optional `# comment` line, the header, then one line per row, each
+    cell through _fmt; every line ends in a bare newline, and rows are streamed."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _read_csv(path):
+    """The header and the rows of a CSV file, skipping `#` lines and empty rows;
+    an empty file has an empty header, and a row of another width is an error."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    header = rows.pop(0) if rows else []
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{len(row)} cells for {len(header)} columns in {path}")
+    return header, rows
 
 
 # -- run configuration -------------------------------------------------------
@@ -77,6 +101,10 @@ class RunConfig(SimParams):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
         check_weighted_pairs(self.weighted_diss)
+        outdir = str(self.outdir)  # config.txt must read it back as written
+        if "#" in outdir or outdir != outdir.strip() or len(outdir.splitlines()) > 1:
+            raise ValueError("outdir must be one line with no '#' and no surrounding "
+                             f"whitespace, got {outdir!r}")
 
     def params(self):
         return SimParams(**{f.name: getattr(self, f.name) for f in dc_fields(SimParams)})
@@ -96,19 +124,8 @@ class RunConfig(SimParams):
             theta_center=self.theta_center)
 
     def to_text(self):
-        lines = []
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
-            if f.name == "weighted_diss":
-                text = ",".join(f"{_fmt(a)}:{n}" for a, n in value)
-            elif f.name == "mms_resolutions":
-                text = ",".join(str(n) for n in value)
-            elif isinstance(value, float):
-                text = _fmt(value)
-            else:
-                text = str(value)
-            lines.append(f"{f.name} = {text}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {_FORMATS.get(f.name, _fmt)(getattr(self, f.name))}\n"
+                       for f in dc_fields(self))
 
 
 def _parse_weighted(text):
@@ -126,8 +143,10 @@ def _parse_resolutions(text):
     return tuple(int(n) for n in text.split(",") if n.strip())
 
 
-# every other key parses with the type of its default
+# every other key parses with the type of its default and is written by _fmt
 _PARSERS = {"weighted_diss": _parse_weighted, "mms_resolutions": _parse_resolutions}
+_FORMATS = {"weighted_diss": lambda pairs: ",".join(f"{_fmt(a)}:{_fmt(n)}" for a, n in pairs),
+            "mms_resolutions": lambda resolutions: ",".join(map(_fmt, resolutions))}
 
 
 def parse_config(text):
@@ -167,23 +186,17 @@ def write_snapshot(state, params, path):
     """Interior cells as CSV rows x,v,u,theta,phi,mu,G in ascending x."""
     s = state.grid.interior
     mu = chemical_potential(state, params)
-    columns = (state.grid.x, state.v[s], state.u[s], state.theta[s],
-               state.phi[s], mu, state.G[s])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(val) for val in row) + "\n")
+    _write_csv(path, SNAPSHOT_COLUMNS, zip(state.grid.x, state.v[s], state.u[s],
+                                           state.theta[s], state.phi[s], mu, state.G[s]))
 
 
 def read_snapshot(path):
     """Snapshot columns as a dict of float arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SNAPSHOT_COLUMNS:
-            raise ValueError(f"unexpected snapshot header in {path}: {header}")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    data = np.asarray(rows)
+    header, rows = _read_csv(path)
+    if tuple(header) != SNAPSHOT_COLUMNS:
+        raise ValueError(f"unexpected snapshot header in {path}: {header}")
+    data = np.array([[float(cell) for cell in row] for row in rows]).reshape(
+        len(rows), len(SNAPSHOT_COLUMNS))
     return {name: data[:, k] for k, name in enumerate(SNAPSHOT_COLUMNS)}
 
 
@@ -201,14 +214,9 @@ def write_diagnostics(records, path):
     """One CSV row per record; a schema comment line sits on top."""
     pairs = sorted(records[0].weighted) if records else ()
     header = list(_RECORD_SCALARS) + [_weighted_column(a, n) for a, n in pairs]
-    with open(path, "w", newline="") as fh:
-        fh.write("# nsac1d diagnostics v1; one row per recorded state\n")
-        fh.write(",".join(header) + "\n")
-        for rec in records:
-            cells = [str(getattr(rec, name)) if name == "bracket_violations"
-                     else _fmt(getattr(rec, name)) for name in _RECORD_SCALARS]
-            cells += [_fmt(rec.weighted[pair]) for pair in pairs]
-            fh.write(",".join(cells) + "\n")
+    rows = ([getattr(rec, name) for name in _RECORD_SCALARS]
+            + [rec.weighted[pair] for pair in pairs] for rec in records)
+    _write_csv(path, header, rows, comment="nsac1d diagnostics v1; one row per recorded state")
 
 
 _WEIGHTED_COLUMN = re.compile(r"wdiss_a(\d+(?:\.\d+)?(?:e[-+]?\d+)?)_n(-?\d+)")
@@ -217,17 +225,13 @@ _WEIGHTED_COLUMN = re.compile(r"wdiss_a(\d+(?:\.\d+)?(?:e[-+]?\d+)?)_n(-?\d+)")
 def read_diagnostics(path):
     """The records of a diagnostics CSV, whose header must be the record
     scalars followed by wdiss_a<alpha>_n<n> columns."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
-    header = rows[0] if rows else []
+    header, rows = _read_csv(path)
     matches = [_WEIGHTED_COLUMN.fullmatch(name) for name in header[len(_RECORD_SCALARS):]]
     if tuple(header[:len(_RECORD_SCALARS)]) != _RECORD_SCALARS or not all(matches):
         raise ValueError(f"unexpected diagnostics header in {path}: {header}")
     pairs = [(float(m[1]), int(m[2])) for m in matches]
     records = []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"{len(row)} cells for {len(header)} columns in {path}")
+    for row in rows:
         kwargs = {}
         for name, cell in zip(_RECORD_SCALARS, row):
             kwargs[name] = int(cell) if name == "bracket_violations" else float(cell)
@@ -367,7 +371,7 @@ def _cmd_run(cfg, out=sys.stdout):
     ctx = make_context(initial, params, cfg.weighted_diss)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(cfg.to_text())
+    (outdir / "config.txt").write_text(cfg.to_text(), newline="")
 
     records = [record(ctx)]  # make_context has folded the initial state
     steps = itertools.count(1)  # run() observes the accepted steps
@@ -396,7 +400,7 @@ def _cmd_run(cfg, out=sys.stdout):
     final = result.state
     write_diagnostics(records, outdir / "diagnostics.csv")
     write_snapshot(final, params, outdir / "snapshot_final.csv")
-    (outdir / "plot_diagnostics.py").write_text(PLOT_SCRIPT)
+    (outdir / "plot_diagnostics.py").write_text(PLOT_SCRIPT, newline="")
 
     failures, lines = audit_records(records)
     print(f"run finished: t = {final.t}, steps = {result.control.step_count}, "
@@ -424,13 +428,10 @@ def _cmd_mms(cfg, out=sys.stdout):
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [f.name for f in dc_fields(ConvergenceRow)]
-    csv_lines = [",".join("N" if name == "n_cells" else name for name in names)]
-    for r in rows:
-        csv_lines.append(",".join(str(r.n_cells) if name == "n_cells"
-                                  else _fmt(getattr(r, name)) for name in names))
-    (outdir / "mms_convergence.csv").write_text("\n".join(csv_lines) + "\n")
-    for line in csv_lines:
-        print(line, file=out)
+    path = outdir / "mms_convergence.csv"
+    _write_csv(path, ["N", *names[1:]],  # the table calls n_cells N
+               ([getattr(r, name) for name in names] for r in rows))
+    print(path.read_text(), end="", file=out)
     return 0
 
 

@@ -37,7 +37,9 @@ class ManufacturedCase:
     theta = 1 + B(x)(1 - e^-t) with B = amp cos(pi x / L) env(x); the phase
     profile is a tanh blended to exactly +-1 near the boundary by logistic
     steps, so every field is within 1e-12 of its far-field value on the
-    ghost region.  amplitude = 0 collapses everything to the equilibrium
+    ghost region.  |A|, |B| <= amplitude <= 0.3 keeps v and theta in
+    [0.7, 1.3] at every t >= 0, and the two logistic weights sum to less
+    than 1, so |phi| <= 1.  amplitude = 0 collapses everything to the equilibrium
     constants (phi = +1) and all sources vanish identically.
     """
 
@@ -59,7 +61,6 @@ class ManufacturedCase:
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
         self._grid_factors = None  # (copy of x, _spatial(x), _phase(x))
-        self._check_window()
 
     # -- closed forms ------------------------------------------------------
 
@@ -144,18 +145,6 @@ class ManufacturedCase:
                 - theta_b * theta_x * v_x / v2)
         s_theta = theta_t + (theta / v) * u_x - cond - u_x**2 / v - v * mu**2
         return s_v, s_u, s_theta, s_phi
-
-    # -- validity ----------------------------------------------------------
-
-    def _check_window(self):
-        x = np.linspace(-self.half_width, self.half_width, 4001)
-        for t in (0.0, self.t_star):
-            v, _, theta, phi = self.fields(x, t)
-            if v.min() < 0.5 or theta.min() < 0.5:
-                raise ValueError("manufactured fields leave the validity window "
-                                 f"(min v = {v.min():.3f}, min theta = {theta.min():.3f})")
-            if phi.min() < -1.0 - 1e-12 or phi.max() > 1.0 + 1e-12:
-                raise ValueError("manufactured phi leaves [-1, 1]")
 
 
 def default_case(params, grid, amplitude=0.1, t_star=0.25):

@@ -180,6 +180,29 @@ class TestRunConfig:
         with pytest.raises(TypeError, match="unexpected keyword argument 'ic'"):
             ns.RunConfig(ic="equilibrium")
 
+    @pytest.mark.parametrize("outdir", ["runs#1", "a\nN = 64", "a\rb", " out", "out\t"],
+                             ids=["comment", "newline", "carriage-return", "leading",
+                                  "trailing"])
+    def test_outdir_that_config_txt_cannot_read_back(self, outdir):
+        # only a RunConfig built in code can hold these: parse_config strips
+        # comments and surrounding spaces and reads one line per key
+        message = ("outdir must be one line with no '#' and no surrounding "
+                   f"whitespace, got {outdir!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ns.RunConfig(outdir=outdir)
+
+    @pytest.mark.parametrize("line, outdir", [("outdir = runs/a b  # note", "runs/a b"),
+                                              ("outdir =", "")])
+    def test_every_parsed_outdir_is_accepted(self, line, outdir):
+        cfg = ns.parse_config(line + "\n")
+        assert cfg.outdir == outdir
+        assert ns.parse_config(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("pairs", [((0.5, 0), (0.25, -3)), ()], ids=["two", "none"])
+    def test_to_text_reads_back(self, pairs):
+        cfg = ns.RunConfig(L=8, N=64, outdir="runs/a", weighted_diss=pairs)
+        assert ns.parse_config(cfg.to_text()) == cfg
+
 
 class TestSnapshotIO:
     def test_equilibrium_rows(self, params, tmp_path):
@@ -208,6 +231,23 @@ class TestSnapshotIO:
         assert np.array_equal(data["x"], grid.x)
         for name in ("v", "u", "theta", "phi", "G"):
             assert np.array_equal(data[name], getattr(state, name)[s])
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected snapshot header in {path}: []"),
+        ("x,v,u,theta,phi,mu,G\n0.5,1.0,0.0\n", "3 cells for 7 columns in {path}"),
+    ], ids=["empty", "short-row"])
+    def test_malformed_file_is_a_value_error(self, tmp_path, text, message):
+        path = tmp_path / "snap.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+            read_snapshot(path)
+
+    def test_header_only_file_has_empty_columns(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("# a comment\nx,v,u,theta,phi,mu,G\n")
+        data = read_snapshot(path)
+        assert list(data) == list(ns.cli_io.SNAPSHOT_COLUMNS)
+        assert all(column.shape == (0,) for column in data.values())
 
     def test_mu_column_consistent_on_reload(self, params, tmp_path):
         grid = ns.make_grid(8, 64)
@@ -254,6 +294,35 @@ class TestDiagnosticsIO:
         out = io.StringIO()
         assert ns.main(["audit", str(path)], out=out) == 2
         assert out.getvalue().startswith("error: ")
+
+
+class TestOutputsReadBack:
+    """What `nsac1d` writes, it reads back to the same bytes."""
+
+    def test_run_outputs_rewrite_to_the_same_bytes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(INTERFACE_CONFIG + "weighted_diss = 0.5:0, 0.25:-3\n"
+                       f"outdir = {tmp_path / 'out'}\n")
+        assert ns.main(["run", str(cfg)], out=io.StringIO()) == 0
+        diag = tmp_path / "out" / "diagnostics.csv"
+        write_diagnostics(read_diagnostics(diag), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == diag.read_bytes()
+        text = (tmp_path / "out" / "config.txt").read_text()
+        assert ns.parse_config(text).to_text() == text
+
+    def test_no_weighted_pairs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(INTERFACE_CONFIG + f"weighted_diss =\noutdir = {tmp_path / 'out'}\n")
+        assert ns.parse_config(cfg.read_text()).weighted_diss == ()
+        assert ns.main(["run", str(cfg)], out=io.StringIO()) == 0
+        diag = tmp_path / "out" / "diagnostics.csv"
+        assert "wdiss_" not in diag.read_text()
+        out = io.StringIO()
+        assert ns.main(["audit", str(diag)], out=out) == 0
+        assert out.getvalue().endswith("AUDIT PASSED\n")
+        text = (tmp_path / "out" / "config.txt").read_text()
+        assert "weighted_diss = \n" in text
+        assert ns.parse_config(text) == ns.parse_config(cfg.read_text())
 
 
 class TestRecordCadence:
@@ -427,10 +496,12 @@ class TestMainCommands:
                        "mms_resolutions = 64,128,256\nmms_t_final = 0.05\n")
         out = io.StringIO()
         assert ns.main(["mms", str(cfg)], out=out) == 0
-        table = (tmp_path / "out" / "mms_convergence.csv").read_text().splitlines()
+        data = (tmp_path / "out" / "mms_convergence.csv").read_bytes()
+        assert b"\r" not in data
+        assert out.getvalue() == data.decode()  # it prints exactly what it writes
+        table = data.decode().splitlines()
         assert table[0] == ("N,err_v,err_u,err_theta,err_phi,"
                             "order_v,order_u,order_theta,order_phi")
-        assert out.getvalue().splitlines() == table
         assert len(table) == 4
 
     @pytest.mark.parametrize("L", ["10", "10.5"])

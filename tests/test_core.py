@@ -145,6 +145,14 @@ class TestInterfaceInitialState:
         with pytest.raises(ValueError, match="far-field"):
             ns.interface_initial_state(grid, params, bc, v_amp=0.5, v_width=8.0)
 
+    def test_state_from_fields_rejects_a_wrong_shape(self, params):
+        grid = ns.make_grid(8, 64)
+        ones = np.ones(grid.n_cells)
+        with pytest.raises(ValueError,
+                           match=r"^v must have 64 interior values, got shape \(63,\)$"):
+            ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0), ones[1:], 0 * ones,
+                                 ones, ones, params)
+
     @pytest.mark.parametrize("keyword", [
         "phi_width", "v_amp", "v_width", "v_center", "u_amp", "u_width", "u_center",
         "theta_amp", "theta_width", "theta_center"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsac1d as ns
 
@@ -111,6 +113,19 @@ class TestManufacturedCase:
             ns.ManufacturedCase(params, 6.0)
         with pytest.raises(ValueError):
             ns.default_case(params, grid, t_star=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(0.0, 0.3), half_width=st.floats(8.0, 1000.0),
+           t=st.floats(0.0, 50.0))
+    def test_fields_stay_in_the_validity_window(self, amplitude, half_width, t):
+        # amplitude <= 0.3 bounds |A| and |B|, so v and theta stay in
+        # [0.7, 1.3], and the logistic weights sum to < 1, so |phi| <= 1;
+        # the case therefore needs no check of its own
+        case = ns.ManufacturedCase(ns.SimParams(), half_width, amplitude=amplitude)
+        v, _, theta, phi = case.fields(np.linspace(-half_width, half_width, 4001), t)
+        for field in (v, theta):
+            assert 0.7 - 1e-12 <= field.min() and field.max() <= 1.3 + 1e-12
+        assert np.abs(phi).max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("half_width", [math.inf, math.nan])
     def test_rejects_non_finite_half_width(self, params, half_width):
