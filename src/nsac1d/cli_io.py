@@ -424,7 +424,11 @@ def _cmd_audit(path, out=sys.stdout):
 def _cmd_mms(cfg, out=sys.stdout):
     case = ManufacturedCase(cfg.params(), cfg.L, amplitude=cfg.mms_amplitude,
                             t_star=cfg.mms_t_final)
-    rows = convergence_study(case, cfg.mms_resolutions)
+    try:
+        rows = convergence_study(case, cfg.mms_resolutions)
+    except SimulationAbort as exc:
+        print(f"ABORT: {exc}", file=out)
+        return 1
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [f.name for f in dc_fields(ConvergenceRow)]

@@ -80,12 +80,30 @@ def _add_sources(rhs, sources, x, t):
     rhs.dphi += sphi
 
 
+def _once_per_time(sources):
+    """sources(x, t) called once per distinct t: the last (t, arrays) is kept.
+
+    Heun's second stage of one step and the first stage of the next are at
+    the same float t, and a run has one grid, so x needs no key.
+    """
+    last_t, last = None, None
+
+    def memo(x, t):
+        nonlocal last_t, last
+        if t != last_t:
+            last_t, last = t, sources(x, t)
+        return last
+
+    return memo
+
+
 def step(state, params, bc, dt, sources=None):
     """One Heun step: s* = s + dt F(s); s_new = (s + s* + dt F(s*)) / 2.
 
     Ghosts are refreshed by each F evaluation; G advances with the same
     RK2 weights as the physical fields.  An optional sources(x, t) callable
-    (verification harness) is evaluated at both stage times.
+    (verification harness) returns (s_v, s_u, s_theta, s_phi) and is
+    evaluated at both stage times.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -117,11 +135,15 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
 
     observer(state) is called after every accepted step, not on the initial
     state.  Any step error aborts with the last accepted state attached.
+    A sources hook must be a function of (x, t) alone whose arrays are read,
+    never written: run evaluates it once per distinct stage time.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
     control = StepControl()
     state = initial
+    if sources is not None:
+        sources = _once_per_time(sources)
     while state.t < t_final:
         try:
             limits = step_limits(state, params)

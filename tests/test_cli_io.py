@@ -611,6 +611,18 @@ class TestMainCommands:
         times = [r.t for r in records]
         assert times and all(a < b for a, b in zip(times, times[1:])), times
 
+    def test_aborted_mms_exits_1_without_table(self, tmp_path, monkeypatch):
+        nan = nan_sources_after(0.005)
+        monkeypatch.setattr(ns.mms.ManufacturedCase, "sources", lambda self, x, t: nan(x, t))
+        cfg = tmp_path / "mms.cfg"
+        cfg.write_text("L = 8\nmms_resolutions = 8,16,32\nmms_t_final = 0.01\n"
+                       f"outdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["mms", str(cfg)], out=out) == 1
+        assert out.getvalue().startswith("ABORT: step ")
+        assert "not finite" in out.getvalue()
+        assert not (tmp_path / "out").exists()
+
     def test_nan_on_final_step_exits_1_with_diagnostics(self, tmp_path, monkeypatch):
         run = cli_io.run
 

@@ -6,7 +6,7 @@
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
 PYTHONPATH set to that tree alone, in a fresh temporary directory: five
-`run` configs and one `mms`, then `audit` of the first run's diagnostics
+`run` configs and two `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
 difference is listed, and the script exits 1 if there is any.
@@ -46,6 +46,9 @@ RUNS = (
                        "u_amp = 30\nu_width = 1.2\nu_center = -1\n"
                        "theta_amp = -0.995\ntheta_width = 1.4\n"),
     ("mms", "mms", ""),
+    # beta = 2 exercises the theta**(beta - 1) term of the manufactured sources
+    ("mms-beta2", "mms", "beta = 2\nepsilon = 0.5\nmms_amplitude = 0.2\nL = 8\n"
+                         "mms_resolutions = 32,64,128\n"),
 )
 AUDITED = "cli-diag-512/diagnostics.csv"
 
