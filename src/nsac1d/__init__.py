@@ -1,8 +1,8 @@
 """1-D Lagrangian compressible two-phase flow solver with a diagnostics
 engine for the conservation, entropy, and phase-field structure of the model."""
 
-from .core import (BoundaryConfig, FlowState, MassGrid, PositivityError,
-                   SimParams, apply_bc, equilibrium_state,
+from .core import (BoundaryConfig, FlowState, InitialData, MassGrid,
+                   PositivityError, SimParams, apply_bc,
                    interface_initial_state, make_grid, state_from_fields)
 from .diagnostics import (DiagnosticsRecord, RunContext, bracket_roots,
                           cell_average_brackets, cutoff_weight, dissipation_rate,

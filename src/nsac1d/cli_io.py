@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BoundaryConfig, PositivityError, SimParams,
+from .core import (BoundaryConfig, InitialData, PositivityError, SimParams,
                    interface_initial_state, make_grid)
 from .diagnostics import (DiagnosticsRecord, bracket_roots, check_weighted_pairs,
                           make_context, record)
@@ -61,26 +61,26 @@ def _read_csv(path):
 
 # -- run configuration -------------------------------------------------------
 
+# the values each int or float key's parser reads back as written; a bool is
+# neither, and a float of another width would be recorded as another value
+_NUMBERS = {int: ((int, np.integer), "an integer"),
+            float: ((int, float, np.integer), "an int or a float")}
+
+
+def _is_number(value, kind):
+    return isinstance(value, _NUMBERS[kind][0]) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
-class RunConfig(SimParams):
-    """A run's config: the SimParams fields, then the run, output and
-    MMS-study settings; every field is validated on construction."""
+class RunConfig(InitialData, SimParams):
+    """A run's config: the SimParams and InitialData fields, then the run,
+    output and MMS-study settings; every field is validated on construction."""
 
     t_final: float = 1.0
     L: float = 16.0
     N: int = 512
     phi_left: float = -1.0
     phi_right: float = 1.0
-    phi_width: float = 1.0
-    v_amp: float = 0.0
-    v_width: float = 2.0
-    v_center: float = 0.0
-    u_amp: float = 0.0
-    u_width: float = 2.0
-    u_center: float = 0.0
-    theta_amp: float = 0.0
-    theta_width: float = 2.0
-    theta_center: float = 0.0
     outdir: str = "out"
     snapshot_every_steps: int = 0
     diag_every_steps: int = 10
@@ -90,7 +90,14 @@ class RunConfig(SimParams):
     mms_amplitude: float = 0.1
 
     def __post_init__(self):
-        super().__post_init__()
+        for f in dc_fields(self):  # config.txt must read each value back
+            kind, value = type(f.default), getattr(self, f.name)
+            if kind in _NUMBERS and not _is_number(value, kind):
+                raise ValueError(f"{f.name} must be {_NUMBERS[kind][1]}, got {value!r}")
+        if not all(_is_number(n, int) for n in self.mms_resolutions):
+            raise ValueError(f"mms_resolutions must be integers, got {self.mms_resolutions!r}")
+        SimParams.__post_init__(self)
+        InitialData.__post_init__(self)
         self.bc()  # each raises on a value it does not accept
         self.grid()
         if not 0 <= self.t_final < np.inf:  # also rejects nan
@@ -106,8 +113,11 @@ class RunConfig(SimParams):
             raise ValueError("outdir must be one line with no '#' and no surrounding "
                              f"whitespace, got {outdir!r}")
 
+    def _values(self, base):
+        return {f.name: getattr(self, f.name) for f in dc_fields(base)}
+
     def params(self):
-        return SimParams(**{f.name: getattr(self, f.name) for f in dc_fields(SimParams)})
+        return SimParams(**self._values(SimParams))
 
     def grid(self):
         return make_grid(self.L, self.N)
@@ -116,12 +126,8 @@ class RunConfig(SimParams):
         return BoundaryConfig(self.phi_left, self.phi_right)
 
     def initial_state(self):
-        return interface_initial_state(
-            self.grid(), self.params(), self.bc(), phi_width=self.phi_width,
-            v_amp=self.v_amp, v_width=self.v_width, v_center=self.v_center,
-            u_amp=self.u_amp, u_width=self.u_width, u_center=self.u_center,
-            theta_amp=self.theta_amp, theta_width=self.theta_width,
-            theta_center=self.theta_center)
+        return interface_initial_state(self.grid(), self.params(), self.bc(),
+                                       **self._values(InitialData))
 
     def to_text(self):
         return "".join(f"{f.name} = {_FORMATS.get(f.name, _fmt)(getattr(self, f.name))}\n"
@@ -230,6 +236,10 @@ def read_diagnostics(path):
     if tuple(header[:len(_RECORD_SCALARS)]) != _RECORD_SCALARS or not all(matches):
         raise ValueError(f"unexpected diagnostics header in {path}: {header}")
     pairs = [(float(m[1]), int(m[2])) for m in matches]
+    try:
+        check_weighted_pairs(pairs)
+    except ValueError as exc:
+        raise ValueError(f"unexpected diagnostics header in {path}: {exc}") from None
     records = []
     for row in rows:
         kwargs = {}

@@ -65,11 +65,21 @@ class SimParams:
 
 @dataclass(frozen=True)
 class MassGrid:
-    """Uniform cell-centered grid on [-L, L] in the mass coordinate."""
+    """Uniform cell-centered grid on [-L, L] in the mass coordinate; L must be
+    finite and > 0, and n_cells an even integer >= 8."""
 
     half_width: float
     n_cells: int
     n_ghost: ClassVar[int] = N_GHOST
+
+    def __post_init__(self):
+        if not 0.0 < self.half_width < math.inf:  # also rejects nan
+            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_cells must be an integer, got {n!r}")
+        if n < 8 or n % 2 != 0:
+            raise ValueError(f"n_cells must be even and >= 8, got {n}")
 
     @cached_property
     def dx(self):
@@ -97,13 +107,8 @@ class MassGrid:
 
 
 def make_grid(half_width, n_cells):
-    """Build a uniform MassGrid; rejects n_cells odd or < 8 and L not finite
-    or <= 0."""
-    if not 0.0 < half_width < math.inf:  # also rejects nan
-        raise ValueError(f"half_width must be finite and > 0, got {half_width}")
-    if n_cells < 8 or n_cells % 2 != 0:
-        raise ValueError(f"n_cells must be even and >= 8, got {n_cells}")
-    return MassGrid(half_width=float(half_width), n_cells=int(n_cells))
+    """A uniform MassGrid with half_width taken as a float."""
+    return MassGrid(float(half_width), n_cells)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,41 @@ class BoundaryConfig:
         for name in ("phi_left", "phi_right"):
             if abs(getattr(self, name)) != 1.0:
                 raise ValueError(f"{name} must be +1 or -1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class InitialData:
+    """The initial data's keys: the width of the tanh phase profile, and the
+    amplitude, width and centre of a Gaussian bump on each of v, u and
+    theta.  Widths must be finite and > 0, amplitudes and centres finite."""
+
+    phi_width: float = 1.0
+    v_amp: float = 0.0
+    v_width: float = 2.0
+    v_center: float = 0.0
+    u_amp: float = 0.0
+    u_width: float = 2.0
+    u_center: float = 0.0
+    theta_amp: float = 0.0
+    theta_width: float = 2.0
+    theta_center: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.phi_width < math.inf:  # also rejects nan
+            raise ValueError(f"phi_width must be finite and > 0, got {self.phi_width}")
+        for name, _, amp, w, c in self.bumps():
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"{name}_width must be finite and > 0, got {w}")
+            for key, value in (("amp", amp), ("center", c)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name}_{key} must be finite, got {value}")
+
+    def bumps(self):
+        """(name, far-field value, amplitude, width, centre) of each bump."""
+        return (("v", FARFIELD_V, self.v_amp, self.v_width, self.v_center),
+                ("u", FARFIELD_U, self.u_amp, self.u_width, self.u_center),
+                ("theta", FARFIELD_THETA, self.theta_amp, self.theta_width,
+                 self.theta_center))
 
 
 # Row order of the packed state: the three conservatively diffused fields
@@ -198,16 +238,11 @@ def check_positive(state, params):
             raise PositivityError(name, j - s.start, vals[j], state.t, floor)
 
 
-def _blank_state(grid, t=0.0):
-    state = FlowState(grid, float(t), np.empty((len(FIELDS), grid.n_total)))
-    state.G[:] = 0.0
-    return state
-
-
-def state_from_fields(grid, bc, v, u, theta, phi, params, t=0.0):
-    """Assemble a FlowState from interior field arrays, checked with
+def state_from_fields(grid, bc, v, u, theta, phi, params):
+    """Assemble a FlowState at t = 0 from interior field arrays, checked with
     check_positive; G starts at zero."""
-    state = _blank_state(grid, t)
+    state = FlowState(grid, 0.0, np.empty((len(FIELDS), grid.n_total)))
+    state.G[:] = 0.0
     s = grid.interior
     for name, arr in (("v", v), ("u", u), ("theta", theta), ("phi", phi)):
         arr = np.asarray(arr, dtype=float)
@@ -217,19 +252,6 @@ def state_from_fields(grid, bc, v, u, theta, phi, params, t=0.0):
         getattr(state, name)[s] = arr
     apply_bc(state, bc)
     check_positive(state, params)
-    return state
-
-
-def equilibrium_state(grid, bc):
-    """The constant far-field state; requires phi_left == phi_right."""
-    if bc.phi_left != bc.phi_right:
-        raise ValueError("equilibrium needs phi_left == phi_right; "
-                         f"got {bc.phi_left} and {bc.phi_right}")
-    state = _blank_state(grid)
-    state.v[:] = FARFIELD_V
-    state.u[:] = FARFIELD_U
-    state.theta[:] = FARFIELD_THETA
-    state.phi[:] = bc.phi_left
     return state
 
 
@@ -244,38 +266,24 @@ def _gaussian_bump(x, amp, width, center):
     return amp * np.exp(-(((x - center) / width) ** 2))
 
 
-def interface_initial_state(grid, params, bc, phi_width=1.0,
-                            v_amp=0.0, v_width=2.0, v_center=0.0,
-                            u_amp=0.0, u_width=2.0, u_center=0.0,
-                            theta_amp=0.0, theta_width=2.0, theta_center=0.0):
-    """Smooth initial data: tanh phase profile plus optional Gaussian bumps.
+def interface_initial_state(grid, params, bc, **keywords):
+    """Smooth initial data: tanh phase profile plus optional Gaussian bumps,
+    from the InitialData built of the keywords.
 
-    phi0 connects phi_left to phi_right over the given width; v0, u0, theta0
-    are the far-field constants plus bumps amp * exp(-((x-c)/w)^2).  Every
+    phi0 connects phi_left to phi_right over phi_width; v0, u0, theta0 are
+    the far-field constants plus bumps amp * exp(-((x-c)/w)^2).  Every
     profile must come back to its far-field value at |x| = L to within 1e-12,
-    and v0, theta0 must stay above the positivity floor.  Widths must be
-    finite and > 0, amplitudes and centres finite.
+    and v0, theta0 must stay above the positivity floor.
     """
-    if not 0.0 < phi_width < math.inf:  # also rejects nan
-        raise ValueError(f"phi_width must be finite and > 0, got {phi_width}")
-    bumps = (("v", FARFIELD_V, v_amp, v_width, v_center),
-             ("u", FARFIELD_U, u_amp, u_width, u_center),
-             ("theta", FARFIELD_THETA, theta_amp, theta_width, theta_center))
-    for name, _, amp, w, c in bumps:
-        if not 0.0 < w < math.inf:
-            raise ValueError(f"{name}_width must be finite and > 0, got {w}")
-        for key, value in (("amp", amp), ("center", c)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name}_{key} must be finite, got {value}")
-
+    data = InitialData(**keywords)
     L = grid.half_width
     x = grid.x
     mid = 0.5 * (bc.phi_right + bc.phi_left)
     dphi = 0.5 * (bc.phi_right - bc.phi_left)
-    fields = {"phi": mid + dphi * np.tanh(x / phi_width)}
+    fields = {"phi": mid + dphi * np.tanh(x / data.phi_width)}
     if dphi != 0.0:
-        _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / phi_width)))
-    for name, farfield, amp, w, c in bumps:
+        _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / data.phi_width)))
+    for name, farfield, amp, w, c in data.bumps():
         fields[name] = farfield + _gaussian_bump(x, amp, w, c)
         if amp != 0.0:
             _check_reach(name, abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryConfig, make_grid, state_from_fields
-from .integrator import run
+from .integrator import SimulationAbort, run
 from .operators import potential_from
 
 # dt cap of the refinement study, in units of dx^2: small enough that the
@@ -171,7 +171,8 @@ def convergence_study(case, resolutions):
     the manufactured fields at t_star.
 
     dt is capped at DT_CAP_FACTOR * dx^2.  Resolutions must be at least
-    three, each double the previous.
+    three, each double the previous.  A SimulationAbort is raised again with
+    " (N = n)" appended, naming the resolution that aborted.
     """
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 3:
@@ -185,8 +186,11 @@ def convergence_study(case, resolutions):
         grid = make_grid(case.half_width, n)
         v, u, theta, phi = case.fields(grid.x, 0.0)
         state = state_from_fields(grid, case.bc, v, u, theta, phi, case.params)
-        result = run(state, case.params, case.bc, case.t_star,
-                     dt_cap=DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
+        try:
+            result = run(state, case.params, case.bc, case.t_star,
+                         dt_cap=DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
+        except SimulationAbort as exc:
+            raise SimulationAbort(exc.state, exc.step_count, f"{exc} (N = {n})") from exc
         final = result.state
         exact = case.fields(grid.x, case.t_star)
         errs = [math.sqrt(np.sum((final.interior(name) - ex) ** 2) * grid.dx)

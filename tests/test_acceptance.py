@@ -169,7 +169,7 @@ def test_criterion_6_integrated_momentum_residual(lemma24_study, params):
 
     grid = ns.make_grid(16, 128)
     bc = ns.BoundaryConfig(1.0, 1.0)
-    eq = ns.equilibrium_state(grid, bc)
+    eq = ns.interface_initial_state(grid, params, bc)
     initial = eq.copy()
     at_start = ns.lemma24_residual(eq, initial)
     eq_run = ns.run(eq, params, bc, 0.5)

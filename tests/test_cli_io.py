@@ -155,6 +155,31 @@ INVALID_FIELDS = [
     ("weighted_diss", ((1.5, 0),), "1.5:0", "weighted_diss alpha must be in (0, 1), got 1.5"),
     ("weighted_diss", ((0.5, 0), (0.0, 1)), "0.5:0, 0:1",
      "weighted_diss alpha must be in (0, 1), got 0.0"),
+    # the initial data, with the messages interface_initial_state gives
+    ("phi_width", math.nan, "nan", "phi_width must be finite and > 0, got nan"),
+    ("phi_width", 0.0, "0", "phi_width must be finite and > 0, got 0.0"),
+    ("v_amp", math.inf, "inf", "v_amp must be finite, got inf"),
+    ("v_width", -1.0, "-1", "v_width must be finite and > 0, got -1.0"),
+    ("v_center", math.nan, "nan", "v_center must be finite, got nan"),
+    ("u_amp", math.nan, "nan", "u_amp must be finite, got nan"),
+    ("u_width", math.inf, "inf", "u_width must be finite and > 0, got inf"),
+    ("u_center", -math.inf, "-inf", "u_center must be finite, got -inf"),
+    ("theta_amp", math.inf, "inf", "theta_amp must be finite, got inf"),
+    ("theta_width", 0.0, "0", "theta_width must be finite and > 0, got 0.0"),
+    ("theta_center", math.inf, "inf", "theta_center must be finite, got inf"),
+]
+
+# values a RunConfig built in code could hold but config.txt could not read back
+MISTYPED_FIELDS = [
+    ("N", 64.0, "an integer"),
+    ("diag_every_steps", 2.0, "an integer"),
+    ("snapshot_every_steps", True, "an integer"),
+    ("t_final", True, "an int or a float"),
+    ("epsilon", False, "an int or a float"),
+    ("epsilon", np.float32(0.3), "an int or a float"),  # config.txt would record 0.3
+    ("v_amp", "0.1", "an int or a float"),
+    ("mms_resolutions", (32.0, 64.0, 128.0), "integers"),
+    ("mms_resolutions", (True, 2, 4), "integers"),
 ]
 
 
@@ -169,6 +194,26 @@ class TestRunConfig:
             ns.RunConfig(**{key: value})
         with pytest.raises(ns.ConfigError, match=exact):
             ns.parse_config(f"{key} = {text}\n")
+
+    @pytest.mark.parametrize("key, value, kind", MISTYPED_FIELDS,
+                             ids=[f"{key} = {value!r}" for key, value, _ in MISTYPED_FIELDS])
+    def test_value_of_another_type_raises_on_construction(self, key, value, kind):
+        message = f"{key} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ns.RunConfig(**{"L": 16, "N": 64, key: value})
+
+    def test_numpy_numbers_read_back(self):
+        cfg = ns.RunConfig(L=np.float64(8), N=np.int64(64), diag_every_steps=np.int32(2),
+                           mms_resolutions=tuple(np.array([16, 32, 64])))
+        assert ns.parse_config(cfg.to_text()) == cfg
+
+    def test_initial_state_forwards_the_initial_data(self):
+        # RunConfig inherits the one declaration of the initial-data keys
+        data = {"phi_width": 0.5, "v_amp": 0.1, "u_center": 1.5, "theta_width": 1.25}
+        cfg = ns.RunConfig(L=16, N=64, **data)
+        state = ns.interface_initial_state(cfg.grid(), cfg.params(), cfg.bc(), **data)
+        assert cfg.initial_state().data.tobytes() == state.data.tobytes()
+        assert len(dataclasses.fields(ns.InitialData)) == 10
 
     def test_non_integer_n_raises_on_construction(self):
         # n names the unit interval [n, n+1]; n = 0.5 would run and write a
@@ -207,7 +252,7 @@ class TestRunConfig:
 class TestSnapshotIO:
     def test_equilibrium_rows(self, params, tmp_path):
         grid = ns.make_grid(1, 8)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         path = tmp_path / "snap.csv"
         write_snapshot(eq, params, path)
         lines = path.read_text().strip().splitlines()
@@ -285,7 +330,10 @@ class TestDiagnosticsIO:
         "x,v,u\n1,2,3\n",
         ",".join(_RECORD_SCALARS) + ",wdiss_ahalf_n0\n",
         ",".join(_RECORD_SCALARS) + "\n0.0,1.0,2.0\n",
-    ], ids=["empty", "snapshot-like", "bad-weighted-column", "short-row"])
+        ",".join(_RECORD_SCALARS) + ",wdiss_a0.5_n0,wdiss_a0.5_n0\n",
+        ",".join(_RECORD_SCALARS) + ",wdiss_a2.0_n0\n",
+    ], ids=["empty", "snapshot-like", "bad-weighted-column", "short-row",
+            "repeated-weighted-pair", "weighted-alpha-above-1"])
     def test_malformed_file_is_usage_error(self, tmp_path, text):
         path = tmp_path / "diag.csv"
         path.write_text(text)
@@ -621,6 +669,16 @@ class TestMainCommands:
         assert ns.main(["mms", str(cfg)], out=out) == 1
         assert out.getvalue().startswith("ABORT: step ")
         assert "not finite" in out.getvalue()
+        assert out.getvalue().endswith("(N = 8)\n")  # the first resolution aborts
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_initial_data_keyword_makes_mms_exit_2(self, tmp_path):
+        # mms never builds the interface state, but the config checks every key
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"phi_width = nan\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["mms", str(cfg)], out=out) == 2
+        assert out.getvalue() == "error: phi_width must be finite and > 0, got nan\n"
         assert not (tmp_path / "out").exists()
 
     def test_nan_on_final_step_exits_1_with_diagnostics(self, tmp_path, monkeypatch):

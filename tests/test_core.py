@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="half_width must be finite"):
             ns.make_grid(half_width, 64)
 
+    @pytest.mark.parametrize("half_width, n_cells, message", [
+        (16, 7, "n_cells must be even and >= 8, got 7"),
+        (16, 0, "n_cells must be even and >= 8, got 0"),
+        (16, True, "n_cells must be an integer, got True"),
+        (16, 64.5, "n_cells must be an integer, got 64.5"),
+        (-1.0, 64, "half_width must be finite and > 0, got -1.0"),
+        (math.nan, 64, "half_width must be finite and > 0, got nan"),
+    ], ids=["odd", "zero", "bool", "float", "negative-width", "nan-width"])
+    def test_direct_construction_checks_its_fields(self, half_width, n_cells, message):
+        # make_grid applies the same rule and truncates nothing
+        for build in (ns.MassGrid, ns.make_grid):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(half_width, n_cells)
+
+    def test_numpy_integer_cells(self):
+        grid = ns.MassGrid(16.0, np.int64(64))
+        assert grid.dx == 0.5
+
     def test_spacing_and_ghosts_are_not_settable(self):
         # dx follows from L and N, and the kernel is written for two ghosts
         grid = ns.MassGrid(half_width=16.0, n_cells=64)
@@ -64,7 +83,7 @@ class TestEquilibrium:
     def test_constant_state(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         assert eq.t == 0.0
         assert np.all(eq.v == 1.0) and np.all(eq.u == 0.0)
         assert np.all(eq.theta == 1.0) and np.all(eq.phi == 1.0)
@@ -73,19 +92,14 @@ class TestEquilibrium:
 
     def test_negative_phase(self, params):
         grid = ns.make_grid(4, 16)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(-1.0, -1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(-1.0, -1.0))
         assert np.all(eq.phi == -1.0)
         assert ns.lyapunov_energy(eq, params) == 0.0
-
-    def test_rejects_mismatched_phases(self):
-        grid = ns.make_grid(4, 16)
-        with pytest.raises(ValueError):
-            ns.equilibrium_state(grid, ns.BoundaryConfig(-1.0, 1.0))
 
     def test_rhs_fixed_point(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(-1.0, -1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         rhs = ns.semi_discrete_rhs(eq, params, bc)
         for arr in (rhs.dv, rhs.du, rhs.dtheta, rhs.dphi):
             assert np.all(arr == 0.0)
@@ -95,14 +109,15 @@ class TestEquilibrium:
 
 class TestInterfaceInitialState:
     def test_zero_amplitude_is_equilibrium(self, params):
-        # bit for bit, so no separate equilibrium initial condition is needed
+        # bit for bit the far-field constants, ghosts included, so no separate
+        # equilibrium initial condition is needed
         for half_width, n_cells in ((16, 128), (8, 16), (16, 512), (4, 64)):
             grid = ns.make_grid(half_width, n_cells)
             for phi in (1.0, -1.0):
-                bc = ns.BoundaryConfig(phi, phi)
-                state = ns.interface_initial_state(grid, params, bc)
-                eq = ns.equilibrium_state(grid, bc)
-                assert state.data.tobytes() == eq.data.tobytes()
+                state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(phi, phi))
+                rows = {"v": 1.0, "u": 0.0, "theta": 1.0, "phi": phi, "G": 0.0}
+                expected = np.array([np.full(grid.n_total, rows[name]) for name in ns.core.FIELDS])
+                assert state.data.tobytes() == expected.tobytes()
 
     def test_tanh_reaches_far_field(self, params):
         # L / w = 16 >= 15 keeps the profile within 1e-12 of +-1 at |x| = L
@@ -204,7 +219,7 @@ class TestApplyBc:
     def test_ghost_G_tracks_time(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         state.t = 0.75
         ns.apply_bc(state, bc)
         assert np.all(state.G[:2] == 0.75) and np.all(state.G[-2:] == 0.75)

@@ -44,13 +44,13 @@ def smooth_state_derivatives(x):
 
 class TestLyapunovEnergy:
     def test_equilibrium_zero(self, params):
-        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
         assert ns.lyapunov_energy(eq, params) == 0.0
 
     def test_uniform_dilation_closed_form(self, params):
         grid = ns.make_grid(16, 512)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         state.v[grid.interior] = 2.0
         expected = (2.0 - math.log(2.0) - 1.0) * 32.0
         assert ns.lyapunov_energy(state, params) == pytest.approx(expected, rel=1e-13)
@@ -66,7 +66,7 @@ class TestLyapunovEnergy:
 
     def test_rejects_nonpositive(self, params):
         grid = ns.make_grid(4, 16)
-        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         state.v[grid.n_ghost] = -0.5
         with pytest.raises(ns.PositivityError, match="v = -5.000000e-01 at cell 0"):
             ns.lyapunov_energy(state, params)
@@ -74,14 +74,14 @@ class TestLyapunovEnergy:
 
 class TestDissipationRate:
     def test_equilibrium_zero(self, params):
-        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
         assert ns.dissipation_rate(eq, params) == 0.0
 
     def test_pure_shear_reduces_to_velocity_term(self, params):
         # v = theta = 1, phi = 1: V collapses to sum u_x^2 dx
         grid = ns.make_grid(16, 256)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         state.u[:] = np.sin(np.pi * grid.x_with_ghosts / 16.0)
         ns.apply_bc(state, bc)
         u = state.u
@@ -102,7 +102,7 @@ class TestDissipationRate:
     def test_zero_iff_flat(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         assert ns.dissipation_rate(state, params) == 0.0
         bump = ns.interface_initial_state(grid, params, bc, u_amp=0.1, u_width=1.0)
         assert ns.dissipation_rate(bump, params) > 0.0
@@ -165,15 +165,15 @@ class TestBracketRoots:
 
 
 class TestCellAverageBrackets:
-    def test_equilibrium_no_violations(self):
+    def test_equilibrium_no_violations(self, params):
         grid = ns.make_grid(16, 512)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         assert ns.bracket_roots(0.0) == (1.0, 1.0)
         assert ns.cell_average_brackets(eq, 1.0, 1.0) == []
 
-    def test_constructed_breach_is_flagged(self):
+    def test_constructed_breach_is_flagged(self, params):
         grid = ns.make_grid(16, 512)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         alpha1, alpha2 = ns.bracket_roots(0.5)
         assert ns.cell_average_brackets(eq, alpha1, alpha2) == []
         eq.v[grid.interior] = 2.0 * alpha2
@@ -181,9 +181,9 @@ class TestCellAverageBrackets:
         assert len(violations) == 32  # every unit interval, v only
         assert all(kind == "v" for kind, _, _ in violations)
 
-    def test_violations_match_a_loop_over_the_averages(self):
+    def test_violations_match_a_loop_over_the_averages(self, params):
         grid = ns.make_grid(16, 512)
-        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         rng = np.random.default_rng(3)
         for name in ("v", "theta"):  # one constant per unit interval
             getattr(state, name)[grid.interior] = np.repeat(rng.uniform(0.2, 3.0, 32), 16)
@@ -200,15 +200,15 @@ class TestCellAverageBrackets:
         assert violations == want
         assert all(type(n) is int for _, n, _ in violations)
 
-    def test_rejects_non_integer_half_width(self):
+    def test_rejects_non_integer_half_width(self, params):
         grid = ns.make_grid(8.5, 64)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="integer"):
             ns.cell_average_brackets(eq, 1.0, 1.0)
 
-    def test_rejects_non_tiling_cells(self):
+    def test_rejects_non_tiling_cells(self, params):
         grid = ns.make_grid(24, 512)  # 512 cells over 48 unit intervals
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="tile"):
             ns.cell_average_brackets(eq, 1.0, 1.0)
 
@@ -216,8 +216,8 @@ class TestCellAverageBrackets:
                                                             (24, 512, "tile")])
     def test_run_context_rejects_the_grid_before_a_step(self, params, half_width,
                                                         n_cells, match):
-        eq = ns.equilibrium_state(ns.make_grid(half_width, n_cells),
-                                  ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(ns.make_grid(half_width, n_cells), params,
+                                        ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match=match):
             ns.make_context(eq, params)
 
@@ -246,7 +246,7 @@ class TestCutoffWeight:
 class TestWeightedDissipation:
     def test_equilibrium_zero(self, params):
         grid = ns.make_grid(8, 64)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         assert ns.weighted_dissipation(eq, params, 0.5, ns.cutoff_weight(0, grid.x)) == 0.0
 
     def test_sine_temperature_oracle(self, params):
@@ -266,7 +266,7 @@ class TestWeightedDissipation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
     def test_rejects_alpha_outside_unit_interval(self, params, alpha):
         grid = ns.make_grid(8, 64)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError):
             ns.weighted_dissipation(eq, params, alpha, ns.cutoff_weight(0, grid.x))
 
@@ -276,7 +276,7 @@ class TestWeightedDissipation:
                                              ((0.5, 0), "lists the pair 0.5:0 twice")])
     def test_run_context_rejects_the_pair_before_a_step(self, params, pair, match):
         # the rule holds before the first step, not only when record() runs
-        eq = ns.equilibrium_state(ns.make_grid(8, 64), ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match=match):
             ns.make_context(eq, params, [(0.5, 0), pair])
 
@@ -291,15 +291,15 @@ class TestLemma24Residual:
     def test_equilibrium_run_roundoff(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         initial = eq.copy()
         result = ns.run(eq, params, bc, 0.3)
         assert ns.lemma24_residual(result.state, initial) <= 1e-12
 
     def test_rejects_grid_mismatch(self, params):
         bc = ns.BoundaryConfig(1.0, 1.0)
-        a = ns.equilibrium_state(ns.make_grid(8, 64), bc)
-        b = ns.equilibrium_state(ns.make_grid(8, 128), bc)
+        a = ns.interface_initial_state(ns.make_grid(8, 64), params, bc)
+        b = ns.interface_initial_state(ns.make_grid(8, 128), params, bc)
         with pytest.raises(ValueError, match="grid"):
             ns.lemma24_residual(a, b)
 
@@ -314,7 +314,7 @@ class TestFunctionalGuard:
             bad = bad | st.floats(max_value=params.positivity_floor)
         value = data.draw(bad)
         grid = ns.make_grid(8, 64)
-        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         getattr(state, name)[grid.n_ghost + cell] = value
         for functional in (lambda s: ns.total_energy(s, params),
                            lambda s: ns.lyapunov_energy(s, params),
@@ -330,7 +330,7 @@ class TestRecord:
     def test_equilibrium_all_zeros(self, params):
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         ctx = ns.make_context(eq, params, weighted_pairs=((0.5, 0),))
         rec = ns.record(ctx)
         assert rec.mass_excess == 0.0 and rec.energy_total == 0.0

@@ -35,13 +35,13 @@ def _loop_diffusion_limit(state, params):
 class TestStableDt:
     def test_equilibrium_formula(self, params):
         grid = ns.make_grid(16, 512)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         expected = 0.4 * min(grid.dx**2 / 2.0, grid.dx / math.sqrt(2.0), 1.0 / 3.0)
         assert ns.stable_dt(eq, params) == pytest.approx(expected, rel=1e-15)
 
     def test_limit_kinds(self, params):
         grid = ns.make_grid(16, 512)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         diffusion, acoustic, reaction = ns.step_limits(eq, params)
         assert diffusion == pytest.approx(grid.dx**2 / 2.0, rel=1e-15)
         assert acoustic == pytest.approx(grid.dx / math.sqrt(2.0), rel=1e-15)
@@ -51,23 +51,23 @@ class TestStableDt:
         # at equilibrium the rows are 1 (u), 1 (theta) and eps (phi)
         params = ns.SimParams(epsilon=2.0)
         grid = ns.make_grid(16, 512)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         diffusion, _, reaction = ns.step_limits(eq, params)
         assert diffusion == pytest.approx(grid.dx**2 / 4.0, rel=1e-15)
         assert reaction == pytest.approx(1.0, rel=1e-15)
 
     def test_halving_dx_quarters_diffusion_limit(self, params):
         bc = ns.BoundaryConfig(1.0, 1.0)
-        d1 = ns.step_limits(ns.equilibrium_state(ns.make_grid(16, 256), bc), params)[0]
-        d2 = ns.step_limits(ns.equilibrium_state(ns.make_grid(16, 512), bc), params)[0]
+        d1, d2 = (ns.step_limits(ns.interface_initial_state(ns.make_grid(16, n), params, bc),
+                                 params)[0] for n in (256, 512))
         assert d1 / d2 == pytest.approx(4.0, rel=1e-14)
 
     def test_hot_state_quarters_diffusion_limit(self, params):
         # theta x4 with beta = 1: the theta row goes 1 -> 4 and binds
         grid = ns.make_grid(16, 512)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        base = ns.equilibrium_state(grid, bc)
-        hot = ns.equilibrium_state(grid, bc)
+        base = ns.interface_initial_state(grid, params, bc)
+        hot = ns.interface_initial_state(grid, params, bc)
         hot.theta[:] = 4.0
         assert (ns.step_limits(base, params)[0] / ns.step_limits(hot, params)[0]
                 == pytest.approx(4.0, rel=1e-14))
@@ -92,7 +92,7 @@ class TestStableDt:
 
     def test_rejects_non_finite(self, params):
         grid = ns.make_grid(4, 16)
-        eq = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         eq.u[grid.n_ghost + 3] = np.nan
         with pytest.raises(ns.PositivityError, match="not finite") as exc_info:
             ns.stable_dt(eq, params)
@@ -103,7 +103,7 @@ class TestStep:
     def test_equilibrium_fixed_point(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(-1.0, -1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         out = ns.step(eq, params, bc, ns.stable_dt(eq, params))
         dt = out.t
         for name in ("v", "u", "theta", "phi"):
@@ -138,7 +138,7 @@ class TestStep:
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError):
-            ns.step(ns.equilibrium_state(grid, bc), params, bc, dt=0.0)
+            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, dt=0.0)
 
     def test_phase_stays_in_range(self, params):
         grid = ns.make_grid(16, 256)
@@ -156,7 +156,7 @@ class TestRun:
     def test_zero_steps(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         result = ns.run(eq, params, bc, 0.0)
         assert result.control.step_count == 0
         assert result.state is eq
@@ -164,20 +164,20 @@ class TestRun:
     def test_rejects_past_t_final(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         eq.t = 1.0
         with pytest.raises(ValueError):
             ns.run(eq, params, bc, 0.5)
 
     def test_rejects_nan_t_final(self, params):
-        eq = ns.equilibrium_state(ns.make_grid(4, 16), ns.BoundaryConfig(1.0, 1.0))
+        eq = ns.interface_initial_state(ns.make_grid(4, 16), params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="must be finite"):
             ns.run(eq, params, ns.BoundaryConfig(1.0, 1.0), math.nan)
 
     def test_equilibrium_step_count(self, params):
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         dt = ns.stable_dt(eq, params)
         result = ns.run(eq, params, bc, 1.0)
         assert result.control.step_count == math.ceil(1.0 / dt)
@@ -195,7 +195,7 @@ class TestRun:
     def test_dt_cap_binds(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         cap = 0.25 * ns.stable_dt(eq, params)
         result = ns.run(eq, params, bc, 20 * cap, dt_cap=cap)
         assert result.control.step_count == 20
@@ -204,7 +204,7 @@ class TestRun:
     def test_observer_cadence(self, params):
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         seen = []
         result = ns.run(eq, params, bc, 0.01, observer=lambda s: seen.append(s.t))
         # every accepted step, not the initial state; the last lands on t_final
@@ -268,7 +268,7 @@ class TestSourcesOncePerStageTime:
     def test_one_call_per_step_plus_the_first(self, params):
         grid = ns.make_grid(8, 32)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         cap = 0.25 * ns.stable_dt(eq, params)
         times, seen = [], []
 
@@ -319,7 +319,7 @@ class TestNonFiniteAbort:
     def test_nan_on_final_step_aborts(self, params):
         grid = ns.make_grid(8, 32)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         cap = 0.25 * ns.stable_dt(eq, params)
         seen = []
         with pytest.raises(ns.SimulationAbort) as exc_info:

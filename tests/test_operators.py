@@ -87,7 +87,7 @@ class TestChemicalPotential:
     def test_pure_phase_vanishes(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.equilibrium_state(grid, bc)
+        eq = ns.interface_initial_state(grid, params, bc)
         assert np.all(ns.chemical_potential(eq, params) == 0.0)
 
     def test_linear_phase_gives_cubic(self, params):
@@ -166,7 +166,7 @@ class TestSemiDiscreteRhs:
         # dv = u_x, du = diffusion of u, dtheta = -u_x + u_x^2 pointwise
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         state.u[:] = np.sin(np.pi * grid.x_with_ghosts / 16.0)
         ns.apply_bc(state, bc)
 
@@ -239,7 +239,7 @@ class TestSemiDiscreteRhs:
     def test_positivity_guard_names_cell_and_field(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
-        state = ns.equilibrium_state(grid, bc)
+        state = ns.interface_initial_state(grid, params, bc)
         state.theta[grid.n_ghost + 5] = 1e-12
         with pytest.raises(ns.PositivityError) as exc_info:
             ns.semi_discrete_rhs(state, params, bc)
@@ -278,7 +278,7 @@ class TestCheckPositive:
         grid = ns.make_grid(4, 16)
         n = grid.n_cells
         for column, cell in ((0, -2), (1, -1), (n + 2, n), (n + 3, n + 1)):
-            state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+            state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
             getattr(state, name)[column] = value
             with pytest.raises(ns.PositivityError) as exc_info:
                 check_positive(state, params)
@@ -288,14 +288,14 @@ class TestCheckPositive:
 
     def test_nan_message_says_not_finite(self, params):
         grid = ns.make_grid(4, 16)
-        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         state.interior("theta")[3] = np.nan
         with pytest.raises(ns.PositivityError, match="theta = nan at cell 3 .* not finite"):
             check_positive(state, params)
 
     def test_reports_first_cell_below_floor(self, params):
         grid = ns.make_grid(4, 16)
-        state = ns.equilibrium_state(grid, ns.BoundaryConfig(1.0, 1.0))
+        state = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         state.interior("v")[[2, 9]] = (1e-12, -0.5)
         with pytest.raises(ns.PositivityError) as exc_info:
             check_positive(state, params)
