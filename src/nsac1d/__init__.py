@@ -8,8 +8,7 @@ from .diagnostics import (DiagnosticsRecord, RunContext, bracket_roots,
                           cell_average_brackets, cutoff_weight, dissipation_rate,
                           lemma24_residual, lyapunov_energy, make_context,
                           mass_excess, record, total_energy, weighted_dissipation)
-from .integrator import (RunResult, SimulationAbort, StepControl, run,
-                         stable_dt, step, step_limits)
+from .integrator import RunResult, SimulationAbort, StepControl, run, step, step_limits
 from .mms import ConvergenceRow, ManufacturedCase, convergence_study, default_case
 from .operators import (Rhs, centered, chemical_potential, diffusion_flux,
                         face_average, semi_discrete_rhs)

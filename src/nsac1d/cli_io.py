@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BoundaryConfig, InitialData, PositivityError, SimParams,
-                   interface_initial_state, make_grid)
+from .core import (NUMBERS, BoundaryConfig, InitialData, PositivityError, SimParams,
+                   interface_initial_state, is_number, make_grid)
 from .diagnostics import (DiagnosticsRecord, bracket_roots, check_weighted_pairs,
                           make_context, record)
 from .integrator import SimulationAbort, run
@@ -61,16 +62,6 @@ def _read_csv(path):
 
 # -- run configuration -------------------------------------------------------
 
-# the values each int or float key's parser reads back as written; a bool is
-# neither, and a float of another width would be recorded as another value
-_NUMBERS = {int: ((int, np.integer), "an integer"),
-            float: ((int, float, np.integer), "an int or a float")}
-
-
-def _is_number(value, kind):
-    return isinstance(value, _NUMBERS[kind][0]) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunConfig(InitialData, SimParams):
     """A run's config: the SimParams and InitialData fields, then the run,
@@ -92,9 +83,9 @@ class RunConfig(InitialData, SimParams):
     def __post_init__(self):
         for f in dc_fields(self):  # config.txt must read each value back
             kind, value = type(f.default), getattr(self, f.name)
-            if kind in _NUMBERS and not _is_number(value, kind):
-                raise ValueError(f"{f.name} must be {_NUMBERS[kind][1]}, got {value!r}")
-        if not all(_is_number(n, int) for n in self.mms_resolutions):
+            if kind in NUMBERS and not is_number(value, kind):
+                raise ValueError(f"{f.name} must be {NUMBERS[kind][1]}, got {value!r}")
+        if not all(is_number(n, int) for n in self.mms_resolutions):
             raise ValueError(f"mms_resolutions must be integers, got {self.mms_resolutions!r}")
         SimParams.__post_init__(self)
         InitialData.__post_init__(self)
@@ -280,7 +271,7 @@ def audit_records(records):
     if not records:
         return ["empty diagnostics"], ["FAIL  empty diagnostics: no records"]
     bad = [(name, r.t) for r in records for name in ASSERTED_COLUMNS
-           if not np.isfinite(getattr(r, name))]
+           if not math.isfinite(getattr(r, name))]
     check("finite_values", not bad,
           f"{len(bad)} non-finite values in the asserted columns"
           + (f", first {bad[0][0]} at t = {bad[0][1]}" if bad else ""))
@@ -374,6 +365,11 @@ print(here / "diagnostics.png")
 """
 
 
+# interior cells of the accepted states `nsac1d run` folds as one block: a
+# block amortizes numpy's per-call cost, and its stacked copy costs memory
+BLOCK_CELLS = 4096
+
+
 def _cmd_run(cfg, out=sys.stdout):
     params = cfg.params()
     bc = cfg.bc()
@@ -385,20 +381,32 @@ def _cmd_run(cfg, out=sys.stdout):
 
     records = [record(ctx)]  # make_context has folded the initial state
     steps = itertools.count(1)  # run() observes the accepted steps
+    block, kept = [], []  # the states of the next fold, the positions it records
+    block_length = max(1, BLOCK_CELLS // cfg.N)
+
+    def fold():
+        ctx.accumulate(*block)
+        if kept:
+            records.extend(record(ctx, kept))
+        block.clear()
+        kept.clear()
 
     def observer(state):
-        ctx.accumulate(state)
         n = next(steps)
         diag, snap = cfg.diag_every_steps, cfg.snapshot_every_steps
         if state.t == cfg.t_final or (diag and n % diag == 0):
-            records.append(record(ctx))
+            kept.append(len(block))
+        block.append(state)
         if snap and n % snap == 0:
             write_snapshot(state, params, outdir / f"snapshot_step{n:07d}.csv")
+        if len(block) == block_length:
+            fold()
 
     try:
         result = run(initial, params, bc, cfg.t_final, observer=observer)
     except SimulationAbort as exc:
         print(f"ABORT: {exc}", file=out)
+        fold()
         dump = record(ctx)  # exc.state, the last state folded
         for name in _RECORD_SCALARS:
             print(f"  {name} = {getattr(dump, name)}", file=out)
@@ -407,6 +415,7 @@ def _cmd_run(cfg, out=sys.stdout):
         write_diagnostics(records, outdir / "diagnostics.csv")
         return 1
 
+    fold()
     final = result.state
     write_diagnostics(records, outdir / "diagnostics.csv")
     write_snapshot(final, params, outdir / "snapshot_final.csv")

@@ -23,6 +23,16 @@ FARFIELD_THETA = 1.0
 # at |x| = L, so the Dirichlet ghost values introduce no visible kink
 FARFIELD_REACH_TOL = 1e-12
 
+# the numbers that an int or a float written to text reads back as: a bool is
+# neither, and a float of another width would be recorded as another value
+NUMBERS = {int: ((int, np.integer), "an integer"),
+           float: ((int, float, np.integer), "an int or a float")}
+
+
+def is_number(value, kind):
+    """Whether value is a number of kind int or float by the NUMBERS rule."""
+    return isinstance(value, NUMBERS[kind][0]) and not isinstance(value, bool)
+
 
 class PositivityError(RuntimeError):
     """v or theta at or below the positivity floor, or a field not finite.
@@ -76,7 +86,7 @@ class MassGrid:
         if not 0.0 < self.half_width < math.inf:  # also rejects nan
             raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
         n = self.n_cells
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_number(n, int):
             raise ValueError(f"n_cells must be an integer, got {n!r}")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n_cells must be even and >= 8, got {n}")
@@ -98,11 +108,6 @@ class MassGrid:
     def x(self):
         """Interior cell centers x_i = -L + (i + 1/2) dx."""
         i = np.arange(self.n_cells)
-        return -self.half_width + (i + 0.5) * self.dx
-
-    @cached_property
-    def x_with_ghosts(self):
-        i = np.arange(-self.n_ghost, self.n_cells + self.n_ghost)
         return -self.half_width + (i + 0.5) * self.dx
 
 

@@ -15,25 +15,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FlowState, SimParams, check_positive
-from .operators import centered, chemical_potential
+from .core import NUMBERS, FlowState, PositivityError, SimParams, check_positive, is_number
+from .operators import block_potential, centered
+
+
+# Every functional is computed on a block: the (K, 5, N + 4) stacked data of
+# K states, whose field rows are (K, N); it reduces over the last axis to one
+# value per state, so a single state is the block state.data[None].
+_Rows = namedtuple("_Rows", "data grid u phi theta v u_x phi_x theta_x")
+
+
+def _block_rows(data, grid):
+    """The interior rows (in FIELDS order) and u_x, phi_x and theta_x of a
+    block, each taken once for every functional to read."""
+    g, n = grid.n_ghost, grid.n_cells
+    u, phi, theta, v = data[:, :4, g:g + n].swapaxes(0, 1)
+    u_x, phi_x, theta_x = centered(data[:, :3, g - 1:g + n + 1], grid.dx).swapaxes(0, 1)
+    return _Rows(data, grid, u, phi, theta, v, u_x, phi_x, theta_x)
+
+
+def _rows(state, params):
+    """Run check_positive once, then take the rows of the one-state block."""
+    check_positive(state, params)
+    return _block_rows(state.data[None], state.grid)
 
 
 def mass_excess(state):
     """Midpoint-rule integral of (v - 1) over the interior."""
-    return float(np.sum(state.interior("v") - 1.0) * state.grid.dx)
+    return float(_mass_excess(state.data[None], state.grid)[0])
 
 
-_Rows = namedtuple("_Rows", "u phi theta v u_x phi_x theta_x dx")
-
-
-def _rows(state, params):
-    """Run check_positive once, then take the interior rows (in FIELDS order)
-    and u_x, phi_x and theta_x, each once, for every functional to read."""
-    check_positive(state, params)
-    g, n, dx = state.grid.n_ghost, state.grid.n_cells, state.grid.dx
-    return _Rows(*state.data[:4, g:g + n],
-                 *(centered(f, dx) for f in state.data[:3, g - 1:g + n + 1]), dx)
+def _mass_excess(data, grid):
+    return np.sum(data[:, 3, grid.interior] - 1.0, axis=-1) * grid.dx
 
 
 def _energies(r, eps):
@@ -45,29 +58,30 @@ def _energies(r, eps):
     total = kinetic + (r.theta - 1.0) + mixing + gradient
     lyapunov = (kinetic + mixing + gradient + (r.v - np.log(r.v) - 1.0)
                 + (r.theta - np.log(r.theta) - 1.0))
-    return float(np.sum(total) * r.dx), float(np.sum(lyapunov) * r.dx)
+    return np.sum(total, axis=-1) * r.grid.dx, np.sum(lyapunov, axis=-1) * r.grid.dx
 
 
 def total_energy(state, params):
     """Integral of u^2/2 + (theta - 1) + (phi^2-1)^2/(4 eps) + (eps/2) phi_x^2 / v."""
-    return _energies(_rows(state, params), params.epsilon)[0]
+    return float(_energies(_rows(state, params), params.epsilon)[0][0])
 
 
 def lyapunov_energy(state, params):
     """The five-term entropy functional; zero exactly at the far-field state."""
-    return _energies(_rows(state, params), params.epsilon)[1]
+    return float(_energies(_rows(state, params), params.epsilon)[1][0])
 
 
 def dissipation_rate(state, params):
     """Entropy production V = int theta^b theta_x^2/(v theta^2) + u_x^2/(v theta) + v mu^2/theta."""
-    return _dissipation_rate(state, _rows(state, params), params)
+    return float(_dissipation_rate(_rows(state, params), params)[0])
 
 
-def _dissipation_rate(state, r, params):
+def _dissipation_rate(r, params):
+    mu = block_potential(r.data, r.grid, params.epsilon)
     integrand = (r.theta**params.beta * r.theta_x**2 / (r.v * r.theta**2)
                  + r.u_x**2 / (r.v * r.theta)
-                 + r.v * chemical_potential(state, params)**2 / r.theta)
-    return float(np.sum(integrand) * r.dx)
+                 + r.v * mu**2 / r.theta)
+    return np.sum(integrand, axis=-1) * r.grid.dx
 
 
 def _well(y):
@@ -128,15 +142,18 @@ def cell_average_brackets(state, alpha1, alpha2):
     L must be an integer and N divisible by 2L.  Returns the violations
     beyond alpha +- (1e-6 + dx^2) as (field, n, average) for [n, n+1].
     """
-    per_unit = _unit_interval_cells(state.grid)
-    tol = 1e-6 + state.grid.dx**2
-    violations = []
-    for name in ("v", "theta"):
-        averages = state.interior(name).reshape(-1, per_unit).mean(axis=1)
-        outside = (averages < alpha1 - tol) | (averages > alpha2 + tol)
-        violations += [(name, int(j) - int(state.grid.half_width), float(averages[j]))
-                       for j in np.flatnonzero(outside)]
-    return violations
+    averages, outside = _brackets(state.data[None], state.grid, alpha1, alpha2)
+    return [(name, int(j) - int(state.grid.half_width), float(averages[0, k, j]))
+            for k, name in enumerate(("v", "theta")) for j in np.flatnonzero(outside[0, k])]
+
+
+def _brackets(data, grid, alpha1, alpha2):
+    """The unit-interval averages of v and theta of each state of a block,
+    (K, 2, 2L), averaged in one reshape, and which lie outside the bracket."""
+    tol = 1e-6 + grid.dx**2
+    per_unit = _unit_interval_cells(grid)
+    averages = data[:, 3:1:-1, grid.interior].reshape(len(data), 2, -1, per_unit).mean(axis=-1)
+    return averages, (averages < alpha1 - tol) | (averages > alpha2 + tol)
 
 
 def cutoff_weight(n, x):
@@ -153,10 +170,12 @@ def check_weighted_pairs(pairs):
     pair listed once."""
     seen = []
     for alpha, n in pairs:
+        if not is_number(alpha, float):  # one that text records as written
+            raise ValueError(f"weighted_diss alpha must be {NUMBERS[float][1]}, got {alpha!r}")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"weighted_diss n must be an integer, got {n!r}")
+        if not is_number(n, int):
+            raise ValueError(f"weighted_diss n must be {NUMBERS[int][1]}, got {n!r}")
         if (alpha, n) in seen:
             raise ValueError(f"weighted_diss lists the pair {alpha}:{n} twice")
         seen.append((alpha, n))
@@ -171,12 +190,12 @@ def weighted_dissipation(state, params, alpha, weight):
     non-constructive constant.  Requires 0 < alpha < 1.
     """
     check_weighted_pairs([(alpha, 0)])  # n is already in the weight
-    return _weighted_dissipation(_rows(state, params), params, alpha, weight)
+    return float(_weighted_dissipation(_rows(state, params), params, alpha, weight)[0])
 
 
 def _weighted_dissipation(r, params, alpha, weight):
     integrand = r.theta**params.beta * r.theta_x**2 / (r.v * r.theta ** (alpha + 1.0)) * weight
-    return float(np.sum(integrand) * r.dx)
+    return np.sum(integrand, axis=-1) * r.grid.dx
 
 
 def lemma24_residual(state, initial):
@@ -188,53 +207,84 @@ def lemma24_residual(state, initial):
     """
     if state.grid != initial.grid:
         raise ValueError("state and initial live on different grids")
-    grid = state.grid
-    s = grid.interior
-    combo = np.log(state.v) - np.log(initial.v) - (state.G - initial.G)
-    resid = centered(combo, grid.dx)[1:-1] - (state.u[s] - initial.u[s])
-    return float(math.sqrt(np.sum(resid**2) * grid.dx))
+    return float(_lemma24_residual(state.data[None], state.grid, np.log(initial.v),
+                                   initial.G, initial.u[initial.grid.interior])[0])
+
+
+def _lemma24_residual(data, grid, log_v0, G0, u0):
+    combo = np.log(data[:, 3]) - log_v0 - (data[:, 4] - G0)
+    resid = centered(combo, grid.dx)[:, 1:-1] - (data[:, 0, grid.interior] - u0)
+    return np.sqrt(np.sum(resid**2, axis=-1) * grid.dx)
+
+
+# the last fold: its states, their stacked data, and the V and diss_cum of each
+_Fold = namedtuple("_Fold", "states data v_diss diss_cum")
 
 
 @dataclass
 class RunContext:
-    """The run monitor: record()'s per-run inputs (params, the initial state,
-    its Lyapunov energy e0, the bracket roots, the cutoff weight w_n(x) of each
-    weighted-dissipation pair (alpha, n)) and the last fold (its state and rows,
-    v_last, the V of that state, and diss_cum, the trapezoid-rule integral of V)."""
+    """The run monitor: record()'s per-run inputs (params, the initial state's
+    ln v, G and interior u, its Lyapunov energy e0, the bracket roots, the
+    cutoff weight w_n(x) of each weighted-dissipation pair (alpha, n)), the
+    last fold, and the last state folded with its V, v_last, and diss_cum,
+    the trapezoid-rule integral of V."""
 
     params: SimParams
-    initial: FlowState
     e0: float
     alpha1: float
     alpha2: float
     weights: dict = field(repr=False)  # (alpha, n) -> w_n on the grid
+    log_v0: np.ndarray = field(repr=False)
+    G0: np.ndarray = field(repr=False)
+    u0: np.ndarray = field(repr=False)
+    fold: _Fold = field(repr=False)
     state: FlowState
-    rows: _Rows = field(repr=False)
     v_last: float
     diss_cum: float = 0.0
 
-    def accumulate(self, state):
-        """Fold an accepted state into diss_cum by the trapezoid rule over
-        [self.state.t, state.t]; folding the last state again adds 0."""
-        rows = _rows(state, self.params)
-        v_diss = _dissipation_rate(state, rows, self.params)
-        self.diss_cum += 0.5 * (state.t - self.state.t) * (self.v_last + v_diss)
-        self.state, self.rows, self.v_last = state, rows, v_diss
+    def accumulate(self, *states):
+        """Fold accepted states, in order, as one block: each is guarded once
+        by check_positive, and diss_cum grows by the trapezoid rule over each
+        interval [t of the state before, t]; folding the last state again adds
+        0.  A state that fails its guard raises after the states before it
+        are folded."""
+        for k, state in enumerate(states):
+            try:
+                check_positive(state, self.params)
+            except PositivityError:
+                self._fold(states[:k])
+                raise
+        self._fold(states)
+
+    def _fold(self, states):
+        if not states:
+            return
+        rows = _block_rows(np.stack([s.data for s in states]), self.state.grid)
+        v_diss, cum = _dissipation_rate(rows, self.params).tolist(), []
+        for state, v in zip(states, v_diss):
+            self.diss_cum += 0.5 * (state.t - self.state.t) * (self.v_last + v)
+            self.state, self.v_last = state, v
+            cum.append(self.diss_cum)
+        self.fold = _Fold(states, rows.data, v_diss, cum)
 
 
 def make_context(initial, params, weighted_pairs=()):
     """The RunContext of a run from `initial`, whose copy it folds; a grid or
     a weighted pair that record() cannot use is rejected before the first step."""
-    _unit_interval_cells(initial.grid)  # record() needs whole unit intervals
+    grid = initial.grid
+    _unit_interval_cells(grid)  # record() needs whole unit intervals
     pairs = tuple(weighted_pairs)
     check_weighted_pairs(pairs)
     state = initial.copy()
     rows = _rows(state, params)
-    e0 = _energies(rows, params.epsilon)[1]
+    e0 = float(_energies(rows, params.epsilon)[1][0])
     alpha1, alpha2 = bracket_roots(e0)
-    return RunContext(params=params, initial=state, e0=e0, alpha1=alpha1, alpha2=alpha2,
-                      weights={(a, n): cutoff_weight(n, initial.grid.x) for a, n in pairs},
-                      state=state, rows=rows, v_last=_dissipation_rate(state, rows, params))
+    v_diss = _dissipation_rate(rows, params).tolist()
+    return RunContext(params=params, e0=e0, alpha1=alpha1, alpha2=alpha2,
+                      weights={(a, n): cutoff_weight(n, grid.x) for a, n in pairs},
+                      log_v0=np.log(state.v), G0=state.G, u0=state.u[grid.interior],
+                      fold=_Fold((state,), rows.data, v_diss, [0.0]), state=state,
+                      v_last=v_diss[0])
 
 
 @dataclass
@@ -261,31 +311,33 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(context):
-    """Evaluate every functional on the state the context folded last, from
-    the rows of that fold; V and diss_cum are those of the fold."""
-    state, r, params = context.state, context.rows, context.params
+def record(context, kept=None):
+    """The DiagnosticsRecord of the state the context folded last; given
+    positions `kept` in the last fold, the list of the records of those
+    states.  Each functional is one pass over the kept states of the fold;
+    V and diss_cum are those of the fold, and nothing is guarded."""
+    fold, params = context.fold, context.params
+    picks = [len(fold.states) - 1] if kept is None else list(kept)
+    r = _block_rows(fold.data[picks], context.state.grid)
+    low = r.data[:, 1:4, r.grid.interior].min(axis=-1)  # phi, theta, v
+    high = r.data[:, 1:4, r.grid.interior].max(axis=-1)
     energy_total, e_lyap = _energies(r, params.epsilon)
-    violations = cell_average_brackets(state, context.alpha1, context.alpha2)
-    weighted = {(alpha, n): _weighted_dissipation(r, params, alpha, w)
-                for (alpha, n), w in context.weights.items()}
-    return DiagnosticsRecord(
-        t=float(state.t),
-        mass_excess=mass_excess(state),
-        energy_total=energy_total,
-        e_lyap=e_lyap,
-        v_diss=context.v_last,
-        diss_cum=float(context.diss_cum),
-        e0=float(context.e0),
-        alpha1=context.alpha1,
-        alpha2=context.alpha2,
-        phi_min=float(r.phi.min()),
-        phi_max=float(r.phi.max()),
-        v_min=float(r.v.min()),
-        v_max=float(r.v.max()),
-        theta_min=float(r.theta.min()),
-        theta_max=float(r.theta.max()),
-        bracket_violations=len(violations),
-        lemma24_residual=lemma24_residual(state, context.initial),
-        weighted=weighted,
-    )
+    _, outside = _brackets(r.data, r.grid, context.alpha1, context.alpha2)
+    columns = {"mass_excess": _mass_excess(r.data, r.grid),
+               "energy_total": energy_total, "e_lyap": e_lyap,
+               "phi_min": low[:, 0], "phi_max": high[:, 0],
+               "v_min": low[:, 2], "v_max": high[:, 2],
+               "theta_min": low[:, 1], "theta_max": high[:, 1],
+               "bracket_violations": outside.sum(axis=(1, 2)),
+               "lemma24_residual": _lemma24_residual(r.data, r.grid, context.log_v0,
+                                                     context.G0, context.u0)}
+    columns = {name: values.tolist() for name, values in columns.items()}
+    weighted = {pair: _weighted_dissipation(r, params, pair[0], w).tolist()
+                for pair, w in context.weights.items()}
+    records = [DiagnosticsRecord(
+        t=float(fold.states[i].t), v_diss=fold.v_diss[i], diss_cum=fold.diss_cum[i],
+        e0=context.e0, alpha1=context.alpha1, alpha2=context.alpha2,
+        weighted={pair: values[j] for pair, values in weighted.items()},
+        **{name: values[j] for name, values in columns.items()})
+        for j, i in enumerate(picks)]
+    return records[0] if kept is None else records

@@ -67,11 +67,6 @@ def step_limits(state, params):
     return float(diffusion), float(acoustic), float(reaction)
 
 
-def stable_dt(state, params):
-    """CFL-scaled minimum of the diffusion, acoustic, and reaction limits."""
-    return params.cfl * min(step_limits(state, params))
-
-
 def _add_sources(rhs, sources, x, t):
     sv, su, stheta, sphi = sources(x, t)
     rhs.dv += sv

@@ -18,10 +18,10 @@ from .core import N_GHOST, apply_bc, check_positive, row_property
 
 
 def centered(f, dx):
-    """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx) at every cell
-    with both neighbours; the divided difference of face averages, so
-    interior sums telescope to the outer face values."""
-    return (f[2:] - f[:-2]) / (2.0 * dx)
+    """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx) along the last
+    axis, at every cell with both neighbours; the divided difference of face
+    averages, so interior sums telescope to the outer face values."""
+    return (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
 
 
 def face_average(c):
@@ -49,8 +49,17 @@ def chemical_potential(state, params):
     Shares the diffusion stencil with the phase equation so phi_t = -v mu
     holds exactly at the discrete level.
     """
-    lap = diffusion_flux(face_average(1.0 / state.v), state.phi, state.grid.dx)
-    return potential_from(state.interior("phi"), lap[state.grid.interior], params.epsilon)
+    return block_potential(state.data[None], state.grid, params.epsilon)[0]
+
+
+def block_potential(data, grid, eps):
+    """chemical_potential of each state of a (K, 5, N + 4) block of FlowState
+    data, as (K, N): one stencil along the flattened phi rows; where it
+    straddles two states it lands in a ghost column, which is never read."""
+    v, phi = data[:, 3], data[:, 1]
+    lap = diffusion_flux(face_average((1.0 / v).reshape(-1)), phi.reshape(-1), grid.dx)
+    s = grid.interior
+    return potential_from(phi[:, s], lap.reshape(v.shape)[:, s], eps)
 
 
 @dataclass

@@ -16,6 +16,13 @@ def params():
     return ns.SimParams()
 
 
+def x_with_ghosts(grid):
+    """Cell centres of a ghost-padded array: x_i = -L + (i + 1/2) dx for
+    i = -n_ghost ... N + n_ghost - 1."""
+    i = np.arange(-grid.n_ghost, grid.n_cells + grid.n_ghost)
+    return -grid.half_width + (i + 0.5) * grid.dx
+
+
 def recorded_run(params, bc, state, t_final):
     """run() with record() taken on the initial state and after every
     accepted step, as `nsac1d run` records them at diag_every_steps = 1;

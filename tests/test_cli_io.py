@@ -169,7 +169,8 @@ INVALID_FIELDS = [
     ("theta_center", math.inf, "inf", "theta_center must be finite, got inf"),
 ]
 
-# values a RunConfig built in code could hold but config.txt could not read back
+# values a RunConfig built in code could hold but config.txt could not read
+# back, with the name and the value the message gives
 MISTYPED_FIELDS = [
     ("N", 64.0, "an integer"),
     ("diag_every_steps", 2.0, "an integer"),
@@ -180,7 +181,11 @@ MISTYPED_FIELDS = [
     ("v_amp", "0.1", "an int or a float"),
     ("mms_resolutions", (32.0, 64.0, 128.0), "integers"),
     ("mms_resolutions", (True, 2, 4), "integers"),
+    # it would run with alpha = 0.30000001192092896 and record 0.3
+    ("weighted_diss", ((np.float32(0.3), 0),), "an int or a float"),
 ]
+# a weighted pair's message names its alpha
+MISTYPED_SUBJECT = {"weighted_diss": ("weighted_diss alpha", lambda pairs: pairs[0][0])}
 
 
 class TestRunConfig:
@@ -198,7 +203,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value, kind", MISTYPED_FIELDS,
                              ids=[f"{key} = {value!r}" for key, value, _ in MISTYPED_FIELDS])
     def test_value_of_another_type_raises_on_construction(self, key, value, kind):
-        message = f"{key} must be {kind}, got {value!r}"
+        name, shown = MISTYPED_SUBJECT.get(key, (key, lambda value: value))
+        message = f"{name} must be {kind}, got {shown(value)!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ns.RunConfig(**{"L": 16, "N": 64, key: value})
 
@@ -268,7 +274,7 @@ class TestSnapshotIO:
         state = ns.interface_initial_state(
             grid, params, bc, phi_width=0.5,
             v_amp=0.123456789123, v_width=1.0, u_amp=-0.05, u_width=1.0)
-        state = ns.step(state, params, bc, ns.stable_dt(state, params))
+        state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
         path = tmp_path / "snap.csv"
         write_snapshot(state, params, path)
         data = read_snapshot(path)
@@ -395,6 +401,47 @@ class TestRecordCadence:
                    [getattr(records[n], name) for n in kept], name
         assert sorted(p.name for p in tmp_path.glob("snapshot_step*.csv")) == \
                [f"snapshot_step{n:07d}.csv" for n in range(4, steps + 1, 4)]
+
+    @pytest.mark.parametrize("every", [1, 3, 0])
+    def test_blocks_record_what_one_state_at_a_time_records(self, tmp_path, every):
+        # the run folds its states in blocks; the library folds and records
+        # them one at a time, with the same weighted pairs
+        cfg = ns.parse_config(
+            "L = 8\nN = 256\nt_final = 0.025\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            f"theta_width = 1\nweighted_diss = 0.5:0,0.25:-3\ndiag_every_steps = {every}\n"
+            f"outdir = {tmp_path}\n")
+        cli_io._cmd_run(cfg, out=io.StringIO())
+        ctx = ns.make_context(cfg.initial_state(), cfg.params(), cfg.weighted_diss)
+        records = [ns.record(ctx)]
+
+        def observer(state):
+            ctx.accumulate(state)
+            records.append(ns.record(ctx))
+
+        result = ns.run(cfg.initial_state(), cfg.params(), cfg.bc(), cfg.t_final,
+                        observer=observer)
+        steps, block_length = result.control.step_count, cli_io.BLOCK_CELLS // cfg.N
+        assert steps > 2 * block_length and steps % block_length != 0
+        kept = sorted(set(range(0, steps + 1, every or steps)) | {steps})
+        assert read_diagnostics(tmp_path / "diagnostics.csv") == [records[n] for n in kept]
+
+    @pytest.mark.parametrize("n_cells, t_final", [(64, 1.0), (512, 0.003), (2048, 1e-4)])
+    def test_no_block_holds_more_than_the_cell_budget(self, tmp_path, monkeypatch,
+                                                     n_cells, t_final):
+        sizes = []
+        accumulate = ns.RunContext.accumulate
+        monkeypatch.setattr(ns.RunContext, "accumulate",
+                            lambda ctx, *states: sizes.append(len(states))
+                            or accumulate(ctx, *states))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"phi_left = 1\nphi_right = 1\nL = 8\nN = {n_cells}\n"
+                       f"t_final = {t_final}\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 0
+        steps = int(re.search(r"steps = (\d+)", out.getvalue()).group(1))
+        assert sum(sizes) == steps
+        # the blocks fill up to the budget and no further
+        assert steps > max(sizes) == cli_io.BLOCK_CELLS // n_cells
 
 
 class TestAudit:

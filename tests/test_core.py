@@ -73,10 +73,6 @@ class TestMakeGrid:
         grid = ns.make_grid(2, 8)
         assert grid.n_ghost == 2
         assert grid.n_total == 12
-        assert len(grid.x_with_ghosts) == 12
-        # ghost centers continue the uniform spacing outward
-        assert grid.x_with_ghosts[1] == pytest.approx(-2 - 0.25, abs=0)
-        assert np.allclose(np.diff(grid.x_with_ghosts), grid.dx)
 
 
 class TestEquilibrium:
@@ -238,7 +234,7 @@ class TestPhaseNegationSymmetry:
         neg = state.copy()
         neg.phi = -neg.phi
         bc_neg = ns.BoundaryConfig(1.0, -1.0)
-        dt = 0.5 * ns.stable_dt(state, params)
+        dt = 0.5 * params.cfl * min(ns.step_limits(state, params))
         fwd = ns.step(state, params, bc, dt=dt)
         swapped = ns.step(neg, params, bc_neg, dt=dt)
         assert np.array_equal(swapped.phi, -fwd.phi)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
+from conftest import x_with_ghosts
 
 # independently computed with a 50-digit Lambert-W evaluation of
 # y - ln y - 1 = e0 (branches 0 and -1), frozen before implementation
@@ -82,7 +83,7 @@ class TestDissipationRate:
         grid = ns.make_grid(16, 256)
         bc = ns.BoundaryConfig(1.0, 1.0)
         state = ns.interface_initial_state(grid, params, bc)
-        state.u[:] = np.sin(np.pi * grid.x_with_ghosts / 16.0)
+        state.u[:] = np.sin(np.pi * x_with_ghosts(grid) / 16.0)
         ns.apply_bc(state, bc)
         u = state.u
         u_x = (u[2:] - u[:-2]) / (2 * grid.dx)
@@ -273,7 +274,9 @@ class TestWeightedDissipation:
     @pytest.mark.parametrize("pair, match", [((2.0, 0), r"alpha must be in \(0, 1\), got 2\.0"),
                                              ((0.5, 0.5), "n must be an integer, got 0.5"),
                                              ((0.5, True), "n must be an integer, got True"),
-                                             ((0.5, 0), "lists the pair 0.5:0 twice")])
+                                             ((0.5, 0), "lists the pair 0.5:0 twice"),
+                                             ((np.float32(0.3), 0), r"alpha must be an int "
+                                              r"or a float, got np\.float32\(0\.3\)")])
     def test_run_context_rejects_the_pair_before_a_step(self, params, pair, match):
         # the rule holds before the first step, not only when record() runs
         eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
@@ -427,12 +430,36 @@ class TestRecord:
         assert rec.e_lyap == ns.lyapunov_energy(later, p)
         assert rec.v_diss == ns.dissipation_rate(later, p)
 
+    @pytest.mark.parametrize("name, value", [("u", math.nan), ("theta", 1e-10)],  # the floor
+                             ids=["nan-u", "theta-at-floor"])
+    def test_a_failing_state_folds_the_states_before_it(self, flagship_ic, name, value):
+        p, grid, bc, state = flagship_ic(128, half_width=32)
+        states = []
+        ns.run(state, p, bc, 0.25, observer=states.append)
+        bad = states[3].copy()
+        getattr(bad, name)[grid.n_ghost + 5] = value
+        with pytest.raises(ns.PositivityError) as want:
+            ns.core.check_positive(bad, p)
+        block = ns.make_context(state, p, weighted_pairs=((0.5, 0),))
+        with pytest.raises(ns.PositivityError) as got:
+            block.accumulate(*states[:3], bad, states[4])
+        assert ((got.value.field, got.value.cell, got.value.t)
+                == (want.value.field, want.value.cell, want.value.t) == (name, 5, bad.t))
+        single = ns.make_context(state, p, weighted_pairs=((0.5, 0),))
+        records = []
+        for s in states[:3]:
+            single.accumulate(s)
+            records.append(ns.record(single))
+        assert block.state is states[2]
+        assert (block.v_last, block.diss_cum) == (single.v_last, single.diss_cum)
+        assert ns.record(block, [0, 1, 2]) == records
+
     def test_one_guard_per_observed_state(self, flagship_ic, monkeypatch):
         # make_context() guards the initial state once, and accumulate() plus
         # record() guard a later state once, however many functionals and
         # weighted pairs they evaluate
         p, grid, bc, state = flagship_ic(128, half_width=32)
-        later = ns.step(state, p, bc, ns.stable_dt(state, p))
+        later = ns.step(state, p, bc, p.cfl * min(ns.step_limits(state, p)))
         calls = []
         guard = ns.diagnostics.check_positive
         monkeypatch.setattr(ns.diagnostics, "check_positive",

@@ -37,7 +37,7 @@ class TestStableDt:
         grid = ns.make_grid(16, 512)
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         expected = 0.4 * min(grid.dx**2 / 2.0, grid.dx / math.sqrt(2.0), 1.0 / 3.0)
-        assert ns.stable_dt(eq, params) == pytest.approx(expected, rel=1e-15)
+        assert params.cfl * min(ns.step_limits(eq, params)) == pytest.approx(expected, rel=1e-15)
 
     def test_limit_kinds(self, params):
         grid = ns.make_grid(16, 512)
@@ -95,7 +95,7 @@ class TestStableDt:
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         eq.u[grid.n_ghost + 3] = np.nan
         with pytest.raises(ns.PositivityError, match="not finite") as exc_info:
-            ns.stable_dt(eq, params)
+            params.cfl * min(ns.step_limits(eq, params))
         assert (exc_info.value.field, exc_info.value.cell) == ("u", 3)
 
 
@@ -104,7 +104,7 @@ class TestStep:
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(-1.0, -1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        out = ns.step(eq, params, bc, ns.stable_dt(eq, params))
+        out = ns.step(eq, params, bc, params.cfl * min(ns.step_limits(eq, params)))
         dt = out.t
         for name in ("v", "u", "theta", "phi"):
             assert np.array_equal(getattr(out, name), getattr(eq, name))
@@ -147,7 +147,7 @@ class TestStep:
             grid, params, bc, phi_width=1.0,
             u_amp=0.3, u_width=1.5, u_center=2.0)
         for _ in range(50):
-            state = ns.step(state, params, bc, ns.stable_dt(state, params))
+            state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
             phi = state.interior("phi")
             assert phi.min() >= -1.0 - 1e-8 and phi.max() <= 1.0 + 1e-8
 
@@ -178,7 +178,7 @@ class TestRun:
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        dt = ns.stable_dt(eq, params)
+        dt = params.cfl * min(ns.step_limits(eq, params))
         result = ns.run(eq, params, bc, 1.0)
         assert result.control.step_count == math.ceil(1.0 / dt)
         assert result.state.t == 1.0  # exact landing
@@ -196,7 +196,7 @@ class TestRun:
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        cap = 0.25 * ns.stable_dt(eq, params)
+        cap = 0.25 * params.cfl * min(ns.step_limits(eq, params))
         result = ns.run(eq, params, bc, 20 * cap, dt_cap=cap)
         assert result.control.step_count == 20
         assert result.control.limit_kind == "cap"
@@ -235,7 +235,7 @@ class TestRun:
             grid, params, bc, phi_width=1.0, theta_amp=-0.3, theta_width=2.0)
         prev = state.interior("G").copy()
         for _ in range(20):
-            state = ns.step(state, params, bc, ns.stable_dt(state, params))
+            state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
             cur = state.interior("G")
             assert np.all(cur > prev)
             prev = cur.copy()
@@ -269,7 +269,7 @@ class TestSourcesOncePerStageTime:
         grid = ns.make_grid(8, 32)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        cap = 0.25 * ns.stable_dt(eq, params)
+        cap = 0.25 * params.cfl * min(ns.step_limits(eq, params))
         times, seen = [], []
 
         def counting(x, t):
@@ -320,7 +320,7 @@ class TestNonFiniteAbort:
         grid = ns.make_grid(8, 32)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        cap = 0.25 * ns.stable_dt(eq, params)
+        cap = 0.25 * params.cfl * min(ns.step_limits(eq, params))
         seen = []
         with pytest.raises(ns.SimulationAbort) as exc_info:
             ns.run(eq, params, bc, 10 * cap, dt_cap=cap, observer=seen.append,

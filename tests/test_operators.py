@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
+from conftest import x_with_ghosts
 from nsac1d.core import FlowState
 from nsac1d.operators import check_positive
 
@@ -31,12 +32,12 @@ class TestD1Center:
 
     def test_linear_exact(self):
         grid = ns.make_grid(1, 8)
-        out = ns.centered(grid.x_with_ghosts.copy(), grid.dx)
+        out = ns.centered(x_with_ghosts(grid).copy(), grid.dx)
         assert np.all(out == 1.0)
 
     def test_quadratic_exact(self):
         grid = ns.make_grid(1, 8)
-        x = grid.x_with_ghosts
+        x = x_with_ghosts(grid)
         out = ns.centered(x**2, grid.dx)
         assert np.array_equal(out, 2.0 * x[1:-1])
 
@@ -44,14 +45,14 @@ class TestD1Center:
 class TestDiffusionFlux:
     def test_constant_field(self):
         grid = ns.make_grid(1, 8)
-        a = ns.face_average(1.0 + 0.3 * grid.x_with_ghosts**2)
+        a = ns.face_average(1.0 + 0.3 * x_with_ghosts(grid)**2)
         out = ns.diffusion_flux(a, np.full(grid.n_total, 2.5), grid.dx)
         assert np.all(out[1:-1] == 0.0)
 
     def test_unit_coefficient_quadratic(self):
         # dyadic grid: the second difference of x^2 is exact in floats
         grid = ns.make_grid(1, 8)
-        x = grid.x_with_ghosts
+        x = x_with_ghosts(grid)
         out = ns.diffusion_flux(np.ones(grid.n_total - 1), x**2, grid.dx)
         assert np.all(out[1:-1] == 2.0)
 
@@ -60,7 +61,7 @@ class TestDiffusionFlux:
         errs = []
         for n in (64, 128, 256):
             grid = ns.make_grid(4, n)
-            x = grid.x_with_ghosts
+            x = x_with_ghosts(grid)
             a = 1.5 + 0.5 * np.sin(x)
             f = np.cos(2 * x)
             got = ns.diffusion_flux(ns.face_average(a), f, grid.dx)
@@ -92,7 +93,7 @@ class TestChemicalPotential:
 
     def test_linear_phase_gives_cubic(self, params):
         grid = ns.make_grid(1, 8)
-        x = grid.x_with_ghosts
+        x = x_with_ghosts(grid)
         state = manual_state(grid, np.ones_like(x), np.zeros_like(x),
                              np.ones_like(x), x.copy())
         mu = ns.chemical_potential(state, params)
@@ -105,7 +106,7 @@ class TestChemicalPotential:
         errs = []
         for n in (512, 1024):
             grid = ns.make_grid(16, n)
-            x = grid.x_with_ghosts
+            x = x_with_ghosts(grid)
             state = manual_state(grid, np.ones_like(x), np.zeros_like(x),
                                  np.ones_like(x), np.tanh(x / 2.0))
             mu = ns.chemical_potential(state, params)
@@ -167,7 +168,7 @@ class TestSemiDiscreteRhs:
         grid = ns.make_grid(16, 128)
         bc = ns.BoundaryConfig(1.0, 1.0)
         state = ns.interface_initial_state(grid, params, bc)
-        state.u[:] = np.sin(np.pi * grid.x_with_ghosts / 16.0)
+        state.u[:] = np.sin(np.pi * x_with_ghosts(grid) / 16.0)
         ns.apply_bc(state, bc)
 
         rhs = ns.semi_discrete_rhs(state, params, bc)

@@ -5,7 +5,7 @@
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
-PYTHONPATH set to that tree alone, in a fresh temporary directory: five
+PYTHONPATH set to that tree alone, in a fresh temporary directory: six
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
@@ -40,6 +40,10 @@ RUNS = (
                             "diag_every_steps = 4\nsnapshot_every_steps = 3\n"),
     ("flagship-128-t0", "run", FLAGSHIP + "N = 128\nt_final = 0\n"
                                "diag_every_steps = 4\nsnapshot_every_steps = 3\n"),
+    # records only the initial and the final state: 92 steps in blocks of 16,
+    # so no full block holds a recorded state; fails lyapunov_* and exits 1
+    ("flagship-256-diag0", "run", FLAGSHIP + "N = 256\nt_final = 1.0\n"
+                                  "diag_every_steps = 0\n"),
     # aborts inside the time loop and exits 1 with a dump
     ("aborted", "run", "L = 8\nN = 16\nt_final = 1\ncfl = 0.9\nphi_width = 0.5\n"
                        "v_amp = -0.999\nv_width = 1.4\nv_center = 0\n"
