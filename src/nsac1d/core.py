@@ -95,11 +95,11 @@ class MassGrid:
     def dx(self):
         return 2.0 * self.half_width / self.n_cells
 
-    @property
+    @cached_property
     def n_total(self):
         return self.n_cells + 2 * self.n_ghost
 
-    @property
+    @cached_property
     def interior(self):
         """Slice selecting the interior cells of a ghost-padded array."""
         return slice(self.n_ghost, self.n_ghost + self.n_cells)
@@ -215,11 +215,10 @@ class FlowState:
 def apply_bc(state, bc):
     """Write the far-field values into both ghost layers, in place."""
     g = state.grid.n_ghost
-    # one column per side, in FIELDS order
-    left = (FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t)
-    right = (FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V, state.t)
-    state.data[:, :g] = np.array(left)[:, None]
-    state.data[:, -g:] = np.array(right)[:, None]
+    # one array: the left then the right column, each in FIELDS order
+    ends = np.array((FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t,
+                     FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V, state.t))
+    state.data[:, :g], state.data[:, -g:] = ends.reshape(2, -1, 1)
     return state
 
 
@@ -227,19 +226,21 @@ def check_positive(state, params):
     """Hard error naming field and first offending cell if u, phi, theta or v
     is not finite, ghost cells included, or if interior v or theta is at or
     below the positivity floor.  Cells count from the first interior cell,
-    so the ghost cells are -2, -1, N and N + 1."""
-    s = state.grid.interior
+    so the ghost cells are -2, -1, N and N + 1.  Fast path: the sum of u,
+    phi, theta and v is finite and the least theta or v, ghosts included, is
+    above the floor; a sum that overflows (numpy warns) or a low ghost falls
+    through to the exact per-field scan, which gives the verdict."""
     floor = params.positivity_floor
-    # fast path over the contiguous rows u, phi, theta, v, ghosts included
-    if np.isfinite(state.data[:4]).all() and state.data[2:4, s].min() > floor:
+    if math.isfinite(state.data[:4].sum()) and state.data[2:4].min() > floor:
         return
+    s = state.grid.interior
     for name in ("v", "theta", "u", "phi"):
         vals = getattr(state, name)
         ok = np.isfinite(vals)
         if name in ("v", "theta"):
             ok[s] &= vals[s] > floor
         if not ok.all():
-            j = int(np.argmin(ok))
+            j = int(ok.argmin())
             raise PositivityError(name, j - s.start, vals[j], state.t, floor)
 
 

@@ -46,7 +46,7 @@ def mass_excess(state):
 
 
 def _mass_excess(data, grid):
-    return np.sum(data[:, 3, grid.interior] - 1.0, axis=-1) * grid.dx
+    return (data[:, 3, grid.interior] - 1.0).sum(axis=-1) * grid.dx
 
 
 def _energies(r, eps):
@@ -58,7 +58,7 @@ def _energies(r, eps):
     total = kinetic + (r.theta - 1.0) + mixing + gradient
     lyapunov = (kinetic + mixing + gradient + (r.v - np.log(r.v) - 1.0)
                 + (r.theta - np.log(r.theta) - 1.0))
-    return np.sum(total, axis=-1) * r.grid.dx, np.sum(lyapunov, axis=-1) * r.grid.dx
+    return total.sum(axis=-1) * r.grid.dx, lyapunov.sum(axis=-1) * r.grid.dx
 
 
 def total_energy(state, params):
@@ -81,7 +81,7 @@ def _dissipation_rate(r, params):
     integrand = (r.theta**params.beta * r.theta_x**2 / (r.v * r.theta**2)
                  + r.u_x**2 / (r.v * r.theta)
                  + r.v * mu**2 / r.theta)
-    return np.sum(integrand, axis=-1) * r.grid.dx
+    return integrand.sum(axis=-1) * r.grid.dx
 
 
 def _well(y):
@@ -195,7 +195,7 @@ def weighted_dissipation(state, params, alpha, weight):
 
 def _weighted_dissipation(r, params, alpha, weight):
     integrand = r.theta**params.beta * r.theta_x**2 / (r.v * r.theta ** (alpha + 1.0)) * weight
-    return np.sum(integrand, axis=-1) * r.grid.dx
+    return integrand.sum(axis=-1) * r.grid.dx
 
 
 def lemma24_residual(state, initial):
@@ -214,7 +214,7 @@ def lemma24_residual(state, initial):
 def _lemma24_residual(data, grid, log_v0, G0, u0):
     combo = np.log(data[:, 3]) - log_v0 - (data[:, 4] - G0)
     resid = centered(combo, grid.dx)[:, 1:-1] - (data[:, 0, grid.interior] - u0)
-    return np.sqrt(np.sum(resid**2, axis=-1) * grid.dx)
+    return np.sqrt((resid**2).sum(axis=-1) * grid.dx)
 
 
 # the last fold: its states, their stacked data, and the V and diss_cum of each

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FlowState, apply_bc
-from .operators import check_positive, face_average, semi_discrete_rhs
+from .operators import check_positive, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
@@ -37,8 +37,8 @@ class SimulationAbort(RuntimeError):
 
 
 def step_limits(state, params):
-    """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL,
-    of a state that first passes check_positive.
+    """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL;
+    the state is run through check_positive first.
 
     diffusion = dx^2 / (2 max_i r_i) over the rows of the kernel's three
     stencils (a f_x)_x, their ghost neighbours included: r = (a[i-1/2] +
@@ -52,27 +52,31 @@ def step_limits(state, params):
     phi, theta, v = state.data[1:4, s]
 
     eps = params.epsilon
-    coef = np.empty((grid.n_total, 2))  # the kernel's 1/v and theta^beta/v
-    coef[:, 0] = 1.0 / state.v
-    coef[:, 1] = state.theta**params.beta * coef[:, 0]
-    a = face_average(coef)  # face k lies between cells k and k + 1
-    rows = 0.5 * (a[s.start - 1:s.stop - 1] + a[s])
-    largest = max(np.max(rows), eps * np.max(v * rows[:, 0]))
-    diffusion = grid.dx**2 / (2.0 * largest)
+    coef = np.empty((2, grid.n_total))  # the kernel's 1/v and theta^beta/v
+    np.divide(1.0, state.v, out=coef[0])
+    np.multiply(state.theta**params.beta, coef[0], out=coef[1])
+    a = coef[:, :-1] + coef[:, 1:]  # face k lies between cells k and k + 1
+    a *= 0.5
+    # one reduction of five rows: the u and theta stencil rows, v times the
+    # u row, the sound speed (gamma = 2) and the reaction factor
+    rows = np.empty((5, grid.n_cells))
+    np.add(a[:, s.start - 1:s.stop - 1], a[:, s], out=rows[:2])
+    rows[:2] *= 0.5
+    np.multiply(v, rows[0], out=rows[2])
+    np.divide(np.sqrt(2.0 * theta), v, out=rows[3])
+    np.multiply(np.abs(3.0 * phi**2 - 1.0), v, out=rows[4])
+    u_row, theta_row, phi_row, sound, react = rows.max(axis=1).tolist()
 
-    sound = np.sqrt(2.0 * theta) / v  # gamma = 2
-    acoustic = grid.dx / np.max(sound)
-
-    reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
-    return float(diffusion), float(acoustic), float(reaction)
+    diffusion = grid.dx**2 / (2.0 * max(u_row, theta_row, eps * phi_row))
+    acoustic = grid.dx / sound
+    reaction = eps / (1.0 + react / eps)
+    return diffusion, acoustic, reaction
 
 
 def _add_sources(rhs, sources, x, t):
-    sv, su, stheta, sphi = sources(x, t)
-    rhs.dv += sv
-    rhs.du += su
-    rhs.dtheta += stheta
-    rhs.dphi += sphi
+    # into the row views: `rhs.dv += s_v` would also copy the row onto itself
+    for row, source in zip((rhs.dv, rhs.du, rhs.dtheta, rhs.dphi), sources(x, t)):
+        row += source
 
 
 def _once_per_time(sources):
@@ -143,7 +147,7 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
         try:
             limits = step_limits(state, params)
             dt = params.cfl * min(limits)
-            control.limit_kind = LIMIT_KINDS[int(np.argmin(limits))]
+            control.limit_kind = LIMIT_KINDS[limits.index(min(limits))]
             if dt_cap is not None and dt_cap < dt:
                 dt, control.limit_kind = dt_cap, "cap"
             # absorb float-accumulation slivers into the final step

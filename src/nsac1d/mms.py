@@ -193,7 +193,7 @@ def convergence_study(case, resolutions):
             raise SimulationAbort(exc.state, exc.step_count, f"{exc} (N = {n})") from exc
         final = result.state
         exact = case.fields(grid.x, case.t_star)
-        errs = [math.sqrt(np.sum((final.interior(name) - ex) ** 2) * grid.dx)
+        errs = [math.sqrt(((final.interior(name) - ex) ** 2).sum() * grid.dx)
                 for name, ex in zip(("v", "u", "theta", "phi"), exact)]
         errors.append(errs)
 

@@ -32,7 +32,7 @@ def face_average(c):
 def diffusion_flux(a_face, f, dx):
     """Conservative flux form of (a f_x)_x with face coefficients a_face."""
     flux = a_face * (f[1:] - f[:-1])
-    out = np.zeros(f.shape)
+    out = np.empty(f.shape)
     np.divide(flux[1:] - flux[:-1], dx**2, out=out[1:-1])
     return out
 
@@ -113,16 +113,19 @@ def semi_discrete_rhs(state, params, bc):
 
     # p_eff is differenced, so it is needed one ghost cell beyond the interior
     e = slice(g - 1, g + n + 1)
-    u_x = centered(data[0, e], dx)
-    phi_x = centered(data[1, g - 2:g + n + 2], dx)
+    u_x, phi_x = centered(data[:2, g - 2:g + n + 2], dx)  # one stencil, over e
+    u_x = u_x[1:-1]
     mu = potential_from(data[1, s], phi_lap, eps)
     p_thermal = theta[e] / v[e]
     p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
 
+    # written into the rows in place; dtheta adds its terms left to right
     rhs = Rhs(np.zeros(data.shape))
-    rhs.du = visc - centered(p_eff, dx)
-    rhs.dphi = -v_i * mu
-    rhs.dtheta = conduct - p_thermal[1:-1] * u_x + u_x**2 / v_i + v_i * mu**2
-    rhs.dv = u_x
-    rhs.dG = p_eff[1:-1]
+    np.subtract(visc, centered(p_eff, dx), out=rhs.du)
+    np.multiply(-v_i, mu, out=rhs.dphi)
+    dtheta = np.subtract(conduct, p_thermal[1:-1] * u_x, out=rhs.dtheta)
+    dtheta += u_x**2 / v_i
+    dtheta += v_i * mu**2
+    rhs.dv[:] = u_x
+    rhs.dG[:] = p_eff[1:-1]
     return rhs

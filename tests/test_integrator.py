@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsac1d as ns
 from conftest import nan_sources_after, recorded_run
@@ -32,7 +34,49 @@ def _loop_diffusion_limit(state, params):
     return dx**2 / (2.0 * largest[binding]), binding
 
 
+def _limits_by_expression(state, params):
+    """step_limits as one numpy expression per limit, each reduced on its own:
+    the reference for the one (5, N) reduction."""
+    grid = state.grid
+    s = grid.interior
+    phi, theta, v = state.data[1:4, s]
+    eps = params.epsilon
+    coef = np.empty((grid.n_total, 2))
+    coef[:, 0] = 1.0 / state.v
+    coef[:, 1] = state.theta**params.beta * coef[:, 0]
+    a = ns.face_average(coef)
+    rows = 0.5 * (a[s.start - 1:s.stop - 1] + a[s])
+    largest = max(np.max(rows), eps * np.max(v * rows[:, 0]))
+    diffusion = grid.dx**2 / (2.0 * largest)
+    acoustic = grid.dx / np.max(np.sqrt(2.0 * theta) / v)
+    reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
+    return float(diffusion), float(acoustic), float(reaction)
+
+
 class TestStableDt:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 16, 64]),
+           epsilon=st.floats(0.01, 4.0), beta=st.floats(0.1, 4.0))
+    def test_equals_the_expressions_bit_for_bit(self, seed, n, epsilon, beta):
+        rng = np.random.default_rng(seed)
+        params = ns.SimParams(epsilon=epsilon, beta=beta)
+        state = ns.state_from_fields(
+            ns.make_grid(4, n), ns.BoundaryConfig(-1.0, 1.0),
+            v=rng.uniform(0.05, 5.0, n), u=rng.normal(0.0, 2.0, n),
+            theta=rng.uniform(0.05, 5.0, n), phi=rng.uniform(-1.5, 1.5, n), params=params)
+        limits = ns.step_limits(state, params)
+        assert all(type(limit) is float for limit in limits)
+        assert limits == _limits_by_expression(state, params)
+
+    @pytest.mark.parametrize("limits", itertools.product((0.1, 0.2), repeat=3))
+    def test_limit_kind_on_a_tie_is_the_first(self, monkeypatch, params, limits):
+        grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        eq = ns.interface_initial_state(grid, params, bc)
+        monkeypatch.setattr(ns.integrator, "step_limits", lambda state, p: limits)
+        result = ns.run(eq, params, bc, 1e-3)
+        assert result.control.limit_kind == ns.integrator.LIMIT_KINDS[int(np.argmin(limits))]
+
     def test_equilibrium_formula(self, params):
         grid = ns.make_grid(16, 512)
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))

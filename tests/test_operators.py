@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
@@ -301,3 +301,80 @@ class TestCheckPositive:
         with pytest.raises(ns.PositivityError) as exc_info:
             check_positive(state, params)
         assert (exc_info.value.field, exc_info.value.cell) == ("v", 2)
+
+
+def _exact_scan(state, params):
+    """check_positive without its fast path: the per-field scan, as the
+    reference for every verdict, field, cell and message."""
+    s = state.grid.interior
+    floor = params.positivity_floor
+    for name in ("v", "theta", "u", "phi"):
+        vals = getattr(state, name)
+        ok = np.isfinite(vals)
+        if name in ("v", "theta"):
+            ok[s] &= vals[s] > floor
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise ns.PositivityError(name, j - s.start, vals[j], state.t, floor)
+
+
+def _verdict(guard, state, params):
+    """None if the guard passes the state, else (field, cell, message)."""
+    try:
+        # the fast path's sum warns when it overflows or adds +inf to -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            guard(state, params)
+    except ns.PositivityError as err:
+        return err.field, err.cell, str(err)
+    return None
+
+
+class TestGuardFastPath:
+    """The two-reduction fast path of check_positive gives the verdict of the
+    exact scan: a drawn cell of any row, ghosts included."""
+
+    GRID = ns.make_grid(4, 16)
+    cells = st.integers(0, GRID.n_total - 1)
+
+    def _state(self, params, edits):
+        state = ns.interface_initial_state(self.GRID, params, ns.BoundaryConfig(-1.0, 1.0),
+                                           phi_width=0.25, u_amp=0.2, u_width=0.5)
+        for name, column, value in edits:
+            getattr(state, name)[column] = value
+        return state
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["u", "phi", "theta", "v"]), cells,
+                                    st.sampled_from([np.nan, np.inf, -np.inf])),
+                          min_size=1, max_size=3))
+    def test_non_finite_is_rejected_as_by_the_scan(self, params, edits):
+        state = self._state(params, edits)
+        verdict = _verdict(check_positive, state, params)
+        assert verdict is not None
+        assert verdict == _verdict(_exact_scan, state, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(huge=st.lists(st.tuples(st.sampled_from(["u", "phi", "theta", "v"]), cells,
+                                   st.floats(1e308, 1.7976931348623157e308)),
+                         min_size=2, max_size=4, unique_by=lambda edit: edit[:2]),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_overflowing_sum_is_accepted(self, params, huge, sign):
+        # theta and v stay positive, u and phi take the drawn sign
+        edits = [(name, column, value if name in ("theta", "v") else sign * value)
+                 for name, column, value in huge]
+        state = self._state(params, edits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(not math.isfinite(state.data[:4].sum()))
+        assert _verdict(check_positive, state, params) is None
+        assert _verdict(_exact_scan, state, params) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(low=st.lists(st.tuples(st.sampled_from(["theta", "v"]),
+                                  st.sampled_from([0, 1, GRID.n_total - 2, GRID.n_total - 1]),
+                                  st.sampled_from([0.0, -1.0, 1e-12, 1e-10])),
+                        min_size=1, max_size=3))
+    def test_ghost_below_the_floor_is_accepted(self, params, low):
+        state = self._state(params, low)
+        assert state.data[2:4].min() <= params.positivity_floor
+        assert _verdict(check_positive, state, params) is None
+        assert _verdict(_exact_scan, state, params) is None

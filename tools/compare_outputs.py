@@ -5,7 +5,7 @@
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
-PYTHONPATH set to that tree alone, in a fresh temporary directory: six
+PYTHONPATH set to that tree alone, in a fresh temporary directory: seven
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
@@ -44,6 +44,12 @@ RUNS = (
     # so no full block holds a recorded state; fails lyapunov_* and exits 1
     ("flagship-256-diag0", "run", FLAGSHIP + "N = 256\nt_final = 1.0\n"
                                   "diag_every_steps = 0\n"),
+    # beta = 2 and a small eps, so the reaction limit binds every step and
+    # theta**beta and the eps-scaled terms of the kernel and limits are read
+    ("reaction-beta2", "run", "L = 8\nN = 64\nt_final = 0.02\nbeta = 2\nepsilon = 0.05\n"
+                              "phi_width = 0.25\ntheta_amp = 0.2\ntheta_width = 1.5\n"
+                              "u_amp = 0.1\nu_width = 1.5\n"
+                              "diag_every_steps = 5\nsnapshot_every_steps = 20\n"),
     # aborts inside the time loop and exits 1 with a dump
     ("aborted", "run", "L = 8\nN = 16\nt_final = 1\ncfl = 0.9\nphi_width = 0.5\n"
                        "v_amp = -0.999\nv_width = 1.4\nv_center = 0\n"
