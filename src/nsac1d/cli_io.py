@@ -379,15 +379,13 @@ def _cmd_run(cfg, out=sys.stdout):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(cfg.to_text(), newline="")
 
-    records = [record(ctx)]  # make_context has folded the initial state
+    records = record(ctx)  # make_context has folded the initial state
     steps = itertools.count(1)  # run() observes the accepted steps
     block, kept = [], []  # the states of the next fold, the positions it records
     block_length = max(1, BLOCK_CELLS // cfg.N)
 
     def fold():
-        ctx.accumulate(*block)
-        if kept:
-            records.extend(record(ctx, kept))
+        records.extend(record(ctx, block, kept))
         block.clear()
         kept.clear()
 
@@ -407,7 +405,7 @@ def _cmd_run(cfg, out=sys.stdout):
     except SimulationAbort as exc:
         print(f"ABORT: {exc}", file=out)
         fold()
-        dump = record(ctx)  # exc.state, the last state folded
+        [dump] = record(ctx)  # exc.state, the last state folded
         for name in _RECORD_SCALARS:
             print(f"  {name} = {getattr(dump, name)}", file=out)
         if dump.t > records[-1].t:  # the observer may have recorded it already

@@ -23,6 +23,9 @@ FARFIELD_THETA = 1.0
 # at |x| = L, so the Dirichlet ghost values introduce no visible kink
 FARFIELD_REACH_TOL = 1e-12
 
+# the largest |x - center| / width of a bump on [-L, L] whose square is a double
+BUMP_SPAN_MAX = math.sqrt(np.finfo(float).max)
+
 # the numbers that an int or a float written to text reads back as: a bool is
 # neither, and a float of another width would be recorded as another value
 NUMBERS = {int: ((int, np.integer), "an integer"),
@@ -190,7 +193,7 @@ class FlowState:
     rows of one (5, N + 4) array `data` in FIELDS order; `state.v` and the
     like are views of those rows.
 
-    G accumulates the per-cell time integral of theta/v + (eps/2)(phi_x/v)^2
+    G holds the per-cell time integral of theta/v + (eps/2)(phi_x/v)^2
     from the start of the run; its far-field value is t, which apply_bc
     maintains in the ghost cells.
     """
@@ -268,6 +271,15 @@ def _check_reach(name, gap):
             f"(limit {FARFIELD_REACH_TOL:.0e}); narrow the profile or enlarge L")
 
 
+def _check_span(name, half_width, width, center):
+    span = (half_width + abs(center)) / width
+    if not span <= BUMP_SPAN_MAX:
+        raise ValueError(
+            f"(L + |{name}_center|) / {name}_width = {span:.3e} exceeds {BUMP_SPAN_MAX:.3e}, "
+            f"so the {name} bump cannot be squared in a double; move {name}_center "
+            f"nearer or widen {name}_width")
+
+
 def _gaussian_bump(x, amp, width, center):
     return amp * np.exp(-(((x - center) / width) ** 2))
 
@@ -279,7 +291,8 @@ def interface_initial_state(grid, params, bc, **keywords):
     phi0 connects phi_left to phi_right over phi_width; v0, u0, theta0 are
     the far-field constants plus bumps amp * exp(-((x-c)/w)^2).  Every
     profile must come back to its far-field value at |x| = L to within 1e-12,
-    and v0, theta0 must stay above the positivity floor.
+    each bump's (L + |c|) / w must square to a double, and v0, theta0 must
+    stay above the positivity floor.
     """
     data = InitialData(**keywords)
     L = grid.half_width
@@ -290,7 +303,8 @@ def interface_initial_state(grid, params, bc, **keywords):
     if dphi != 0.0:
         _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / data.phi_width)))
     for name, farfield, amp, w, c in data.bumps():
-        fields[name] = farfield + _gaussian_bump(x, amp, w, c)
+        _check_span(name, L, w, c)
         if amp != 0.0:
             _check_reach(name, abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2)))
+        fields[name] = farfield + _gaussian_bump(x, amp, w, c)
     return state_from_fields(grid, bc, params=params, **fields)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NUMBERS, FlowState, PositivityError, SimParams, check_positive, is_number
+from .core import NUMBERS, FlowState, SimParams, check_positive, is_number
 from .operators import block_potential, centered
 
 
 # Every functional is computed on a block: the (K, 5, N + 4) stacked data of
 # K states, whose field rows are (K, N); it reduces over the last axis to one
 # value per state, so a single state is the block state.data[None].
-_Rows = namedtuple("_Rows", "data grid u phi theta v u_x phi_x theta_x")
+_Rows = namedtuple("_Rows", "grid data u phi theta v u_x phi_x theta_x")
 
 
 def _block_rows(data, grid):
@@ -31,7 +31,7 @@ def _block_rows(data, grid):
     g, n = grid.n_ghost, grid.n_cells
     u, phi, theta, v = data[:, :4, g:g + n].swapaxes(0, 1)
     u_x, phi_x, theta_x = centered(data[:, :3, g - 1:g + n + 1], grid.dx).swapaxes(0, 1)
-    return _Rows(data, grid, u, phi, theta, v, u_x, phi_x, theta_x)
+    return _Rows(grid, data, u, phi, theta, v, u_x, phi_x, theta_x)
 
 
 def _rows(state, params):
@@ -186,7 +186,7 @@ def weighted_dissipation(state, params, alpha, weight):
 
     Integrand theta^beta theta_x^2 / (v theta^(alpha+1)) * w_n(x), with the
     cutoff weight w_n = cutoff_weight(n, state.grid.x) given as `weight`; the
-    caller accumulates it in time.  Reported only: its continuum bound has a
+    caller integrates it in time.  Reported only: its continuum bound has a
     non-constructive constant.  Requires 0 < alpha < 1.
     """
     check_weighted_pairs([(alpha, 0)])  # n is already in the weight
@@ -217,17 +217,13 @@ def _lemma24_residual(data, grid, log_v0, G0, u0):
     return np.sqrt((resid**2).sum(axis=-1) * grid.dx)
 
 
-# the last fold: its states, their stacked data, and the V and diss_cum of each
-_Fold = namedtuple("_Fold", "states data v_diss diss_cum")
-
-
 @dataclass
 class RunContext:
     """The run monitor: record()'s per-run inputs (params, the initial state's
     ln v, G and interior u, its Lyapunov energy e0, the bracket roots, the
-    cutoff weight w_n(x) of each weighted-dissipation pair (alpha, n)), the
-    last fold, and the last state folded with its V, v_last, and diss_cum,
-    the trapezoid-rule integral of V."""
+    cutoff weight w_n(x) of each weighted-dissipation pair (alpha, n)), and
+    the last state folded with its V, v_last, and diss_cum, the
+    trapezoid-rule integral of V."""
 
     params: SimParams
     e0: float
@@ -237,35 +233,9 @@ class RunContext:
     log_v0: np.ndarray = field(repr=False)
     G0: np.ndarray = field(repr=False)
     u0: np.ndarray = field(repr=False)
-    fold: _Fold = field(repr=False)
     state: FlowState
     v_last: float
     diss_cum: float = 0.0
-
-    def accumulate(self, *states):
-        """Fold accepted states, in order, as one block: each is guarded once
-        by check_positive, and diss_cum grows by the trapezoid rule over each
-        interval [t of the state before, t]; folding the last state again adds
-        0.  A state that fails its guard raises after the states before it
-        are folded."""
-        for k, state in enumerate(states):
-            try:
-                check_positive(state, self.params)
-            except PositivityError:
-                self._fold(states[:k])
-                raise
-        self._fold(states)
-
-    def _fold(self, states):
-        if not states:
-            return
-        rows = _block_rows(np.stack([s.data for s in states]), self.state.grid)
-        v_diss, cum = _dissipation_rate(rows, self.params).tolist(), []
-        for state, v in zip(states, v_diss):
-            self.diss_cum += 0.5 * (state.t - self.state.t) * (self.v_last + v)
-            self.state, self.v_last = state, v
-            cum.append(self.diss_cum)
-        self.fold = _Fold(states, rows.data, v_diss, cum)
 
 
 def make_context(initial, params, weighted_pairs=()):
@@ -279,12 +249,10 @@ def make_context(initial, params, weighted_pairs=()):
     rows = _rows(state, params)
     e0 = float(_energies(rows, params.epsilon)[1][0])
     alpha1, alpha2 = bracket_roots(e0)
-    v_diss = _dissipation_rate(rows, params).tolist()
     return RunContext(params=params, e0=e0, alpha1=alpha1, alpha2=alpha2,
                       weights={(a, n): cutoff_weight(n, grid.x) for a, n in pairs},
                       log_v0=np.log(state.v), G0=state.G, u0=state.u[grid.interior],
-                      fold=_Fold((state,), rows.data, v_diss, [0.0]), state=state,
-                      v_last=v_diss[0])
+                      state=state, v_last=float(_dissipation_rate(rows, params)[0]))
 
 
 @dataclass
@@ -311,14 +279,37 @@ class DiagnosticsRecord:
     weighted: dict = field(default_factory=dict)
 
 
-def record(context, kept=None):
-    """The DiagnosticsRecord of the state the context folded last; given
-    positions `kept` in the last fold, the list of the records of those
-    states.  Each functional is one pass over the kept states of the fold;
-    V and diss_cum are those of the fold, and nothing is guarded."""
-    fold, params = context.fold, context.params
-    picks = [len(fold.states) - 1] if kept is None else list(kept)
-    r = _block_rows(fold.data[picks], context.state.grid)
+def record(context, states=(), kept=None):
+    """Fold the accepted `states`, in order, as one block, and return the list
+    of the DiagnosticsRecords of the block's states at the positions `kept`,
+    or of its last state if kept is None.
+
+    Every state is guarded once by check_positive before any is folded, so a
+    failing state raises and leaves the context as it was.  diss_cum grows by
+    the trapezoid rule over each interval [t of the state before, t]; folding
+    the last state again adds 0.  Each functional is one pass over the block.
+    With no states, the block is the last state folded, and nothing is
+    guarded or folded.
+    """
+    params, states = context.params, tuple(states)
+    for state in states:
+        check_positive(state, params)
+    block = states or (context.state,)
+    rows = _block_rows(np.stack([s.data for s in block]), context.state.grid)
+    if states:
+        v_diss, cum = _dissipation_rate(rows, params).tolist(), []
+        for state, v in zip(block, v_diss):
+            context.diss_cum += 0.5 * (state.t - context.state.t) * (context.v_last + v)
+            context.state, context.v_last = state, v
+            cum.append(context.diss_cum)
+    else:
+        v_diss, cum = [context.v_last], [context.diss_cum]
+    picks = [len(block) - 1] if kept is None else list(kept)
+    if not picks:
+        return []
+    # the rows of the kept states, copied only when some states are not kept
+    r = rows if picks == list(range(len(block))) else _Rows(
+        rows.grid, *(values[picks] for values in rows[1:]))
     low = r.data[:, 1:4, r.grid.interior].min(axis=-1)  # phi, theta, v
     high = r.data[:, 1:4, r.grid.interior].max(axis=-1)
     energy_total, e_lyap = _energies(r, params.epsilon)
@@ -334,10 +325,9 @@ def record(context, kept=None):
     columns = {name: values.tolist() for name, values in columns.items()}
     weighted = {pair: _weighted_dissipation(r, params, pair[0], w).tolist()
                 for pair, w in context.weights.items()}
-    records = [DiagnosticsRecord(
-        t=float(fold.states[i].t), v_diss=fold.v_diss[i], diss_cum=fold.diss_cum[i],
+    return [DiagnosticsRecord(
+        t=float(block[i].t), v_diss=v_diss[i], diss_cum=cum[i],
         e0=context.e0, alpha1=context.alpha1, alpha2=context.alpha2,
         weighted={pair: values[j] for pair, values in weighted.items()},
         **{name: values[j] for name, values in columns.items()})
         for j, i in enumerate(picks)]
-    return records[0] if kept is None else records

@@ -28,11 +28,10 @@ def recorded_run(params, bc, state, t_final):
     accepted step, as `nsac1d run` records them at diag_every_steps = 1;
     returns (result, records)."""
     ctx = ns.make_context(state, params)
-    records = [ns.record(ctx)]
+    records = ns.record(ctx)
 
     def observer(s):
-        ctx.accumulate(s)
-        records.append(ns.record(ctx))
+        records.extend(ns.record(ctx, [s]))
 
     result = ns.run(state, params, bc, t_final, observer=observer)
     return result, records

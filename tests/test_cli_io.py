@@ -320,11 +320,11 @@ class TestDiagnosticsIO:
         state = ns.interface_initial_state(grid, params, bc,
                                            theta_amp=-0.2, theta_width=1.5)
         ctx = ns.make_context(state, params, weighted_pairs=((0.5, 0), (0.25, -2)))
-        recs = [ns.record(ctx)]
+        recs = ns.record(ctx)
         result = ns.run(state, params, bc, 0.01)
-        ctx.accumulate(result.state)
+        ns.record(ctx, [result.state])
         ctx.diss_cum = 1.2345e-3
-        recs.append(ns.record(ctx))
+        recs += ns.record(ctx)
         path = tmp_path / "diag.csv"
         write_diagnostics(recs, path)
         assert path.read_text().startswith("#")
@@ -412,11 +412,10 @@ class TestRecordCadence:
             f"outdir = {tmp_path}\n")
         cli_io._cmd_run(cfg, out=io.StringIO())
         ctx = ns.make_context(cfg.initial_state(), cfg.params(), cfg.weighted_diss)
-        records = [ns.record(ctx)]
+        records = ns.record(ctx)
 
         def observer(state):
-            ctx.accumulate(state)
-            records.append(ns.record(ctx))
+            records.extend(ns.record(ctx, [state]))
 
         result = ns.run(cfg.initial_state(), cfg.params(), cfg.bc(), cfg.t_final,
                         observer=observer)
@@ -425,14 +424,47 @@ class TestRecordCadence:
         kept = sorted(set(range(0, steps + 1, every or steps)) | {steps})
         assert read_diagnostics(tmp_path / "diagnostics.csv") == [records[n] for n in kept]
 
+    @pytest.mark.parametrize("accepted", [39, 41], ids=["dump-on-cadence", "dump-off-cadence"])
+    def test_an_abort_records_what_one_state_at_a_time_records(self, tmp_path, monkeypatch,
+                                                              accepted):
+        # step `accepted + 1` fails with a partial block pending; the CSV holds
+        # the records at the cadence, then the dump unless it is one of them
+        calls, step = [], ns.integrator.step
+
+        def failing_step(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > accepted:
+                raise RuntimeError("injected step failure")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(ns.integrator, "step", failing_step)
+        cfg = ns.parse_config(
+            "L = 8\nN = 256\nt_final = 0.05\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            "theta_width = 1\nweighted_diss = 0.5:0,0.25:-3\ndiag_every_steps = 3\n"
+            f"outdir = {tmp_path}\n")
+        out = io.StringIO()
+        assert cli_io._cmd_run(cfg, out=out) == 1
+        assert out.getvalue().startswith(f"ABORT: step {accepted + 1} failed at t = ")
+        calls.clear()
+        ctx = ns.make_context(cfg.initial_state(), cfg.params(), cfg.weighted_diss)
+        records = ns.record(ctx)
+        with pytest.raises(ns.SimulationAbort) as exc_info:
+            ns.run(cfg.initial_state(), cfg.params(), cfg.bc(), cfg.t_final,
+                   observer=lambda state: records.extend(ns.record(ctx, [state])))
+        assert exc_info.value.step_count == accepted == len(records) - 1
+        block_length = cli_io.BLOCK_CELLS // cfg.N
+        assert accepted > 2 * block_length and accepted % block_length != 0
+        kept = sorted(set(range(0, accepted + 1, 3)) | {accepted})
+        assert read_diagnostics(tmp_path / "diagnostics.csv") == [records[n] for n in kept]
+
     @pytest.mark.parametrize("n_cells, t_final", [(64, 1.0), (512, 0.003), (2048, 1e-4)])
     def test_no_block_holds_more_than_the_cell_budget(self, tmp_path, monkeypatch,
                                                      n_cells, t_final):
         sizes = []
-        accumulate = ns.RunContext.accumulate
-        monkeypatch.setattr(ns.RunContext, "accumulate",
-                            lambda ctx, *states: sizes.append(len(states))
-                            or accumulate(ctx, *states))
+        record = cli_io.record
+        monkeypatch.setattr(cli_io, "record",
+                            lambda ctx, states=(), kept=None: sizes.append(len(states))
+                            or record(ctx, states, kept))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"phi_left = 1\nphi_right = 1\nL = 8\nN = {n_cells}\n"
                        f"t_final = {t_final}\noutdir = {tmp_path / 'out'}\n")
@@ -656,12 +688,20 @@ class TestMainCommands:
         ("phi_width = nan", "phi_width must be finite and > 0, got nan"),
         ("theta_width = nan", "theta_width must be finite and > 0, got nan"),
         ("v_amp = 0.1\nv_center = inf", "v_center must be finite, got inf"),
-    ], ids=["phi_width", "theta_width", "v_center"])
+        # finite, but the bump's ((x - c) / w)**2 overflows on [-L, L]
+        ("L = 32\ntheta_amp = 0.1\ntheta_center = 1e200",
+         "(L + |theta_center|) / theta_width = 5.000e+199 exceeds 1.341e+154, so the "
+         "theta bump cannot be squared in a double; move theta_center nearer or widen "
+         "theta_width"),
+        ("L = 32\nu_amp = 0.1\nu_width = 1e-200",
+         "(L + |u_center|) / u_width = 3.200e+201 exceeds 1.341e+154, so the u bump "
+         "cannot be squared in a double; move u_center nearer or widen u_width"),
+    ], ids=["phi_width", "theta_width", "v_center", "theta_center-far", "u_width-narrow"])
     def test_non_finite_initial_data_keyword_exits_2(self, tmp_path, lines, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n")
         out = io.StringIO()
-        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert ns.main(["run", str(cfg)], out=out) == 2  # a warning fails it too
         assert out.getvalue() == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 

@@ -335,7 +335,7 @@ class TestRecord:
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
         ctx = ns.make_context(eq, params, weighted_pairs=((0.5, 0),))
-        rec = ns.record(ctx)
+        [rec] = ns.record(ctx)
         assert rec.mass_excess == 0.0 and rec.energy_total == 0.0
         assert rec.e_lyap == 0.0 and rec.v_diss == 0.0
         assert rec.phi_min == rec.phi_max == 1.0
@@ -348,11 +348,10 @@ class TestRecord:
     def test_lyapunov_chain_between_records(self, params, flagship_ic):
         p, grid, bc, state = flagship_ic(256, half_width=32)
         ctx = ns.make_context(state, p)
-        recs = [ns.record(ctx)]
+        recs = ns.record(ctx)
 
         def observer(s):
-            ctx.accumulate(s)
-            recs.append(ns.record(ctx))
+            recs.extend(ns.record(ctx, [s]))
 
         ns.run(state, p, bc, 0.05, observer=observer)
         for a, b in zip(recs, recs[1:]):
@@ -368,7 +367,7 @@ class TestRecord:
         ctx = ns.make_context(state, p, weighted_pairs=pairs)
         e0 = ns.lyapunov_energy(state, p)
         alpha1, alpha2 = ns.bracket_roots(e0)
-        got = [ns.record(ctx)]
+        got = ns.record(ctx)
         # the trapezoid rule over the observed states
         prev_t, prev_v, diss_cum = state.t, ns.dissipation_rate(state, p), 0.0
 
@@ -391,8 +390,7 @@ class TestRecord:
 
         def observer(s):
             nonlocal prev_t, prev_v, diss_cum
-            ctx.accumulate(s)
-            got.append(ns.record(ctx))
+            got.extend(ns.record(ctx, [s]))
             v_diss = ns.dissipation_rate(s, p)
             diss_cum += 0.5 * (s.t - prev_t) * (prev_v + v_diss)
             prev_t, prev_v = s.t, v_diss
@@ -408,12 +406,12 @@ class TestRecord:
         p, grid, bc, state = flagship_ic(128, half_width=32)
         every, later = ns.make_context(state, p), ns.make_context(state, p)
         assert every.v_last == ns.dissipation_rate(state, p) > 0.0
-        every.accumulate(state)
+        ns.record(every, [state])
         assert every.diss_cum == 0.0
 
         def observer(s):
-            every.accumulate(s)
-            later.accumulate(s)
+            ns.record(every, [s])
+            ns.record(later, [s])
 
         ns.run(state, p, bc, 0.05, observer=observer)
         assert every.state.t == later.state.t == 0.05
@@ -423,16 +421,16 @@ class TestRecord:
         p, grid, bc, state = flagship_ic(128, half_width=32)
         ctx = ns.make_context(state, p)
         later = ns.run(state, p, bc, 0.01).state
-        assert ns.record(ctx).t == 0.0
-        ctx.accumulate(later)
-        rec = ns.record(ctx)
+        assert [r.t for r in ns.record(ctx)] == [0.0]
+        [rec] = ns.record(ctx, [later])
         assert rec.t == later.t == 0.01
         assert rec.e_lyap == ns.lyapunov_energy(later, p)
         assert rec.v_diss == ns.dissipation_rate(later, p)
+        assert ns.record(ctx) == [rec]
 
     @pytest.mark.parametrize("name, value", [("u", math.nan), ("theta", 1e-10)],  # the floor
                              ids=["nan-u", "theta-at-floor"])
-    def test_a_failing_state_folds_the_states_before_it(self, flagship_ic, name, value):
+    def test_a_failing_state_leaves_the_context_as_it_was(self, flagship_ic, name, value):
         p, grid, bc, state = flagship_ic(128, half_width=32)
         states = []
         ns.run(state, p, bc, 0.25, observer=states.append)
@@ -441,23 +439,25 @@ class TestRecord:
         with pytest.raises(ns.PositivityError) as want:
             ns.core.check_positive(bad, p)
         block = ns.make_context(state, p, weighted_pairs=((0.5, 0),))
+        ns.record(block, states[:2], [])
+        v_last, diss_cum = block.v_last, block.diss_cum
+        assert diss_cum > 0.0
         with pytest.raises(ns.PositivityError) as got:
-            block.accumulate(*states[:3], bad, states[4])
+            ns.record(block, [states[2], bad, states[4]], [0, 1, 2])
         assert ((got.value.field, got.value.cell, got.value.t)
                 == (want.value.field, want.value.cell, want.value.t) == (name, 5, bad.t))
+        assert block.state is states[1]
+        assert (block.v_last, block.diss_cum) == (v_last, diss_cum)
+        # the states after the last one folded fold on as if the bad one never came
         single = ns.make_context(state, p, weighted_pairs=((0.5, 0),))
-        records = []
-        for s in states[:3]:
-            single.accumulate(s)
-            records.append(ns.record(single))
-        assert block.state is states[2]
+        records = [rec for s in states[:5] for rec in ns.record(single, [s])]
+        assert ns.record(block, states[2:5], [0, 1, 2]) == records[2:]
         assert (block.v_last, block.diss_cum) == (single.v_last, single.diss_cum)
-        assert ns.record(block, [0, 1, 2]) == records
 
     def test_one_guard_per_observed_state(self, flagship_ic, monkeypatch):
-        # make_context() guards the initial state once, and accumulate() plus
-        # record() guard a later state once, however many functionals and
-        # weighted pairs they evaluate
+        # make_context() guards the initial state once, and record() guards
+        # a state it folds once, however many functionals and weighted pairs
+        # it evaluates; with no states it guards nothing
         p, grid, bc, state = flagship_ic(128, half_width=32)
         later = ns.step(state, p, bc, p.cfl * min(ns.step_limits(state, p)))
         calls = []
@@ -466,8 +466,9 @@ class TestRecord:
                             lambda *args: calls.append(args) or guard(*args))
         ctx = ns.make_context(state, p, weighted_pairs=((0.5, 0), (0.25, -3)))
         assert len(calls) == 1
-        ctx.accumulate(later)
-        rec = ns.record(ctx)
+        [rec] = ns.record(ctx, [later])
+        assert len(calls) == 2
+        assert ns.record(ctx) == [rec]
         assert len(calls) == 2
         assert set(rec.weighted) == {(0.5, 0), (0.25, -3)}
 

@@ -5,7 +5,7 @@
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
-PYTHONPATH set to that tree alone, in a fresh temporary directory: seven
+PYTHONPATH set to that tree alone, in a fresh temporary directory: eight
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
@@ -55,6 +55,13 @@ RUNS = (
                        "v_amp = -0.999\nv_width = 1.4\nv_center = 0\n"
                        "u_amp = 30\nu_width = 1.2\nu_center = -1\n"
                        "theta_amp = -0.995\ntheta_width = 1.4\n"),
+    # aborts at step 2 with one accepted state in the pending block, on no
+    # diag_every_steps cadence, so the dump is folded and recorded at the abort
+    ("aborted-block", "run", "L = 8\nN = 32\nt_final = 1\ncfl = 0.9\nphi_width = 0.5\n"
+                             "v_amp = -0.99\nv_width = 1.4\nv_center = 0\n"
+                             "u_amp = 6\nu_width = 1.2\nu_center = -1\n"
+                             "theta_amp = -0.9\ntheta_width = 1.4\n"
+                             "diag_every_steps = 7\n"),
     ("mms", "mms", ""),
     # beta = 2 exercises the theta**(beta - 1) term of the manufactured sources
     ("mms-beta2", "mms", "beta = 2\nepsilon = 0.5\nmms_amplitude = 0.2\nL = 8\n"
