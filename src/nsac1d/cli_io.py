@@ -420,8 +420,11 @@ def _cmd_run(cfg, out=sys.stdout):
     (outdir / "plot_diagnostics.py").write_text(PLOT_SCRIPT, newline="")
 
     failures, lines = audit_records(records)
-    print(f"run finished: t = {final.t}, steps = {result.control.step_count}, "
-          f"last dt limited by {result.control.limit_kind}", file=out)
+    control = result.control
+    print(f"run finished: t = {final.t}, steps = {control.step_count}, "
+          f"rhs_evals = {control.rhs_evals}, rkl2_steps = {control.rkl2_steps}, "
+          f"last step {control.regime} in {control.stages} stages, "
+          f"dt limited by {control.limit_kind}", file=out)
     for line in lines:
         print(line, file=out)
     return 1 if failures else 0

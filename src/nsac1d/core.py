@@ -291,14 +291,18 @@ def interface_initial_state(grid, params, bc, **keywords):
     phi0 connects phi_left to phi_right over phi_width; v0, u0, theta0 are
     the far-field constants plus bumps amp * exp(-((x-c)/w)^2).  Every
     profile must come back to its far-field value at |x| = L to within 1e-12,
-    each bump's (L + |c|) / w must square to a double, and v0, theta0 must
-    stay above the positivity floor.
+    L / phi_width must be a double, each bump's (L + |c|) / w must square to
+    a double, and v0, theta0 must stay above the positivity floor.
     """
     data = InitialData(**keywords)
     L = grid.half_width
     x = grid.x
     mid = 0.5 * (bc.phi_right + bc.phi_left)
     dphi = 0.5 * (bc.phi_right - bc.phi_left)
+    if not L / data.phi_width < math.inf:  # then no x / phi_width overflows
+        raise ValueError(
+            f"L / phi_width = {L!r} / {data.phi_width!r} overflows a double, so the "
+            f"phi profile cannot be built; widen phi_width")
     fields = {"phi": mid + dphi * np.tanh(x / data.phi_width)}
     if dphi != 0.0:
         _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / data.phi_width)))

@@ -57,6 +57,19 @@ def lemma24_order(flagship_ic):
     return math.log2(coarse / fine)
 
 
+def temporal_orders(initial, params, bc, t_final, caps, sources=None):
+    """log2 of the ratio of successive differences between the final v, u,
+    theta and phi of runs from `initial` to t_final under each dt cap of
+    `caps` (coarse, mid, fine); returns (orders by field, the runs' StepControls)."""
+    results = [ns.run(initial, params, bc, t_final, dt_cap=cap, sources=sources)
+               for cap in caps]
+    orders = {}
+    for name in ("v", "u", "theta", "phi"):
+        coarse, mid, fine = (result.state.interior(name) for result in results)
+        orders[name] = math.log2(np.linalg.norm(coarse - mid) / np.linalg.norm(mid - fine))
+    return orders, [result.control for result in results]
+
+
 def nan_sources_after(t_bad):
     """A sources(x, t) hook for run() that is NaN at stage times past t_bad."""
 

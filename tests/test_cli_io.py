@@ -39,7 +39,7 @@ phi_width = 0.5
 theta_amp = 0.1   # mild hot spot
 theta_width = 1.0
 diag_every_steps = 5
-snapshot_every_steps = 10
+snapshot_every_steps = 1
 """
 
 
@@ -386,7 +386,7 @@ class TestRecordCadence:
     @pytest.mark.parametrize("every", [0, 1, 3])
     def test_cli_records_are_the_library_records(self, tmp_path, every):
         cfg = ns.parse_config(
-            "L = 8\nN = 256\nt_final = 0.0075\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            "L = 8\nN = 512\nt_final = 0.05\nphi_width = 0.5\ntheta_amp = 0.1\n"
             f"theta_width = 1\ndiag_every_steps = {every}\nsnapshot_every_steps = 4\n"
             f"outdir = {tmp_path}\n")
         assert cli_io._cmd_run(cfg, out=io.StringIO()) == 0
@@ -407,7 +407,7 @@ class TestRecordCadence:
         # the run folds its states in blocks; the library folds and records
         # them one at a time, with the same weighted pairs
         cfg = ns.parse_config(
-            "L = 8\nN = 256\nt_final = 0.025\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            "L = 8\nN = 256\nt_final = 0.3\nphi_width = 0.5\ntheta_amp = 0.1\n"
             f"theta_width = 1\nweighted_diss = 0.5:0,0.25:-3\ndiag_every_steps = {every}\n"
             f"outdir = {tmp_path}\n")
         cli_io._cmd_run(cfg, out=io.StringIO())
@@ -439,7 +439,7 @@ class TestRecordCadence:
 
         monkeypatch.setattr(ns.integrator, "step", failing_step)
         cfg = ns.parse_config(
-            "L = 8\nN = 256\nt_final = 0.05\nphi_width = 0.5\ntheta_amp = 0.1\n"
+            "L = 8\nN = 256\nt_final = 0.4\nphi_width = 0.5\ntheta_amp = 0.1\n"
             "theta_width = 1\nweighted_diss = 0.5:0,0.25:-3\ndiag_every_steps = 3\n"
             f"outdir = {tmp_path}\n")
         out = io.StringIO()
@@ -466,7 +466,8 @@ class TestRecordCadence:
                             lambda ctx, states=(), kept=None: sizes.append(len(states))
                             or record(ctx, states, kept))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"phi_left = 1\nphi_right = 1\nL = 8\nN = {n_cells}\n"
+        # cfl = 0.01 keeps tau short enough for more steps than a block holds
+        cfg.write_text(f"phi_left = 1\nphi_right = 1\nL = 8\nN = {n_cells}\ncfl = 0.01\n"
                        f"t_final = {t_final}\noutdir = {tmp_path / 'out'}\n")
         out = io.StringIO()
         assert ns.main(["run", str(cfg)], out=out) == 0
@@ -600,6 +601,26 @@ class TestMainCommands:
         assert len(read_diagnostics(tmp_path / "out" / "diagnostics.csv")) == steps + 1
         assert len(calls) == steps + 1
 
+    @pytest.mark.parametrize("n_cells, regime", [(64, "rkl2"), (16, "heun")])
+    def test_run_finished_line_reports_the_step_control(self, tmp_path, n_cells, regime):
+        # at N = 64 the last step, t_final - 14 tau = 0.035, is still longer
+        # than the Heun step; at N = 16 (dx = 1) the reaction limit binds
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EQ_CONFIG.replace("N = 64", f"N = {n_cells}")
+                       .replace("t_final = 0.05", "t_final = 0.53")
+                       + f"outdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 0
+        parsed = ns.parse_config(cfg.read_text())
+        control = ns.run(parsed.initial_state(), parsed.params(), parsed.bc(), 0.53).control
+        assert control.regime == regime
+        assert (control.rkl2_steps > 0) == (regime == "rkl2")
+        assert out.getvalue().splitlines()[0] == (
+            f"run finished: t = 0.53, steps = {control.step_count}, "
+            f"rhs_evals = {control.rhs_evals}, rkl2_steps = {control.rkl2_steps}, "
+            f"last step {regime} in {control.stages} stages, "
+            f"dt limited by {control.limit_kind}")
+
     def test_run_writes_cadenced_snapshots(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(INTERFACE_CONFIG + f"outdir = {tmp_path / 'out'}\n")
@@ -696,7 +717,12 @@ class TestMainCommands:
         ("L = 32\nu_amp = 0.1\nu_width = 1e-200",
          "(L + |u_center|) / u_width = 3.200e+201 exceeds 1.341e+154, so the u bump "
          "cannot be squared in a double; move u_center nearer or widen u_width"),
-    ], ids=["phi_width", "theta_width", "v_center", "theta_center-far", "u_width-narrow"])
+        # finite, but x / phi_width overflows on [-L, L]
+        ("L = 32\nN = 64\nphi_width = 5e-324",
+         "L / phi_width = 32.0 / 5e-324 overflows a double, so the phi profile cannot "
+         "be built; widen phi_width"),
+    ], ids=["phi_width", "theta_width", "v_center", "theta_center-far", "u_width-narrow",
+            "phi_width-narrow"])
     def test_non_finite_initial_data_keyword_exits_2(self, tmp_path, lines, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{lines}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n")
@@ -772,8 +798,12 @@ class TestMainCommands:
         run = cli_io.run
 
         def run_with_nan_at_the_end(initial, params, bc, t_final, **kwargs):
+            # NaN past the start of the final step: an RKL2 step evaluates
+            # no stage at its end time, so t_final itself is not enough
+            starts = [initial.t]
+            run(initial, params, bc, t_final, observer=lambda s: starts.append(s.t))
             return run(initial, params, bc, t_final,
-                       sources=nan_sources_after(t_final - 1e-9), **kwargs)
+                       sources=nan_sources_after(starts[-2]), **kwargs)
 
         monkeypatch.setattr(cli_io, "run", run_with_nan_at_the_end)
         cfg = tmp_path / "eq.cfg"

@@ -396,7 +396,7 @@ class TestRecord:
             prev_t, prev_v = s.t, v_diss
             want.append(scratch(s))
 
-        ns.run(state, p, bc, 0.02, observer=observer)
+        ns.run(state, p, bc, 0.1, observer=observer)
         assert len(got) == len(want) > 2
         for a, b in zip(got, want):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)

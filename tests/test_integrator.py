@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
-from conftest import nan_sources_after, recorded_run
+from conftest import nan_sources_after, recorded_run, temporal_orders
 
 
 def _loop_diffusion_limit(state, params):
@@ -154,6 +154,29 @@ class TestStep:
             assert np.array_equal(getattr(out, name), getattr(eq, name))
         assert out.G[grid.interior] == pytest.approx(dt, abs=0)
 
+    @pytest.mark.parametrize("stages", [3, 4, 9])
+    def test_equilibrium_fixed_point_rkl2(self, params, stages):
+        # the longest step the stages keep stable; the increments from the
+        # state are zero in every field but G, so the fields stay bit for bit
+        grid = ns.make_grid(8, 64)
+        bc = ns.BoundaryConfig(-1.0, -1.0)
+        eq = ns.interface_initial_state(grid, params, bc)
+        heun = params.cfl * min(ns.step_limits(eq, params))
+        dt = heun * (stages * stages + stages - 2) / 4
+        assert ns.integrator.rkl2_stages(dt, heun) == stages
+        out = ns.step(eq, params, bc, dt, stages=stages)
+        assert out.t == dt
+        for name in ("v", "u", "theta", "phi"):
+            assert np.array_equal(getattr(out, name), getattr(eq, name))
+        # G grows at the rate p_eff = 1, which the stage times integrate exactly
+        assert out.G[grid.interior] == pytest.approx(dt, rel=1e-14)
+
+    def test_rejects_fewer_than_two_stages(self, params):
+        grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        with pytest.raises(ValueError, match="stages"):
+            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, 1e-3, stages=1)
+
     def test_temporal_order(self, params):
         # Richardson ratio over a fixed horizon with dt, dt/2, dt/4
         grid = ns.make_grid(16, 64)
@@ -219,11 +242,15 @@ class TestRun:
             ns.run(eq, params, ns.BoundaryConfig(1.0, 1.0), math.nan)
 
     def test_equilibrium_step_count(self, params):
-        grid = ns.make_grid(16, 128)
+        # dx = 0.8: diffusion binds, and RKL2's tau, half the CFL step of the
+        # reaction limit, is no longer than the Heun step, so every step is Heun
+        grid = ns.make_grid(16, 40)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
         dt = params.cfl * min(ns.step_limits(eq, params))
         result = ns.run(eq, params, bc, 1.0)
+        assert result.control.limit_kind == "diffusion"
+        assert result.control.rkl2_steps == 0
         assert result.control.step_count == math.ceil(1.0 / dt)
         assert result.state.t == 1.0  # exact landing
         for name in ("v", "u", "theta", "phi"):
@@ -269,7 +296,8 @@ class TestRun:
         p, grid, bc, state = flagship_ic(512, half_width=32)
         p = dataclasses.replace(p, cfl=0.95)
         result, records = recorded_run(p, bc, state, 1.0)
-        assert result.control.limit_kind == "diffusion"
+        # diffusion binds the Heun step of every step, which RKL2 stretches
+        assert result.control.rkl2_steps == result.control.step_count
         assert ns.audit_records(records)[0] == []
 
     def test_G_strictly_increasing(self, params):
@@ -305,6 +333,103 @@ class TestRun:
         assert abort.state.interior("theta").min() > params.positivity_floor
 
 
+def _amplification(stages, z):
+    """The RKL2 step of the scalar y' = lambda y from y = 1, with z = lambda dt:
+    the increment recurrence of step() on one number."""
+    first, *rest = ns.integrator.rkl2_coefficients(stages)
+    older, last = 0.0, first[2] * z
+    for mu, nu, mu_t, gamma_t, _ in rest:
+        older, last = last, mu * last + nu * older + z * (mu_t * (1.0 + last) + gamma_t)
+    return 1.0 + last
+
+
+class TestRkl2:
+    """Where diffusion binds the Heun step, run takes the longer step tau in
+    the fewest RKL2 stages that keep it stable."""
+
+    def test_stages_cover_the_step(self):
+        heun = 0.01
+        rkl2_stages = ns.integrator.rkl2_stages
+        assert rkl2_stages(0.5 * heun, heun) == rkl2_stages(heun, heun) == 2
+        for s in range(3, 40):
+            reach = heun * (s * s + s - 2) / 4
+            assert rkl2_stages(reach, heun) == s
+            assert rkl2_stages(math.nextafter(reach, math.inf), heun) == s + 1
+
+    @pytest.mark.parametrize("stages", [3, 4, 7, 20])
+    def test_second_order_and_stable_on_the_interval(self, stages):
+        # stage times end at 1; the amplification matches exp(z) to O(z^3)
+        # and stays in [-1, 1] on the real interval (s^2 + s - 2) / 4 Heun
+        # steps long, whose Heun stability interval is [-2, 0]
+        rows = ns.integrator.rkl2_coefficients(stages)
+        mu, nu, mu_t, gamma_t, c_last = rows[-1]
+        c_before = rows[-2][4]
+        assert mu * c_last + nu * c_before + mu_t + gamma_t == pytest.approx(1.0, abs=1e-14)
+        assert all(0.0 <= row[4] < 1.0 for row in rows)
+        errors = [abs(_amplification(stages, -z) - math.exp(-z)) for z in (1e-2, 5e-3)]
+        assert math.log2(errors[0] / errors[1]) == pytest.approx(3.0, abs=0.05)
+        reach = (stages * stages + stages - 2) / 2
+        assert all(abs(_amplification(stages, -z)) <= 1.0
+                   for z in np.linspace(0.0, reach, 2001))
+
+    def test_equilibrium_step_count(self, params):
+        # dx = 0.25: tau, half the CFL step of the acoustic limit, is longer
+        # than the diffusion-bound Heun step
+        grid = ns.make_grid(16, 128)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        eq = ns.interface_initial_state(grid, params, bc)
+        diffusion, acoustic, reaction = ns.step_limits(eq, params)
+        tau = ns.integrator.RKL2_STEP * params.cfl * min(acoustic, reaction)
+        assert tau > params.cfl * diffusion
+        result = ns.run(eq, params, bc, 1.0)
+        control = result.control
+        assert control.step_count == math.ceil(1.0 / tau)
+        # the last step, 1 - 28 tau, is shorter than the Heun step: Heun
+        assert control.rkl2_steps == control.step_count - 1
+        assert control.limit_kind == "acoustic" and control.regime == "heun"
+        assert control.rhs_evals > 2 * control.step_count
+        assert result.state.t == 1.0  # exact landing
+        for name in ("v", "u", "theta", "phi"):
+            assert np.array_equal(getattr(result.state, name), getattr(eq, name))
+
+    def test_temporal_order(self, params):
+        # caps of 4, 2 and 1 times tau0 = 0.06 / 48, each above the Heun step
+        # (7.3e-4 here) and under RKL2's own tau (8.6e-3), so every step is an
+        # RKL2 step of the cap; measured 1.91 to 1.93
+        grid = ns.make_grid(16, 512)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        initial = ns.interface_initial_state(
+            grid, params, bc, phi_width=1.0,
+            v_amp=0.1, v_width=2.0, v_center=-2.0,
+            u_amp=0.1, u_width=2.0, u_center=2.0,
+            theta_amp=0.1, theta_width=2.0, theta_center=0.0)
+        horizon, tau0 = 0.06, 0.06 / 48
+        assert tau0 > params.cfl * min(ns.step_limits(initial, params))
+        orders, controls = temporal_orders(initial, params, bc, horizon,
+                                           [4 * tau0, 2 * tau0, tau0])
+        assert all(c.rkl2_steps == c.step_count for c in controls)
+        assert [c.step_count for c in controls] == [12, 24, 48]
+        assert min(orders.values()) >= 1.8, orders
+
+    def test_flagship_mass_and_energy_drift_match_heun(self, flagship_ic):
+        # N = 512 to t = 1: the default run is RKL2 throughout; a dt cap at
+        # half the first Heun step keeps every step of the other run Heun.
+        # Measured: energy_drift_rel 3.09e-4 against 3.35e-4 (-7.8 %)
+        p, grid, bc, state = flagship_ic(512, half_width=32)
+        result, records = recorded_run(p, bc, state, 1.0)
+        assert result.control.rkl2_steps == result.control.step_count
+        m0 = records[0].mass_excess
+        assert (max(abs(r.mass_excess - m0) for r in records)
+                <= ns.cli_io.MASS_TOL * max(abs(m0), 1.0))
+        cap = 0.5 * p.cfl * min(ns.step_limits(state, p))
+        heun = ns.run(state, p, bc, 1.0, dt_cap=cap)
+        assert heun.control.rkl2_steps == 0
+        e0 = ns.total_energy(state, p)
+        drift, heun_drift = (abs(ns.total_energy(r.state, p) - e0) / e0
+                             for r in (result, heun))
+        assert abs(drift / heun_drift - 1.0) <= 0.10
+
+
 class TestSourcesOncePerStageTime:
     """run evaluates a sources hook once per distinct stage time: the second
     Heun stage of one step is at the first stage time of the next."""
@@ -336,9 +461,10 @@ class TestSourcesOncePerStageTime:
         initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
         step, dts = ns.integrator.step, []
 
-        def recording_step(state, params, bc, dt, sources=None):
+        def recording_step(state, params, bc, dt, sources=None, stages=2):
             dts.append(dt)
-            return step(state, params, bc, dt, sources=sources)
+            assert stages == 2  # the dt cap binds: Heun
+            return step(state, params, bc, dt, sources=sources, stages=stages)
 
         monkeypatch.setattr(ns.integrator, "step", recording_step)
         result = ns.run(initial, params, case.bc, 0.05,

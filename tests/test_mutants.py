@@ -8,26 +8,26 @@ Each mutant is patched in, in process, for one set of runs:
 * a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05;
 * the same manufactured case at a fixed N = 64 with the dt cap halved twice,
   whose self-convergence order in time is the temporal_order column;
+* the same manufactured case at a fixed N = 256 with dt caps above the Heun
+  step, so that every step is an RKL2 step of the cap, halved twice: the
+  rkl2_temporal_order column;
 * the flagship data at N = 256 and 512 to t = 0.05, whose Lemma 2.4
   residual order is the lemma24_order column.
 
 A mutant is killed by a failed asserted audit check, an abort, a
-finest-pair order below the acceptance thresholds, a temporal order
-below MIN_TEMPORAL_ORDER in any field, or a lemma24_order below
-MIN_LEMMA24_ORDER.  A survivor is a finding;
+finest-pair order below the acceptance thresholds, a temporal order of
+either ladder below MIN_TEMPORAL_ORDER in any field, or a lemma24_order
+below MIN_LEMMA24_ORDER.  A survivor is a finding;
 it is marked xfail(strict=True) with the reason it survives, so a check that
 starts to kill it shows up as an unexpected pass.
 
 Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 import nsac1d as ns
-from conftest import MIN_LEMMA24_ORDER, lemma24_order, recorded_run
+from conftest import MIN_LEMMA24_ORDER, lemma24_order, recorded_run, temporal_orders
 from nsac1d import integrator, operators
 from nsac1d.core import check_positive
 from nsac1d.mms import DT_CAP_FACTOR
@@ -44,6 +44,11 @@ MIN_ORDER = {"v": 1.9, "u": 1.9, "theta": 1.9, "phi": 1.5}
 TEMPORAL_N = 64
 TEMPORAL_DIVISORS = (1, 2, 4)
 MIN_TEMPORAL_ORDER = 1.8
+# the RKL2 ladder: dt cap = MMS_T / 12 / k at a fixed dx, each above the Heun
+# step (7.6e-4) and under RKL2's own tau (8.6e-3); RKL2 measures 1.89 (v),
+# 1.93 (u), 1.89 (theta) and 1.97 (phi)
+RKL2_N = 256
+RKL2_CAP = MMS_T / 12
 
 
 def _kernel_then(edit):
@@ -89,7 +94,7 @@ def _scale_cube_in_kernel_mu(mp):
 
 
 def _forward_euler(mp):
-    def euler_step(state, params, bc, dt, sources=None):
+    def euler_step(state, params, bc, dt, sources=None, stages=2):
         rhs = integrator.semi_discrete_rhs(state, params, bc)
         if sources is not None:
             integrator._add_sources(rhs, sources, state.grid.x, state.t)
@@ -101,34 +106,44 @@ def _forward_euler(mp):
     mp.setattr(integrator, "step", euler_step)
 
 
+def _rkl2_first_stage_without_w1(mp):
+    """mu~_1 = b_1 in place of b_1 w1: the first RKL2 stage overshoots."""
+    coefficients = integrator.rkl2_coefficients
+
+    def mutant(s):
+        (mu, nu, mu_t, gamma_t, c), *rest = coefficients(s)
+        return ((mu, nu, mu_t * (s * s + s - 2) / 4, gamma_t, c), *rest)
+
+    mp.setattr(integrator, "rkl2_coefficients", mutant)
+
+
+def _rkl2_gamma_dropped(mp):
+    """gamma~_j = 0: the RKL2 stages lose their F(Y_0) term."""
+    coefficients = integrator.rkl2_coefficients
+    mp.setattr(integrator, "rkl2_coefficients",
+               lambda s: tuple((mu, nu, mu_t, 0.0, c)
+                               for mu, nu, mu_t, _, c in coefficients(s)))
+
+
 MUTANTS = {
     "viscous_heating_dropped": _kernel_then(_drop_viscous_heating),
     "phi_cubed_x0.99_in_kernel_mu": _scale_cube_in_kernel_mu,
     "dG_zero": _kernel_then(_freeze_G),
     "forward_euler": _forward_euler,
+    "rkl2_mu1_without_w1": _rkl2_first_stage_without_w1,
+    "rkl2_gamma_dropped": _rkl2_gamma_dropped,
 }
 
 SURVIVORS = {}
 
 
-def _temporal_orders(case):
-    """log2 of the ratio of successive differences between the final fields
-    of the manufactured case at TEMPORAL_N under the dt caps of the ladder."""
-    grid = ns.make_grid(case.half_width, TEMPORAL_N)
-    finals = []
-    for k in TEMPORAL_DIVISORS:
-        state = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0),
-                                     case.params)
-        result = ns.run(state, case.params, case.bc, case.t_star,
-                        dt_cap=DT_CAP_FACTOR * grid.dx**2 / k,
-                        sources=case.sources)
-        finals.append(result.state)
-    orders = {}
-    for name in MIN_ORDER:
-        coarse, mid, fine = (final.interior(name) for final in finals)
-        orders[name] = math.log2(np.linalg.norm(coarse - mid)
-                                 / np.linalg.norm(mid - fine))
-    return orders
+def _temporal_orders(case, n_cells, cap):
+    """Orders in time of the manufactured case at n_cells under the dt caps
+    cap / k of the ladder, and the runs' StepControls."""
+    grid = ns.make_grid(case.half_width, n_cells)
+    state = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), case.params)
+    return temporal_orders(state, case.params, case.bc, case.t_star,
+                           [cap / k for k in TEMPORAL_DIVISORS], sources=case.sources)
 
 
 def _run_set(patch, flagship_ic):
@@ -157,14 +172,18 @@ def _run_set(patch, flagship_ic):
         else:
             failed.update(f"order_{name}" for name, low in MIN_ORDER.items()
                           if not getattr(finest, f"order_{name}") >= low)
-        columns.append("temporal_order")
-        try:
-            orders = _temporal_orders(case)
-        except ns.SimulationAbort:
-            failed.add("abort")
-        else:
-            if not all(order >= MIN_TEMPORAL_ORDER for order in orders.values()):
-                failed.add("temporal_order")
+        heun_cap = DT_CAP_FACTOR * ns.make_grid(MMS_L, TEMPORAL_N).dx**2
+        ladders = {"temporal_order": (TEMPORAL_N, heun_cap),
+                   "rkl2_temporal_order": (RKL2_N, RKL2_CAP)}
+        for column, (n_cells, cap) in ladders.items():
+            columns.append(column)
+            try:
+                orders, _ = _temporal_orders(case, n_cells, cap)
+            except ns.SimulationAbort:
+                failed.add("abort")
+            else:
+                if not all(order >= MIN_TEMPORAL_ORDER for order in orders.values()):
+                    failed.add(column)
         columns.append("lemma24_order")
         try:
             if not lemma24_order(flagship_ic) >= MIN_LEMMA24_ORDER:
@@ -179,6 +198,14 @@ def kill_matrix(flagship_ic):
     """(columns, failed columns) per run set, "unmutated" first."""
     return {name: _run_set(patch, flagship_ic)
             for name, patch in {"unmutated": None, **MUTANTS}.items()}
+
+
+def test_rkl2_ladder_takes_rkl2_steps(flagship_ic):
+    params = flagship_ic(FLAGSHIP_N)[0]
+    case = ns.ManufacturedCase(params, MMS_L, t_star=MMS_T)
+    _, controls = _temporal_orders(case, RKL2_N, RKL2_CAP)
+    assert [c.step_count for c in controls] == [12, 24, 48]
+    assert all(c.rkl2_steps == c.step_count for c in controls)
 
 
 def test_unmutated_pair_passes(kill_matrix):

@@ -5,7 +5,7 @@
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
-PYTHONPATH set to that tree alone, in a fresh temporary directory: eight
+PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
@@ -40,7 +40,7 @@ RUNS = (
                             "diag_every_steps = 4\nsnapshot_every_steps = 3\n"),
     ("flagship-128-t0", "run", FLAGSHIP + "N = 128\nt_final = 0\n"
                                "diag_every_steps = 4\nsnapshot_every_steps = 3\n"),
-    # records only the initial and the final state: 92 steps in blocks of 16,
+    # records only the initial and the final state: 31 steps in blocks of 16,
     # so no full block holds a recorded state; fails lyapunov_* and exits 1
     ("flagship-256-diag0", "run", FLAGSHIP + "N = 256\nt_final = 1.0\n"
                                   "diag_every_steps = 0\n"),
@@ -59,9 +59,13 @@ RUNS = (
     # diag_every_steps cadence, so the dump is folded and recorded at the abort
     ("aborted-block", "run", "L = 8\nN = 32\nt_final = 1\ncfl = 0.9\nphi_width = 0.5\n"
                              "v_amp = -0.99\nv_width = 1.4\nv_center = 0\n"
-                             "u_amp = 6\nu_width = 1.2\nu_center = -1\n"
-                             "theta_amp = -0.9\ntheta_width = 1.4\n"
+                             "u_amp = 12\nu_width = 1.2\nu_center = -1\n"
+                             "theta_amp = -0.8\ntheta_width = 1.4\n"
                              "diag_every_steps = 7\n"),
+    # diffusion binds the Heun step of every step, so each step is an RKL2
+    # step: 13 steps of 4 stages at cfl 0.95
+    ("rkl2-cfl095", "run", FLAGSHIP + "N = 512\nt_final = 0.5\ncfl = 0.95\n"
+                           "diag_every_steps = 3\nsnapshot_every_steps = 5\n"),
     ("mms", "mms", ""),
     # beta = 2 exercises the theta**(beta - 1) term of the manufactured sources
     ("mms-beta2", "mms", "beta = 2\nepsilon = 0.5\nmms_amplitude = 0.2\nL = 8\n"
