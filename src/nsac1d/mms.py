@@ -2,7 +2,8 @@
 sources, and a refinement study measuring the observed order of the full
 scheme.  Sources are hard-coded analytic expressions (no symbolic-math
 dependency); the test suite pins them against an independently generated
-oracle table.
+oracle table, and at other beta, epsilon and amplitudes against their
+term-by-term closed forms.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import numpy as np
 
 from .core import BoundaryConfig, make_grid, state_from_fields
 from .integrator import SimulationAbort, run
-from .operators import potential_from
 
 # dt cap of the refinement study, in units of dx^2: small enough that the
-# temporal error does not pollute the observed spatial order
-DT_CAP_FACTOR = 0.05
+# temporal error does not pollute the observed spatial order (doubling it
+# from 0.05 moved each error of the default ladder by at most 1.7e-4
+# relative, 8.3e-6 at N = 512, and each order by at most 2.1e-4), and under
+# the Heun step (at least 0.160 dx^2 on the measured ladders), so every step
+# is a Heun step of the cap
+DT_CAP_FACTOR = 0.1
 
 
 def _sigmoid(y):
@@ -60,7 +64,7 @@ class ManufacturedCase:
         self.blend_scale = 0.25
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
-        self._grid_factors = None  # (copy of x, _spatial(x), _phase(x))
+        self._grid_factors = None  # (copy of x, params, rows of _factors)
 
     # -- closed forms ------------------------------------------------------
 
@@ -101,49 +105,53 @@ class ManufacturedCase:
         return phi, phi_x, phi_xx
 
     def _factors(self, x):
-        """_spatial(x) and _phase(x), recomputed only when the values of x change."""
+        """The t-independent rows of the grid x, rebuilt only when the values
+        of x or the parameters change: (rows scaled by e^-t, rows scaled by
+        1 - e^-t, the phase rows)."""
         cached = self._grid_factors
-        if cached is None or not np.array_equal(cached[0], x):
-            cached = self._grid_factors = (x.copy(), self._spatial(x), self._phase(x))
-        return cached[1], cached[2]
-
-    def _terms(self, x, t):
-        """v, u, theta, phi, then the derivatives sources() reads."""
-        (a, a1, a2, b, b1, b2), (phi, phi_x, phi_xx) = self._factors(
-            np.asarray(x, dtype=float))
-        decay = math.exp(-t)
-        rise = 1.0 - decay
-        u = a * decay
-        return (1.0 + u, u, 1.0 + b * rise, phi,
-                -a * decay, a1 * decay, a2 * decay,
-                b * decay, b1 * rise, b2 * rise, phi_x, phi_xx)
+        if (cached is None or cached[1] is not self.params
+                or not np.array_equal(cached[0], x)):
+            a, a1, a2, b, b1, b2 = self._spatial(x)
+            phi, phi_x, phi_xx = self._phase(x)
+            eps = self.params.epsilon
+            # u, u_x, u_xx, theta_t and S_v = v_t - u_x per unit e^-t;
+            # theta - 1, theta_x and theta_xx per unit 1 - e^-t
+            decaying = np.stack((a, a1, a2, b, -(a + a1)))
+            rising = np.stack((b, b1, b2))
+            phase = (phi, phi_x, phi_xx, (phi * phi * phi - phi) / eps, eps * phi_x)
+            cached = self._grid_factors = (x.copy(), self.params, decaying, rising, phase)
+        return cached[2:]
 
     def fields(self, x, t):
-        v, u, theta, phi = self._terms(x, t)[:4]
-        return v, u, theta, phi.copy()
+        decaying, rising, phase = self._factors(np.asarray(x, dtype=float))
+        decay = math.exp(-t)
+        u = decaying[0] * decay
+        return 1.0 + u, u, 1.0 + rising[0] * (1.0 - decay), phase[0].copy()
 
     def sources(self, x, t):
-        """Residuals of the governing equations on the manufactured fields."""
-        pr = self.params
-        eps = pr.epsilon
-        (v, _, theta, phi, u_t, u_x, u_xx,
-         theta_t, theta_x, theta_xx, phi_x, phi_xx) = self._terms(x, t)
-        v_t, v_x = u_t, u_x  # v - 1 = u on the manufactured fields
+        """Residuals of the governing equations on the manufactured fields.
 
-        v2 = v**2
-        theta_b = theta**pr.beta
-        ratio_x = phi_xx / v - phi_x * v_x / v2  # (phi_x / v)_x
-        mu = potential_from(phi, ratio_x, eps)
-
-        s_v = v_t - u_x
-        s_u = (u_t + (theta_x / v - theta * v_x / v2)
-               + eps * (phi_x / v) * ratio_x
-               - (u_xx / v - u_x * v_x / v2))
-        s_phi = 0.0 * phi + v * mu
-        cond = (pr.beta * theta ** (pr.beta - 1.0) * theta_x**2 / v
-                + theta_b * theta_xx / v
-                - theta_b * theta_x * v_x / v2)
-        s_theta = theta_t + (theta / v) * u_x - cond - u_x**2 / v - v * mu**2
+        v - 1 = u, so v_t = u_t = -u and v_x = u_x; w = v_x / v.
+        """
+        beta, eps = self.params.beta, self.params.epsilon
+        decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = self._factors(
+            np.asarray(x, dtype=float))
+        decay = math.exp(-t)
+        u, u_x, u_xx, theta_t, s_v = decaying * decay
+        theta, theta_x, theta_xx = rising * (1.0 - decay)
+        theta += 1.0
+        v = 1.0 + u
+        inv_v = 1.0 / v
+        w = u_x * inv_v
+        ratio_x = (phi_xx - phi_x * w) * inv_v  # (phi_x / v)_x
+        mu = cube - eps * ratio_x  # potential_from(phi, ratio_x, eps)
+        s_phi = v * mu
+        theta_w, u_x_w = theta * w, u_x * w
+        s_u = (theta_x - theta_w + eps_phi_x * ratio_x - u_xx + u_x_w) * inv_v - u
+        # v times the conduction (theta^beta theta_x / v)_x, with
+        # theta^(beta - 1) = theta^beta / theta
+        cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
+        s_theta = theta_t + theta_w - cond_v * inv_v - u_x_w - s_phi * mu
         return s_v, s_u, s_theta, s_phi
 
 
@@ -170,9 +178,14 @@ def convergence_study(case, resolutions):
     parameters the sources were built from, and measure L2 errors against
     the manufactured fields at t_star.
 
-    dt is capped at DT_CAP_FACTOR * dx^2.  Resolutions must be at least
-    three, each double the previous.  A SimulationAbort is raised again with
-    " (N = n)" appended, naming the resolution that aborted.
+    dt is capped at DT_CAP_FACTOR * dx^2 = 0.1 dx^2, under the Heun step
+    (0.172 dx^2 or more at amplitude 0.3 with beta = 1 and 2, L = 16;
+    0.160 dx^2 at beta = 2, epsilon = 0.5, amplitude 0.2, L = 8), so every
+    step is a Heun step of the cap.  Halving the cap moves each error by at
+    most 1.8e-3 relative and each order by at most 2.1e-3 on L = 16,
+    N = 64/128/256 (tests/test_mms.py bounds both).  Resolutions must be at
+    least three, each double the previous.  A SimulationAbort is raised
+    again with " (N = n)" appended, naming the resolution that aborted.
     """
     resolutions = [int(n) for n in resolutions]
     if len(resolutions) < 3:

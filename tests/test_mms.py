@@ -35,6 +35,32 @@ SOURCE_ORACLE = [
 ]
 
 
+def reference_sources(case, x, t):
+    """The sources as the closed forms of the governing equations' terms on
+    the manufactured fields, one term at a time and sharing no factor
+    between terms: the reference ManufacturedCase.sources is compared with."""
+    beta, eps = case.params.beta, case.params.epsilon
+    a, a1, a2, b, b1, b2 = case._spatial(x)
+    phi, phi_x, phi_xx = case._phase(x)
+    decay = math.exp(-t)
+    rise = 1.0 - decay
+    v, theta = 1.0 + a * decay, 1.0 + b * rise
+    u_t, u_x, u_xx = -a * decay, a1 * decay, a2 * decay
+    theta_t, theta_x, theta_xx = b * decay, b1 * rise, b2 * rise
+    v_t, v_x = u_t, u_x  # v - 1 = u
+    v2 = v**2
+    theta_b = theta**beta
+    ratio_x = phi_xx / v - phi_x * v_x / v2  # (phi_x / v)_x
+    mu = (phi**3 - phi) / eps - eps * ratio_x
+    s_v = v_t - u_x
+    s_u = (u_t + (theta_x / v - theta * v_x / v2) + eps * (phi_x / v) * ratio_x
+           - (u_xx / v - u_x * v_x / v2))
+    cond = (beta * theta ** (beta - 1.0) * theta_x**2 / v + theta_b * theta_xx / v
+            - theta_b * theta_x * v_x / v2)
+    s_theta = theta_t + (theta / v) * u_x - cond - u_x**2 / v - v * mu**2
+    return s_v, s_u, s_theta, v * mu
+
+
 @pytest.fixture(scope="module")
 def case(params):
     grid = ns.make_grid(16, 128)
@@ -47,6 +73,22 @@ class TestManufacturedCase:
             got = case.sources(np.array([x]), t)
             for value, want in zip(got, (sv, su, stheta, sphi)):
                 assert float(value[0]) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.1, 0.3])
+    def test_sources_match_the_closed_forms(self, beta, epsilon, amplitude):
+        # the oracle pins beta = epsilon = 1 only; measured worst deviation
+        # over this grid 7.4e-16 of max |S|, bounded at 1e-13
+        case = ns.ManufacturedCase(ns.SimParams(epsilon=epsilon, beta=beta), 16,
+                                   amplitude=amplitude)
+        x = ns.make_grid(16, 256).x
+        for t in (0.0, 0.1, 0.25, 3.0):
+            for got, want in zip(case.sources(x, t), reference_sources(case, x, t)):
+                if amplitude == 0.0:
+                    assert np.all(got == 0.0)
+                else:
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_source_v_is_vt_minus_ux(self, case):
         # S_v must equal d/dt v - d/dx u; both fields share the same
@@ -151,6 +193,35 @@ class TestConvergenceStudy:
             ns.convergence_study(case, [128, 256])
         with pytest.raises(ValueError, match="double"):
             ns.convergence_study(case, [128, 192, 256])
+
+    @pytest.mark.parametrize("beta, amplitude", [(1.0, 0.1), (2.0, 0.3)])
+    def test_dt_cap_keeps_the_time_error_out_of_the_orders(self, monkeypatch,
+                                                           beta, amplitude):
+        # halving DT_CAP_FACTOR moves each error by at most 1.6e-3 (beta 1)
+        # and 1.8e-3 (beta 2) relative, and each order by 2.0e-3 and 2.1e-3;
+        # bounded at 5e-3 and 0.01, about 3x and 5x those
+        params = ns.SimParams(beta=beta)
+        case = ns.ManufacturedCase(params, 16, amplitude=amplitude)
+        resolutions = (64, 128, 256)
+        rows = ns.convergence_study(case, resolutions)
+        monkeypatch.setattr(ns.mms, "DT_CAP_FACTOR", ns.mms.DT_CAP_FACTOR / 2)
+        finer = ns.convergence_study(case, resolutions)
+        monkeypatch.undo()
+        for row, fine in zip(rows, finer):
+            for name in ("v", "u", "theta", "phi"):
+                err, err_fine = getattr(row, f"err_{name}"), getattr(fine, f"err_{name}")
+                assert abs(err - err_fine) <= 5e-3 * err_fine
+                if row.n_cells > resolutions[0]:
+                    assert abs(getattr(row, f"order_{name}")
+                               - getattr(fine, f"order_{name}")) <= 0.01
+        # the cap, not the Heun step or RKL2, sets every step of the finest run
+        grid = ns.make_grid(16, resolutions[-1])
+        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        cap = ns.mms.DT_CAP_FACTOR * grid.dx**2
+        control = ns.run(initial, params, case.bc, case.t_star, dt_cap=cap,
+                         sources=case.sources).control
+        assert control.rkl2_steps == 0 and control.limit_kind == "cap"
+        assert control.step_count == math.ceil(case.t_star / cap)
 
     def test_observed_second_order_smoke(self, params):
         # the acceptance suite runs {128, 256, 512}; keep a cheap smoke here

@@ -9,12 +9,15 @@ PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
-difference is listed, and the script exits 1 if there is any.
+difference is listed, a differing CSV file with the largest relative
+difference over its numeric cells and the column that holds it, and the
+script exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +113,30 @@ def _first_differing_line(a, b):
     return min(len(lines_a), len(lines_b)) + 1
 
 
+def _largest_relative_difference(a, b):
+    """(|b - a| / |a|, column) of the numeric cells that differ most between
+    two CSV files, cell by cell under the header of a; None if no numeric
+    cell's text differs.  A change from 0, or to or from a nan, counts as inf."""
+    rows_a, rows_b = ([line.split(",") for line in data.decode().splitlines()
+                       if not line.startswith("#")] for data in (a, b))
+    largest = None
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for column, x, y in zip(rows_a[0], row_a, row_b):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            if math.isnan(x) or math.isnan(y):
+                rel = math.inf
+            else:
+                rel = abs(y - x) / abs(x) if x else (math.inf if y else 0.0)
+            if largest is None or rel > largest[0]:
+                largest = rel, column
+    return largest
+
+
 def differences(parent, change):
     """One line per command or file whose output differs."""
     (commands_p, files_p), (commands_c, files_c) = parent, change
@@ -127,8 +154,13 @@ def differences(parent, change):
         elif path not in files_p:
             found.append(f"{path}: written by the change only")
         elif files_p[path] != files_c[path]:
-            found.append(f"{path}: differs from line "
-                         f"{_first_differing_line(files_p[path], files_c[path])}")
+            line = (f"{path}: differs from line "
+                    f"{_first_differing_line(files_p[path], files_c[path])}")
+            largest = (_largest_relative_difference(files_p[path], files_c[path])
+                       if path.endswith(".csv") else None)
+            if largest is not None:
+                line += "; largest relative difference {:.3g} in {}".format(*largest)
+            found.append(line)
     return found
 
 
