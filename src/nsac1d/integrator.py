@@ -12,9 +12,11 @@ Where diffusion binds, run takes the longer step tau = RKL2_STEP times the
 CFL fraction of the acoustic and reaction limits (dt_cap still caps it) in
 the fewest stages s of the second-order Runge-Kutta-Legendre scheme (RKL2;
 Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014) whose real stability
-interval, (s^2 + s - 2) / 4 Heun steps, covers tau.  The step count then
-grows as N, not N^2, and the stage count as sqrt(N).  An s = 2 step is the
-Heun step, so cap-, acoustic- and reaction-bound runs are unchanged.
+interval, (s^2 + s - 2) / 4 stage bases, covers tau.  The stage base is
+RKL2_STAGE_LIMIT times the uncut diffusion limit, or the Heun step if that
+is longer: cfl cuts the step, not the stage count a second time.  The step
+count grows as N, not N^2, and the stage count as sqrt(N).  An s = 2 step
+is the Heun step, so cap-, acoustic- and reaction-bound runs are unchanged.
 Positivity failures abort the run; fields are never clamped.
 """
 
@@ -33,8 +35,16 @@ LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 # tau as a fraction of the CFL step of the acoustic and reaction limits.  The
 # time error of RKL2 grows with tau: on the flagship data at t = 1 a fraction
 # of 1.0 moves energy_drift_rel by -29 % at every N (a third of the spatial
-# error), and 0.5 moves it by -6.7 % to -8.1 % for N = 256 ... 2048.
+# error), and 0.5 by -6.7 % to -8.1 % for N = 256 ... 2048 with the stages
+# sized from the Heun step (-8.7 % at N = 512 from the stage base below).
 RKL2_STEP = 0.5
+
+# the stage base as a fraction of the uncut diffusion limit.  On the kernel's
+# spectrum Heun is stable up to 1.03 to 1.11 times that limit on the states
+# tests/test_spectrum.py certifies at dx <= 0.5 (0.78 at dx = 1, where the
+# flagship run takes Heun steps only); those tests certify the steps run
+# takes, and fail one stage fewer.
+RKL2_STAGE_LIMIT = 0.8
 
 
 @dataclass
@@ -121,11 +131,11 @@ def _once_per_time(sources):
     return memo
 
 
-def rkl2_stages(dt, heun_dt):
+def rkl2_stages(dt, base):
     """The fewest stages s >= 2 whose stability interval, (s^2 + s - 2) / 4
-    times the stable Heun step heun_dt, covers dt: 2 for dt <= heun_dt."""
+    times a stable Heun step `base`, covers dt: 2 for dt <= base."""
     s = 2
-    while heun_dt * (s * s + s - 2) / 4 < dt:
+    while base * (s * s + s - 2) / 4 < dt:
         s += 1
     return s
 
@@ -215,7 +225,9 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
 
     Each step is the Heun step cfl min(limits), or, where diffusion binds it,
     tau = RKL2_STEP cfl min(acoustic, reaction) if that is longer; dt_cap
-    caps either, and the step takes rkl2_stages(dt, Heun step) stages.
+    caps either, and the step takes rkl2_stages(dt, base) stages, with base
+    the longer of the Heun step and RKL2_STAGE_LIMIT times the diffusion
+    limit (so a step no longer than the Heun step is a Heun step).
     observer(state) is called after every accepted step, not on the initial
     state.  Any step error aborts with the last accepted state attached.
     A sources hook must be a function of (x, t) alone whose arrays are read,
@@ -243,7 +255,7 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
             last = state.t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
             if last:
                 dt = t_final - state.t
-            stages = rkl2_stages(dt, heun_dt)
+            stages = rkl2_stages(dt, max(heun_dt, RKL2_STAGE_LIMIT * limits[0]))
             state = step(state, params, bc, dt, sources=sources, stages=stages)
         except Exception as exc:
             raise SimulationAbort(

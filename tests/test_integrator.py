@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsac1d as ns
-from conftest import nan_sources_after, recorded_run, temporal_orders
+from conftest import amplification, nan_sources_after, recorded_run, temporal_orders
 
 
 def _loop_diffusion_limit(state, params):
@@ -333,16 +333,6 @@ class TestRun:
         assert abort.state.interior("theta").min() > params.positivity_floor
 
 
-def _amplification(stages, z):
-    """The RKL2 step of the scalar y' = lambda y from y = 1, with z = lambda dt:
-    the increment recurrence of step() on one number."""
-    first, *rest = ns.integrator.rkl2_coefficients(stages)
-    older, last = 0.0, first[2] * z
-    for mu, nu, mu_t, gamma_t, _ in rest:
-        older, last = last, mu * last + nu * older + z * (mu_t * (1.0 + last) + gamma_t)
-    return 1.0 + last
-
-
 class TestRkl2:
     """Where diffusion binds the Heun step, run takes the longer step tau in
     the fewest RKL2 stages that keep it stable."""
@@ -366,10 +356,10 @@ class TestRkl2:
         c_before = rows[-2][4]
         assert mu * c_last + nu * c_before + mu_t + gamma_t == pytest.approx(1.0, abs=1e-14)
         assert all(0.0 <= row[4] < 1.0 for row in rows)
-        errors = [abs(_amplification(stages, -z) - math.exp(-z)) for z in (1e-2, 5e-3)]
+        errors = [abs(amplification(stages, -z) - math.exp(-z)) for z in (1e-2, 5e-3)]
         assert math.log2(errors[0] / errors[1]) == pytest.approx(3.0, abs=0.05)
         reach = (stages * stages + stages - 2) / 2
-        assert all(abs(_amplification(stages, -z)) <= 1.0
+        assert all(abs(amplification(stages, -z)) <= 1.0
                    for z in np.linspace(0.0, reach, 2001))
 
     def test_equilibrium_step_count(self, params):
@@ -393,9 +383,11 @@ class TestRkl2:
             assert np.array_equal(getattr(result.state, name), getattr(eq, name))
 
     def test_temporal_order(self, params):
-        # caps of 4, 2 and 1 times tau0 = 0.06 / 48, each above the Heun step
-        # (7.3e-4 here) and under RKL2's own tau (8.6e-3), so every step is an
-        # RKL2 step of the cap; measured 1.91 to 1.93
+        # caps of 4, 2 and 1 times tau0 = 0.06 / 32, each above the stage
+        # base (RKL2_STAGE_LIMIT times the diffusion limit, 1.5e-3 here) and
+        # under RKL2's own tau (8.6e-3), so every step is an RKL2 step of the
+        # cap; measured 1.92 to 1.95.  (At 0.06 / 48 the finest cap falls
+        # under the stage base and that rung is Heun.)
         grid = ns.make_grid(16, 512)
         bc = ns.BoundaryConfig(-1.0, 1.0)
         initial = ns.interface_initial_state(
@@ -403,18 +395,19 @@ class TestRkl2:
             v_amp=0.1, v_width=2.0, v_center=-2.0,
             u_amp=0.1, u_width=2.0, u_center=2.0,
             theta_amp=0.1, theta_width=2.0, theta_center=0.0)
-        horizon, tau0 = 0.06, 0.06 / 48
-        assert tau0 > params.cfl * min(ns.step_limits(initial, params))
+        horizon, tau0 = 0.06, 0.06 / 32
+        diffusion = ns.step_limits(initial, params)[0]
+        assert tau0 > ns.integrator.RKL2_STAGE_LIMIT * diffusion
         orders, controls = temporal_orders(initial, params, bc, horizon,
                                            [4 * tau0, 2 * tau0, tau0])
         assert all(c.rkl2_steps == c.step_count for c in controls)
-        assert [c.step_count for c in controls] == [12, 24, 48]
+        assert [c.step_count for c in controls] == [8, 16, 32]
         assert min(orders.values()) >= 1.8, orders
 
     def test_flagship_mass_and_energy_drift_match_heun(self, flagship_ic):
         # N = 512 to t = 1: the default run is RKL2 throughout; a dt cap at
         # half the first Heun step keeps every step of the other run Heun.
-        # Measured: energy_drift_rel 3.09e-4 against 3.35e-4 (-7.8 %)
+        # Measured: energy_drift_rel 3.06e-4 against 3.35e-4 (-8.7 %)
         p, grid, bc, state = flagship_ic(512, half_width=32)
         result, records = recorded_run(p, bc, state, 1.0)
         assert result.control.rkl2_steps == result.control.step_count
@@ -428,6 +421,41 @@ class TestRkl2:
         drift, heun_drift = (abs(ns.total_energy(r.state, p) - e0) / e0
                              for r in (result, heun))
         assert abs(drift / heun_drift - 1.0) <= 0.10
+
+
+def _mirrored(state, bc):
+    """The mirror x -> -x: every row reversed, u negated, the far-field phases
+    swapped."""
+    data = state.data[:, ::-1].copy()
+    data[0] *= -1.0
+    return ns.FlowState(state.grid, state.t, data), ns.BoundaryConfig(bc.phi_right, bc.phi_left)
+
+
+def _phase_flipped(state, bc):
+    """The phase flip phi -> -phi, both far-field phases negated."""
+    data = state.data.copy()
+    data[1] *= -1.0
+    return ns.FlowState(state.grid, state.t, data), ns.BoundaryConfig(-bc.phi_left, -bc.phi_right)
+
+
+class TestSymmetries:
+    """The system maps solutions onto solutions under the mirror and the phase
+    flip, and so does the scheme, bit for bit: every stencil is symmetric
+    and the limits reduce by max."""
+
+    @pytest.mark.parametrize("n_cells, dt_cap, rkl2", [(256, None, True), (128, 1e-3, False)])
+    def test_the_run_commutes_with_both_maps(self, flagship_ic, n_cells, dt_cap, rkl2):
+        # to t = 1: N = 256 takes 31 RKL2 steps, and the cap makes N = 128
+        # take 1,000 Heun steps
+        params, _, bc, state = flagship_ic(n_cells)
+        result = ns.run(state, params, bc, 1.0, dt_cap=dt_cap)
+        control = result.control
+        assert control.rkl2_steps == (control.step_count if rkl2 else 0)
+        for symmetry in (_mirrored, _phase_flipped):
+            mapped, mapped_bc = symmetry(state, bc)
+            other = ns.run(mapped, params, mapped_bc, 1.0, dt_cap=dt_cap)
+            assert other.control == control
+            assert np.array_equal(other.state.data, symmetry(result.state, bc)[0].data)
 
 
 class TestSourcesOncePerStageTime:

@@ -9,9 +9,11 @@ PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output and every file left in the directory must
 be identical; only the `outdir` line of each config.txt is exempt. Each
-difference is listed, a differing CSV file with the largest relative
-difference over its numeric cells and the column that holds it, and the
-script exits 1 if there is any.
+difference is listed, and the script exits 1 if there is any.  A differing
+CSV file is listed with two sizes over its numeric cells, each with the
+column that holds it: the largest relative difference |change - parent| /
+|parent|, which is inf where the parent cell is 0, and the largest
+|change - parent| over the column's max |parent|, which stays finite there.
 """
 
 from __future__ import annotations
@@ -113,28 +115,41 @@ def _first_differing_line(a, b):
     return min(len(lines_a), len(lines_b)) + 1
 
 
-def _largest_relative_difference(a, b):
-    """(|b - a| / |a|, column) of the numeric cells that differ most between
-    two CSV files, cell by cell under the header of a; None if no numeric
-    cell's text differs.  A change from 0, or to or from a nan, counts as inf."""
+def _size(x, y, scale):
+    """|y - x| / |scale|: inf for a change against a zero scale, or to or from nan."""
+    if math.isnan(x) or math.isnan(y):
+        return math.inf
+    return abs(y - x) / abs(scale) if scale else (math.inf if y != x else 0.0)
+
+
+def _largest_differences(a, b):
+    """The numeric cells that differ most between two CSV files, cell by cell
+    under the header of a, as ((|b - a| / |a|, column), (|b - a| / max |a|
+    of the column, column)); None if no numeric cell's text differs.  The
+    relative difference is inf for a change from 0; the second, scaled by
+    the column, stays finite there, so it says how far the column moved."""
     rows_a, rows_b = ([line.split(",") for line in data.decode().splitlines()
                        if not line.startswith("#")] for data in (a, b))
-    largest = None
+    top = {}      # column -> max |a| over its numeric cells, nan aside
+    changed = []  # (column, a, b) of every differing numeric cell
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for column, x, y in zip(rows_a[0], row_a, row_b):
-            if x == y:
-                continue
             try:
-                x, y = float(x), float(y)
+                x_value, y_value = float(x), float(y)
             except ValueError:
                 continue
-            if math.isnan(x) or math.isnan(y):
-                rel = math.inf
-            else:
-                rel = abs(y - x) / abs(x) if x else (math.inf if y else 0.0)
-            if largest is None or rel > largest[0]:
-                largest = rel, column
-    return largest
+            if not math.isnan(x_value):
+                top[column] = max(top.get(column, 0.0), abs(x_value))
+            if x != y:
+                changed.append((column, x_value, y_value))
+    relative = scaled = None
+    for column, x, y in changed:
+        rel, size = _size(x, y, x), _size(x, y, top.get(column, 0.0))
+        if relative is None or rel > relative[0]:
+            relative = rel, column
+        if scaled is None or size > scaled[0]:
+            scaled = size, column
+    return None if relative is None else (relative, scaled)
 
 
 def differences(parent, change):
@@ -156,10 +171,12 @@ def differences(parent, change):
         elif files_p[path] != files_c[path]:
             line = (f"{path}: differs from line "
                     f"{_first_differing_line(files_p[path], files_c[path])}")
-            largest = (_largest_relative_difference(files_p[path], files_c[path])
+            largest = (_largest_differences(files_p[path], files_c[path])
                        if path.endswith(".csv") else None)
             if largest is not None:
-                line += "; largest relative difference {:.3g} in {}".format(*largest)
+                line += ("; largest relative difference {:.3g} in {}; largest "
+                         "difference over the column's max |parent| {:.3g} in {}"
+                         .format(*largest[0], *largest[1]))
             found.append(line)
     return found
 
