@@ -15,8 +15,9 @@ Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014) whose real stability
 interval, (s^2 + s - 2) / 4 stage bases, covers tau.  The stage base is
 RKL2_STAGE_LIMIT times the uncut diffusion limit, or the Heun step if that
 is longer: cfl cuts the step, not the stage count a second time.  The step
-count grows as N, not N^2, and the stage count as sqrt(N).  An s = 2 step
-is the Heun step, so cap-, acoustic- and reaction-bound runs are unchanged.
+count grows as N, not N^2, and the stage count as sqrt(N).  Both run one
+recurrence, increments: an s = 2 step is the Heun step, the table HEUN, so
+cap-, acoustic- and reaction-bound runs are unchanged.
 Positivity failures abort the run; fields are never clamped.
 """
 
@@ -59,7 +60,7 @@ class StepControl:
     @property
     def regime(self):
         """The scheme of the last step: "heun" or "rkl2"."""
-        return "heun" if self.stages == 2 else "rkl2"
+        return "rkl2" if self.stages > 2 else "heun"
 
 
 class SimulationAbort(RuntimeError):
@@ -108,17 +109,11 @@ def step_limits(state, params):
     return diffusion, acoustic, reaction
 
 
-def _add_sources(rhs, sources, x, t):
-    # into the row views: `rhs.dv += s_v` would also copy the row onto itself
-    for row, source in zip((rhs.dv, rhs.du, rhs.dtheta, rhs.dphi), sources(x, t)):
-        row += source
-
-
 def _once_per_time(sources):
     """sources(x, t) called once per distinct t: the last (t, arrays) is kept.
 
-    Heun's second stage of one step and the first stage of the next are at
-    the same float t, and a run has one grid, so x needs no key.
+    HEUN's second stage of one step, at t0 + 1.0 dt, and the first stage of
+    the next are at the same float t; a run has one grid, so x needs no key.
     """
     last_t, last = None, None
 
@@ -138,6 +133,10 @@ def rkl2_stages(dt, base):
     while base * (s * s + s - 2) / 4 < dt:
         s += 1
     return s
+
+
+# Heun (SSP-RK2) as rows of rkl2_coefficients: D_2 = D_1 / 2 + (dt / 2) F(Y_1)
+HEUN = ((0.0, 0.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0, 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -165,18 +164,34 @@ def rkl2_coefficients(s):
     return tuple(rows)
 
 
+def increments(y0, t0, dt, rate, stages):
+    """Y - y0 after one step of dt from y0 at t0 in `stages` calls of
+    F = rate(y, t), over the rows of HEUN (2 stages) or rkl2_coefficients:
+    D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0))
+    from D_0 = 0, with Y_j = y0 + D_j at t0 + c_j dt; HEUN's zero nu and
+    gamma~ are skipped (no RKL2 row has one)."""
+    first, *rest = HEUN if stages == 2 else rkl2_coefficients(stages)
+    f0 = rate(y0, t0)
+    older, last = 0.0, (dt * first[2]) * f0
+    for mu, nu, mu_t, gamma_t, c in rest:
+        inc = mu * last
+        if nu:
+            inc += nu * older
+        inc += (dt * mu_t) * rate(y0 + last, t0 + c * dt)
+        if gamma_t:
+            inc += (dt * gamma_t) * f0
+        older, last = last, inc
+    return last
+
+
 def step(state, params, bc, dt, sources=None, stages=2):
-    """One step of dt in `stages` RHS evaluations: Heun for 2, RKL2 for more.
+    """One step of dt in `stages` evaluations of F: Heun for 2, RKL2 for more,
+    as Y_0 + increments, so a state whose F is zero stays bit for bit.
 
-    Heun: s* = s + dt F(s); s_new = (s + s* + dt F(s*)) / 2.  RKL2 advances
-    the increments D_j = Y_j - Y_0 from D_0 = 0:
-    D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0)),
-    so a state whose F is zero stays bit for bit (see rkl2_coefficients).
-
+    F is the kernel plus the optional sources(x, t) of the verification
+    harness, which returns (s_v, s_u, s_theta, s_phi), at every stage time.
     Ghosts are refreshed by each F evaluation; G advances with the same
-    weights as the physical fields.  An optional sources(x, t) callable
-    (verification harness) returns (s_v, s_u, s_theta, s_phi) and is
-    evaluated at every stage time.
+    weights as the physical fields.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -184,31 +199,16 @@ def step(state, params, bc, dt, sources=None, stages=2):
         raise ValueError(f"stages must be >= 2, got {stages}")
     grid = state.grid
 
-    f1 = semi_discrete_rhs(state, params, bc)
-    if sources is not None:
-        _add_sources(f1, sources, grid.x, state.t)
-    if stages == 2:
-        stage = FlowState(grid, state.t + dt, state.data + dt * f1.data)
-
-        f2 = semi_discrete_rhs(stage, params, bc)
+    def rate(data, t):
+        rhs = semi_discrete_rhs(FlowState(grid, t, data), params, bc)
         if sources is not None:
-            _add_sources(f2, sources, grid.x, stage.t)
-        out = FlowState(grid, state.t + dt,
-                        0.5 * (state.data + stage.data + dt * f2.data))
-    else:
-        first, *rest = rkl2_coefficients(stages)
-        older, last = 0.0, (dt * first[2]) * f1.data
-        for mu, nu, mu_t, gamma_t, c in rest:
-            stage = FlowState(grid, state.t + c * dt, state.data + last)
-            f = semi_discrete_rhs(stage, params, bc)
-            if sources is not None:
-                _add_sources(f, sources, grid.x, stage.t)
-            inc = mu * last
-            inc += nu * older
-            inc += (dt * mu_t) * f.data
-            inc += (dt * gamma_t) * f1.data
-            older, last = last, inc
-        out = FlowState(grid, state.t + dt, state.data + last)
+            # into the row views: `rhs.dv += s_v` would also copy the row onto itself
+            for row, source in zip((rhs.dv, rhs.du, rhs.dtheta, rhs.dphi), sources(grid.x, t)):
+                row += source
+        return rhs.data
+
+    out = FlowState(grid, state.t + dt,
+                    state.data + increments(state.data, state.t, dt, rate, stages))
     apply_bc(out, bc)
     check_positive(out, params)
     return out

@@ -58,31 +58,30 @@ def lemma24_order(flagship_ic):
     return math.log2(coarse / fine)
 
 
-def temporal_orders(initial, params, bc, t_final, caps, sources=None):
-    """log2 of the ratio of successive differences between the final v, u,
-    theta and phi of runs from `initial` to t_final under each dt cap of
-    `caps` (coarse, mid, fine); returns (orders by field, the runs' StepControls)."""
-    results = [ns.run(initial, params, bc, t_final, dt_cap=cap, sources=sources)
-               for cap in caps]
+def field_orders(states):
+    """log2 of the ratio of successive differences between the v, u, theta
+    and phi of three states (coarse, mid, fine), by field."""
     orders = {}
     for name in ("v", "u", "theta", "phi"):
-        coarse, mid, fine = (result.state.interior(name) for result in results)
+        coarse, mid, fine = (state.interior(name) for state in states)
         orders[name] = math.log2(np.linalg.norm(coarse - mid) / np.linalg.norm(mid - fine))
-    return orders, [result.control for result in results]
+    return orders
+
+
+def temporal_orders(initial, params, bc, t_final, caps, sources=None):
+    """field_orders of the final states of runs from `initial` to t_final
+    under each dt cap of `caps` (coarse, mid, fine); returns (orders by
+    field, the runs' StepControls)."""
+    results = [ns.run(initial, params, bc, t_final, dt_cap=cap, sources=sources)
+               for cap in caps]
+    return (field_orders([result.state for result in results]),
+            [result.control for result in results])
 
 
 def amplification(stages, z):
     """R(z): a step of `stages` stages on the scalar y' = lambda y from y = 1,
-    with z = lambda dt, by step()'s own recurrence: Heun for 2, the RKL2
-    increments of rkl2_coefficients for more."""
-    if stages == 2:
-        stage = 1.0 + z
-        return 0.5 * (1.0 + stage + z * stage)
-    first, *rest = ns.integrator.rkl2_coefficients(stages)
-    older, last = 0.0, first[2] * z
-    for mu, nu, mu_t, gamma_t, _ in rest:
-        older, last = last, mu * last + nu * older + z * (mu_t * (1.0 + last) + gamma_t)
-    return 1.0 + last
+    with z = lambda dt, by the recurrence step() runs, integrator.increments."""
+    return 1.0 + ns.integrator.increments(1.0, 0.0, 1.0, lambda y, t: z * y, stages)
 
 
 # semi_discrete_rhs at cell i reads u, phi, theta and v at cells i - 2 ... i + 2

@@ -171,6 +171,24 @@ class TestStep:
         # G grows at the rate p_eff = 1, which the stage times integrate exactly
         assert out.G[grid.interior] == pytest.approx(dt, rel=1e-14)
 
+    def test_two_stages_are_the_textbook_heun_step(self, flagship_ic):
+        # Y0 + (D1 / 2 + (dt / 2) F(Y1)) rounds otherwise than
+        # (Y0 + Y1 + dt F(Y1)) / 2, by at most an ulp of each row's max
+        params, grid, bc, state = flagship_ic(128)
+        dt = params.cfl * min(ns.step_limits(state, params))
+        out = ns.step(state.copy(), params, bc, dt, stages=2)
+        first = ns.FlowState(grid, state.t + dt,
+                             state.data + dt * ns.semi_discrete_rhs(state, params, bc).data)
+        heun = 0.5 * (state.data + first.data
+                      + dt * ns.semi_discrete_rhs(first, params, bc).data)
+        s = grid.interior
+        for row, textbook in zip(out.data[:, s], heun[:, s]):
+            assert np.abs(row - textbook).max() <= 2 * np.spacing(np.abs(textbook).max())
+
+    def test_heun_amplification_is_the_taylor_polynomial(self):
+        z = np.linspace(-2.5, 0.5, 31)[:, None] + 1j * np.linspace(-2.0, 2.0, 21)
+        assert np.abs(amplification(2, z) - (1.0 + z + 0.5 * z * z)).max() <= 1e-15
+
     def test_rejects_fewer_than_two_stages(self, params):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)

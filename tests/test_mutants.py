@@ -8,9 +8,9 @@ Each mutant is patched in, in process, for one set of runs:
 * a manufactured-solution ladder at L = 8, N = 32, 64, 128 to t* = 0.05;
 * the same manufactured case at a fixed N = 64 with the dt cap halved twice,
   whose self-convergence order in time is the temporal_order column;
-* the same manufactured case at a fixed N = 256 with dt caps above the Heun
-  step, so that every step is an RKL2 step of the cap, halved twice: the
-  rkl2_temporal_order column;
+* the same manufactured case at a fixed N = 256 stepped by `step` in a
+  fixed number of RKL2 stages at a dt above the Heun step, halved twice:
+  the rkl2_temporal_order column;
 * the flagship data at N = 256 and 512 to t = 0.05, whose Lemma 2.4
   residual order is the lemma24_order column.
 
@@ -27,9 +27,9 @@ Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
 import pytest
 
 import nsac1d as ns
-from conftest import MIN_LEMMA24_ORDER, lemma24_order, recorded_run, temporal_orders
+from conftest import (MIN_LEMMA24_ORDER, field_orders, lemma24_order, recorded_run,
+                      temporal_orders)
 from nsac1d import integrator, operators
-from nsac1d.core import check_positive
 from nsac1d.mms import DT_CAP_FACTOR
 
 FLAGSHIP_N = 512
@@ -45,18 +45,14 @@ MIN_ORDER = {"v": 1.9, "u": 1.9, "theta": 1.9, "phi": 1.5}
 TEMPORAL_N = 64
 TEMPORAL_DIVISORS = (1, 2, 4)
 MIN_TEMPORAL_ORDER = 1.8
-# the RKL2 ladder: dt cap = MMS_T / 6 / k at a fixed dx, each above the
-# stage base (RKL2_STAGE_LIMIT times the diffusion limit, 1.5e-3) and under
-# RKL2's own tau (8.6e-3), in 5, 4 and 3 stages; RKL2 measures 1.89 (v),
-# 1.94 (u), 1.89 (theta) and 2.06 (phi).  The error constant of an RKL2 step
-# depends on its stage count, so a ladder whose rungs take other stage
-# counts measures other orders: MMS_T / 8 (4, 3 and 3 stages) gives 1.05 in
-# u (1.74 when stages were sized from the Heun step), yet its time error is
-# smooth, the Fourier modes above half the Nyquist wavenumber at most 2e-5
-# of its norm, so this is the error constant, not an instability; and
-# MMS_T / 12 puts its finest rung under the stage base, so that rung is Heun.
+# the RKL2 ladder: steps of dt = MMS_T / 6 / k at a fixed dx, every one in
+# RKL2_STAGES stages, the count run gives the coarsest rung at most: an RKL2
+# step's error constant depends on its stage count, so a fixed count
+# measures the scheme's order alone.  RKL2 measures 2.00 (v), 2.02 (u),
+# 2.00 (theta) and 2.17 (phi); 4 or 6 stages give the same to 0.01.
 RKL2_N = 256
-RKL2_CAP = MMS_T / 6
+RKL2_DT = MMS_T / 6
+RKL2_STAGES = 5
 
 
 def _kernel_then(edit):
@@ -102,16 +98,7 @@ def _scale_cube_in_kernel_mu(mp):
 
 
 def _forward_euler(mp):
-    def euler_step(state, params, bc, dt, sources=None, stages=2):
-        rhs = integrator.semi_discrete_rhs(state, params, bc)
-        if sources is not None:
-            integrator._add_sources(rhs, sources, state.grid.x, state.t)
-        out = ns.FlowState(state.grid, state.t + dt, state.data + dt * rhs.data)
-        ns.apply_bc(out, bc)
-        check_positive(out, params)
-        return out
-
-    mp.setattr(integrator, "step", euler_step)
+    mp.setattr(integrator, "increments", lambda y0, t0, dt, rate, stages: dt * rate(y0, t0))
 
 
 def _rkl2_first_stage_without_w1(mp):
@@ -145,13 +132,31 @@ MUTANTS = {
 SURVIVORS = {}
 
 
-def _temporal_orders(case, n_cells, cap):
-    """Orders in time of the manufactured case at n_cells under the dt caps
-    cap / k of the ladder, and the runs' StepControls."""
+def _initial(case, n_cells):
     grid = ns.make_grid(case.half_width, n_cells)
-    state = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), case.params)
+    return ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), case.params)
+
+
+def _heun_orders(case):
+    """Orders in time of the manufactured case at TEMPORAL_N under the dt
+    caps DT_CAP_FACTOR dx^2 / k of the ladder."""
+    state = _initial(case, TEMPORAL_N)
+    cap = DT_CAP_FACTOR * state.grid.dx**2
     return temporal_orders(state, case.params, case.bc, case.t_star,
-                           [cap / k for k in TEMPORAL_DIVISORS], sources=case.sources)
+                           [cap / k for k in TEMPORAL_DIVISORS], sources=case.sources)[0]
+
+
+def _rkl2_orders(case):
+    """Orders in time of the manufactured case at RKL2_N stepped to t* in
+    steps of RKL2_DT / k, each of RKL2_STAGES stages."""
+    finals = []
+    for k in TEMPORAL_DIVISORS:
+        state = _initial(case, RKL2_N)
+        for _ in range(round(case.t_star / RKL2_DT) * k):
+            state = ns.step(state, case.params, case.bc, RKL2_DT / k,
+                            sources=case.sources, stages=RKL2_STAGES)
+        finals.append(state)
+    return field_orders(finals)
 
 
 def _run_set(patch, flagship_ic):
@@ -180,14 +185,12 @@ def _run_set(patch, flagship_ic):
         else:
             failed.update(f"order_{name}" for name, low in MIN_ORDER.items()
                           if not getattr(finest, f"order_{name}") >= low)
-        heun_cap = DT_CAP_FACTOR * ns.make_grid(MMS_L, TEMPORAL_N).dx**2
-        ladders = {"temporal_order": (TEMPORAL_N, heun_cap),
-                   "rkl2_temporal_order": (RKL2_N, RKL2_CAP)}
-        for column, (n_cells, cap) in ladders.items():
+        for column, orders_of in {"temporal_order": _heun_orders,
+                                  "rkl2_temporal_order": _rkl2_orders}.items():
             columns.append(column)
             try:
-                orders, _ = _temporal_orders(case, n_cells, cap)
-            except ns.SimulationAbort:
+                orders = orders_of(case)
+            except (ns.SimulationAbort, ns.PositivityError):
                 failed.add("abort")
             else:
                 if not all(order >= MIN_TEMPORAL_ORDER for order in orders.values()):
@@ -208,12 +211,12 @@ def kill_matrix(flagship_ic):
             for name, patch in {"unmutated": None, **MUTANTS}.items()}
 
 
-def test_rkl2_ladder_takes_rkl2_steps(flagship_ic):
+def test_rkl2_ladder_stages_cover_its_coarsest_step(flagship_ic):
+    # run would take the coarsest rung in at most RKL2_STAGES stages
     params = flagship_ic(FLAGSHIP_N)[0]
-    case = ns.ManufacturedCase(params, MMS_L, t_star=MMS_T)
-    _, controls = _temporal_orders(case, RKL2_N, RKL2_CAP)
-    assert [c.step_count for c in controls] == [6, 12, 24]
-    assert all(c.rkl2_steps == c.step_count for c in controls)
+    state = _initial(ns.ManufacturedCase(params, MMS_L, t_star=MMS_T), RKL2_N)
+    diffusion = ns.step_limits(state, params)[0]
+    assert integrator.rkl2_stages(RKL2_DT, integrator.RKL2_STAGE_LIMIT * diffusion) <= RKL2_STAGES
 
 
 def test_unmutated_pair_passes(kill_matrix):
