@@ -229,12 +229,12 @@ def check_positive(state, params):
     """Hard error naming field and first offending cell if u, phi, theta or v
     is not finite, ghost cells included, or if interior v or theta is at or
     below the positivity floor.  Cells count from the first interior cell,
-    so the ghost cells are -2, -1, N and N + 1.  Fast path: the sum of u,
-    phi, theta and v is finite and the least theta or v, ghosts included, is
-    above the floor; a sum that overflows (numpy warns) or a low ghost falls
+    so the ghost cells are -2, -1, N and N + 1.  Fast path, which cannot warn:
+    max(u, phi, theta, v) < inf, min(u, phi) > -inf and min(theta, v) > floor,
+    ghosts included (a nan fails each); anything else, a low ghost too, falls
     through to the exact per-field scan, which gives the verdict."""
-    floor = params.positivity_floor
-    if math.isfinite(state.data[:4].sum()) and state.data[2:4].min() > floor:
+    data, floor = state.data, params.positivity_floor
+    if data[:4].max() < math.inf and data[:2].min() > -math.inf and data[2:4].min() > floor:
         return
     s = state.grid.interior
     for name in ("v", "theta", "u", "phi"):

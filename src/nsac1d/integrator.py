@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FlowState, apply_bc
-from .operators import check_positive, semi_discrete_rhs
+from .operators import cell_coefficients, check_positive, face_average, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
@@ -88,16 +88,12 @@ def step_limits(state, params):
     phi, theta, v = state.data[1:4, s]
 
     eps = params.epsilon
-    coef = np.empty((2, grid.n_total))  # the kernel's 1/v and theta^beta/v
-    np.divide(1.0, state.v, out=coef[0])
-    np.multiply(state.theta**params.beta, coef[0], out=coef[1])
-    a = coef[:, :-1] + coef[:, 1:]  # face k lies between cells k and k + 1
-    a *= 0.5
-    # one reduction of five rows: the u and theta stencil rows, v times the
-    # u row, the sound speed (gamma = 2) and the reaction factor
+    # one reduction of five rows: the u and theta stencil rows (the mean of
+    # the two faces of cell i, entry i - 1 of the faces' face_average), v times
+    # the u row, the sound speed (gamma = 2) and the reaction factor
     rows = np.empty((5, grid.n_cells))
-    np.add(a[:, s.start - 1:s.stop - 1], a[:, s], out=rows[:2])
-    rows[:2] *= 0.5
+    a = face_average(cell_coefficients(state.v, state.theta, params.beta)[1:])
+    rows[:2] = face_average(a)[:, s.start - 1:s.stop - 1]
     np.multiply(v, rows[0], out=rows[2])
     np.divide(np.sqrt(2.0 * theta), v, out=rows[3])
     np.multiply(np.abs(3.0 * phi**2 - 1.0), v, out=rows[4])
@@ -190,17 +186,19 @@ def step(state, params, bc, dt, sources=None, stages=2):
 
     F is the kernel plus the optional sources(x, t) of the verification
     harness, which returns (s_v, s_u, s_theta, s_phi), at every stage time.
-    Ghosts are refreshed by each F evaluation; G advances with the same
-    weights as the physical fields.
+    Ghosts are refreshed from bc on entry, in place, and on the result: F is
+    zero in the ghost columns and reads no G, so every stage keeps the far
+    field it needs.  G advances with the same weights as the physical fields.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if stages < 2:
         raise ValueError(f"stages must be >= 2, got {stages}")
     grid = state.grid
+    apply_bc(state, bc)
 
     def rate(data, t):
-        rhs = semi_discrete_rhs(FlowState(grid, t, data), params, bc)
+        rhs = semi_discrete_rhs(FlowState(grid, t, data), params)
         if sources is not None:
             # into the row views: `rhs.dv += s_v` would also copy the row onto itself
             for row, source in zip((rhs.dv, rhs.du, rhs.dtheta, rhs.dphi), sources(grid.x, t)):

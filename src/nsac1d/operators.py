@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_GHOST, apply_bc, check_positive, row_property
+from .core import N_GHOST, check_positive, row_property
 
 
 def centered(f, dx):
@@ -25,8 +25,17 @@ def centered(f, dx):
 
 
 def face_average(c):
-    """Arithmetic mean of adjacent cell values; entry k sits between cells k, k+1."""
-    return 0.5 * (c[:-1] + c[1:])
+    """Mean of adjacent cell values along the last axis; entry k sits between cells k, k+1."""
+    return 0.5 * (c[..., :-1] + c[..., 1:])
+
+
+def cell_coefficients(v, theta, beta):
+    """The rows 1/v, 1/v and theta^beta/v of a in the kernel's (a f_x)_x, f = u, phi, theta."""
+    coef = np.empty((3,) + v.shape)
+    np.divide(1.0, v, out=coef[0])
+    coef[1] = coef[0]
+    np.divide(theta**beta, v, out=coef[2])
+    return coef
 
 
 def diffusion_flux(a_face, f, dx):
@@ -77,7 +86,7 @@ class Rhs:
     dG = row_property(4, N_GHOST)
 
 
-def semi_discrete_rhs(state, params, bc):
+def semi_discrete_rhs(state, params):
     """Full second-order semi-discrete right-hand side.
 
     dv     = u_x
@@ -86,10 +95,9 @@ def semi_discrete_rhs(state, params, bc):
     dtheta = -theta/v u_x + (theta^beta theta_x / v)_x + u_x^2 / v + v mu^2
     dG     = p_eff = theta/v + (eps/2)(phi_x/v)^2
 
-    Refreshes the ghost layers from bc first, then fails hard on any
-    positivity violation.
+    Pure: reads the ghost layers of u, phi, theta and v as they stand (never
+    G), writes nothing to state, and fails hard on any positivity violation.
     """
-    apply_bc(state, bc)
     check_positive(state, params)
 
     grid = state.grid
@@ -101,13 +109,10 @@ def semi_discrete_rhs(state, params, bc):
     v, theta = data[3], data[2]
     v_i = v[s]
 
-    # (a f_x)_x for f = u, phi, theta with a = 1/v, 1/v, theta^beta/v,
-    # as one stencil along the flattened rows; where it straddles two rows
-    # it lands in a ghost column, which is never read
-    coef = np.empty((3, m))
-    coef[:2] = 1.0
-    coef[2] = theta**params.beta
-    coef /= v
+    # (a f_x)_x for f = u, phi, theta as one stencil along the flattened
+    # rows; where it straddles two rows it lands in a ghost column, which is
+    # never read
+    coef = cell_coefficients(v, theta, params.beta)
     lap = diffusion_flux(face_average(coef.reshape(-1)), data[:3].reshape(-1), dx)
     visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
 

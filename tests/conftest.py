@@ -89,7 +89,7 @@ def amplification(stages, z):
 KERNEL_REACH = 2
 
 
-def kernel_jacobian(state, params, bc, period=2 * KERNEL_REACH + 1):
+def kernel_jacobian(state, params, period=2 * KERNEL_REACH + 1):
     """The Jacobian of semi_discrete_rhs in u, phi, theta and v at the interior
     cells, a (4N, 4N) array in FIELDS order, by central differences.  Each
     pair of kernel calls perturbs every period-th cell of one field at once
@@ -103,7 +103,7 @@ def kernel_jacobian(state, params, bc, period=2 * KERNEL_REACH + 1):
     jacobian = np.zeros((4, n, 4, n))
 
     def rhs(data):
-        return ns.semi_discrete_rhs(ns.FlowState(grid, state.t, data), params, bc).data[:4, s]
+        return ns.semi_discrete_rhs(ns.FlowState(grid, state.t, data), params).data[:4, s]
 
     for field in range(4):
         h = 1e-6 * max(1.0, np.abs(state.data[field, s]).max())
@@ -123,14 +123,14 @@ def kernel_jacobian(state, params, bc, period=2 * KERNEL_REACH + 1):
     return jacobian.reshape(4 * n, 4 * n)
 
 
-def linear_amplification(state, params, bc, dt, stages):
+def linear_amplification(state, params, dt, stages):
     """The step's excess amplification on the linearized kernel at state:
     the max over the eigenvalues lambda of kernel_jacobian of
     |R(dt lambda)| / max(1, |exp(dt lambda)|) - 1, with R = amplification.
     At most 0 up to roundoff certifies the step: no mode grows faster than
     the exact linear flow lets it, which for a decaying mode is not at all
     (the linearization has modes of physical growth, so |R| <= 1 is wrong)."""
-    z = dt * np.linalg.eigvals(kernel_jacobian(state, params, bc))
+    z = dt * np.linalg.eigvals(kernel_jacobian(state, params))
     ratio = np.abs(amplification(stages, z)) / np.maximum(1.0, np.abs(np.exp(z)))
     return float(ratio.max()) - 1.0
 

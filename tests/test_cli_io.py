@@ -512,6 +512,14 @@ class TestAudit:
         assert ns.main(["audit", str(doctored)], out=out) == 1
         assert "mass_conservation" in out.getvalue()
 
+    def test_audit_rejects_a_header_only_csv(self, tmp_path):
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics([], path)
+        out = io.StringIO()
+        assert ns.main(["audit", str(path)], out=out) == 1
+        assert out.getvalue().splitlines() == ["FAIL  empty diagnostics: no records",
+                                               "AUDIT FAILED: empty diagnostics"]
+
 
 @pytest.fixture(scope="module")
 def healthy_records(tmp_path_factory):

@@ -41,12 +41,12 @@ def _limits_by_expression(state, params):
     s = grid.interior
     phi, theta, v = state.data[1:4, s]
     eps = params.epsilon
-    coef = np.empty((grid.n_total, 2))
-    coef[:, 0] = 1.0 / state.v
-    coef[:, 1] = state.theta**params.beta * coef[:, 0]
+    coef = np.empty((2, grid.n_total))
+    coef[0] = 1.0 / state.v
+    coef[1] = state.theta**params.beta / state.v
     a = ns.face_average(coef)
-    rows = 0.5 * (a[s.start - 1:s.stop - 1] + a[s])
-    largest = max(np.max(rows), eps * np.max(v * rows[:, 0]))
+    rows = 0.5 * (a[:, s.start - 1:s.stop - 1] + a[:, s])
+    largest = max(np.max(rows), eps * np.max(v * rows[0]))
     diffusion = grid.dx**2 / (2.0 * largest)
     acoustic = grid.dx / np.max(np.sqrt(2.0 * theta) / v)
     reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
@@ -171,6 +171,24 @@ class TestStep:
         # G grows at the rate p_eff = 1, which the stage times integrate exactly
         assert out.G[grid.interior] == pytest.approx(dt, rel=1e-14)
 
+    @pytest.mark.parametrize("stages", [2, 5])
+    def test_ghosts_are_refreshed_on_entry_and_exit(self, flagship_ic, stages):
+        # the input's ghosts are set to the far field in place, so ghosts off
+        # it change nothing; the output's are the far field at its own t
+        params, grid, bc, state = flagship_ic(64)
+        dt = params.cfl * min(ns.step_limits(state, params))
+        expected = ns.step(state.copy(), params, bc, dt, stages=stages)
+        g = grid.n_ghost
+        off = state.copy()
+        off.data[:, :g] += 0.05
+        off.data[:, -g:] += 0.1
+        out = ns.step(off, params, bc, dt, stages=stages)
+        assert np.array_equal(off.data, state.data)
+        assert np.array_equal(out.data, expected.data)
+        far = ns.apply_bc(out.copy(), bc)
+        assert np.array_equal(out.data, far.data)
+        assert np.all(out.G[:g] == out.t) and np.all(out.G[-g:] == out.t)
+
     def test_two_stages_are_the_textbook_heun_step(self, flagship_ic):
         # Y0 + (D1 / 2 + (dt / 2) F(Y1)) rounds otherwise than
         # (Y0 + Y1 + dt F(Y1)) / 2, by at most an ulp of each row's max
@@ -178,9 +196,9 @@ class TestStep:
         dt = params.cfl * min(ns.step_limits(state, params))
         out = ns.step(state.copy(), params, bc, dt, stages=2)
         first = ns.FlowState(grid, state.t + dt,
-                             state.data + dt * ns.semi_discrete_rhs(state, params, bc).data)
+                             state.data + dt * ns.semi_discrete_rhs(state, params).data)
         heun = 0.5 * (state.data + first.data
-                      + dt * ns.semi_discrete_rhs(first, params, bc).data)
+                      + dt * ns.semi_discrete_rhs(first, params).data)
         s = grid.interior
         for row, textbook in zip(out.data[:, s], heun[:, s]):
             assert np.abs(row - textbook).max() <= 2 * np.spacing(np.abs(textbook).max())

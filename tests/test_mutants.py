@@ -24,6 +24,8 @@ starts to kill it shows up as an unexpected pass.
 Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
 """
 
+import sys
+
 import pytest
 
 import nsac1d as ns
@@ -61,8 +63,8 @@ def _kernel_then(edit):
     def patch(mp):
         kernel = operators.semi_discrete_rhs
 
-        def mutant(state, params, bc):
-            rhs = kernel(state, params, bc)
+        def mutant(state, params):
+            rhs = kernel(state, params)
             edit(state, rhs)
             return rhs
 
@@ -72,7 +74,7 @@ def _kernel_then(edit):
 
 
 def _drop_viscous_heating(state, rhs):
-    # the kernel refreshed the ghosts, and its u_x is this central difference
+    # step refreshed the ghosts, and the kernel's u_x is this central difference
     grid = state.grid
     u_x = ns.centered(state.u, grid.dx)[1:-1]
     rhs.dtheta -= u_x**2 / state.interior("v")
@@ -89,12 +91,22 @@ def _scale_cube_in_kernel_mu(mp):
     def potential(phi, phi_lap, eps):
         return (0.99 * phi * phi * phi - phi) / eps - eps * phi_lap
 
-    def mutant(state, params, bc):
+    def mutant(state, params):
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(operators, "potential_from", potential)
-            return kernel(state, params, bc)
+            return kernel(state, params)
 
     mp.setattr(integrator, "semi_discrete_rhs", mutant)
+
+
+def _left_value_face_average(mp):
+    """face_average returns the left cell's value: patched in every nsac1d
+    namespace that holds it, so the kernel, mu and step_limits all take it."""
+    original = operators.face_average
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "nsac1d"
+                and getattr(module, "face_average", None) is original):
+            mp.setattr(module, "face_average", lambda c: c[..., :-1])
 
 
 def _forward_euler(mp):
@@ -124,6 +136,7 @@ MUTANTS = {
     "viscous_heating_dropped": _kernel_then(_drop_viscous_heating),
     "phi_cubed_x0.99_in_kernel_mu": _scale_cube_in_kernel_mu,
     "dG_zero": _kernel_then(_freeze_G),
+    "left_value_face_average": _left_value_face_average,
     "forward_euler": _forward_euler,
     "rkl2_mu1_without_w1": _rkl2_first_stage_without_w1,
     "rkl2_gamma_dropped": _rkl2_gamma_dropped,

@@ -73,16 +73,16 @@ def test_coloured_jacobian_is_the_dense_one(flagship_ic):
     # row reads a cell beyond KERNEL_REACH and the rows are computed apart
     for keywords in ({}, {"u_amp": 2.0, "beta": 4.0}):
         params, _, bc, state = flagship_ic(64, half_width=16, **keywords)
-        dense = kernel_jacobian(state, params, bc, period=64)
+        dense = kernel_jacobian(state, params, period=64)
         assert np.count_nonzero(dense) > 0
-        assert np.array_equal(kernel_jacobian(state, params, bc), dense)
+        assert np.array_equal(kernel_jacobian(state, params), dense)
 
 
 @pytest.mark.parametrize("name", STATES)
 def test_certifies_the_step_run_takes(case, name):
     params, bc, state, dt, stages = case(name)
     assert stages == STATES[name][-1]
-    assert linear_amplification(state, params, bc, dt, stages) <= AMPLIFICATION_TOL
+    assert linear_amplification(state, params, dt, stages) <= AMPLIFICATION_TOL
 
 
 @pytest.mark.parametrize("name", ["flagship-L16", "u_amp-2", "cfl-0.95"])
@@ -90,4 +90,4 @@ def test_one_stage_fewer_fails(case, name):
     # measured 0.51, 0.55 and 0.82: the step takes no stage the spectrum
     # does not need, so a "stages - 1" rule is caught
     params, bc, state, dt, stages = case(name)
-    assert linear_amplification(state, params, bc, dt, stages - 1) > 0.1
+    assert linear_amplification(state, params, dt, stages - 1) > 0.1

@@ -7,8 +7,9 @@ Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
 PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
-CSV. Exit codes, standard output and every file left in the directory must
-be identical; only the `outdir` line of each config.txt is exempt. Each
+CSV. Exit codes, standard output, standard error and every file left in the
+directory must be identical; only the `outdir` line of each config.txt is
+exempt. Each
 difference is listed, and the script exits 1 if there is any.  A differing
 CSV file is listed with two sizes over its numeric cells, each with the
 column that holds it: the largest relative difference |change - parent| /
@@ -85,11 +86,11 @@ AUDITED = "cli-diag-512/diagnostics.csv"
 def _nsac1d(env, workdir, *argv):
     proc = subprocess.run([sys.executable, "-m", "nsac1d", *argv], cwd=workdir, env=env,
                           capture_output=True, timeout=600)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def outputs(src, workdir):
-    """({command: (exit code, stdout)}, {relative path: bytes}) of one tree."""
+    """({command: (exit code, stdout, stderr)}, {relative path: bytes}) of one tree."""
     env = dict(os.environ, PYTHONPATH=str(src))
     commands = {}
     for name, command, text in RUNS:
@@ -156,13 +157,14 @@ def differences(parent, change):
     """One line per command or file whose output differs."""
     (commands_p, files_p), (commands_c, files_c) = parent, change
     found = []
-    for label, (code_p, out_p) in commands_p.items():
-        code_c, out_c = commands_c[label]
+    for label, (code_p, *streams_p) in commands_p.items():
+        code_c, *streams_c = commands_c[label]
         if code_p != code_c:
             found.append(f"{label}: exit code {code_p} -> {code_c}")
-        if out_p != out_c:
-            found.append(f"{label}: standard output differs from line "
-                         f"{_first_differing_line(out_p, out_c)}")
+        for stream, out_p, out_c in zip(("output", "error"), streams_p, streams_c):
+            if out_p != out_c:
+                found.append(f"{label}: standard {stream} differs from line "
+                             f"{_first_differing_line(out_p, out_c)}")
     for path in sorted(files_p.keys() | files_c.keys()):
         if path not in files_c:
             found.append(f"{path}: written by the parent only")
