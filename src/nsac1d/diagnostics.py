@@ -181,16 +181,17 @@ def check_weighted_pairs(pairs):
         seen.append((alpha, n))
 
 
-def weighted_dissipation(state, params, alpha, weight):
+def weighted_dissipation(state, params, alpha, n):
     """Cutoff-weighted, temperature-rescaled conduction dissipation.
 
     Integrand theta^beta theta_x^2 / (v theta^(alpha+1)) * w_n(x), with the
-    cutoff weight w_n = cutoff_weight(n, state.grid.x) given as `weight`; the
-    caller integrates it in time.  Reported only: its continuum bound has a
-    non-constructive constant.  Requires 0 < alpha < 1.
+    cutoff weight w_n = cutoff_weight(n, state.grid.x); the caller integrates
+    it in time.  Reported only: its continuum bound has a non-constructive
+    constant.  (alpha, n) must pass check_weighted_pairs.
     """
-    check_weighted_pairs([(alpha, 0)])  # n is already in the weight
-    return float(_weighted_dissipation(_rows(state, params), params, alpha, weight)[0])
+    check_weighted_pairs([(alpha, n)])
+    return float(_weighted_dissipation(_rows(state, params), params, alpha,
+                                       cutoff_weight(n, state.grid.x))[0])
 
 
 def _weighted_dissipation(r, params, alpha, weight):

@@ -50,8 +50,9 @@ RKL2_STAGE_LIMIT = 0.8
 
 @dataclass
 class StepControl:
-    # what limited the last dt before a cut to t_final: a LIMIT_KINDS entry, or "cap"
-    limit_kind: str = "diffusion"
+    # what limited the last dt before a cut to t_final: a LIMIT_KINDS entry,
+    # "cap", or None before the first step
+    limit_kind: str | None = None
     step_count: int = 0
     rhs_evals: int = 0   # semi_discrete_rhs calls: the stages of every step
     rkl2_steps: int = 0  # steps of more than two stages
@@ -103,23 +104,6 @@ def step_limits(state, params):
     acoustic = grid.dx / sound
     reaction = eps / (1.0 + react / eps)
     return diffusion, acoustic, reaction
-
-
-def _once_per_time(sources):
-    """sources(x, t) called once per distinct t: the last (t, arrays) is kept.
-
-    HEUN's second stage of one step, at t0 + 1.0 dt, and the first stage of
-    the next are at the same float t; a run has one grid, so x needs no key.
-    """
-    last_t, last = None, None
-
-    def memo(x, t):
-        nonlocal last_t, last
-        if t != last_t:
-            last_t, last = t, sources(x, t)
-        return last
-
-    return memo
 
 
 def rkl2_stages(dt, base):
@@ -221,39 +205,36 @@ class RunResult:
 def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     """Advance from initial.t to t_final; the last step lands on it exactly.
 
-    Each step is the Heun step cfl min(limits), or, where diffusion binds it,
-    tau = RKL2_STEP cfl min(acoustic, reaction) if that is longer; dt_cap
-    caps either, and the step takes rkl2_stages(dt, base) stages, with base
-    the longer of the Heun step and RKL2_STAGE_LIMIT times the diffusion
-    limit (so a step no longer than the Heun step is a Heun step).
+    Each step is dt = max(cfl min(limits), RKL2_STEP cfl min(acoustic,
+    reaction)), capped by dt_cap; RKL2_STEP = 0.5 is exact, so the RKL2 step
+    is the longer only where diffusion binds the Heun step.  limit_kind names
+    the limit that set dt, or "cap".  The step takes rkl2_stages(dt, base)
+    stages, base the longer of the Heun step and RKL2_STAGE_LIMIT times the
+    diffusion limit, so a step no longer than the Heun step is a Heun step.
     observer(state) is called after every accepted step, not on the initial
-    state.  Any step error aborts with the last accepted state attached.
-    A sources hook must be a function of (x, t) alone whose arrays are read,
-    never written: run evaluates it once per distinct stage time.
+    state, and sources(x, t) at every stage.  Any step error aborts with the
+    last accepted state attached.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
+    if dt_cap is not None and not dt_cap > 0.0:  # also rejects nan
+        raise ValueError(f"dt_cap = {dt_cap} must be > 0")
     control = StepControl()
     state = initial
-    if sources is not None:
-        sources = _once_per_time(sources)
     while state.t < t_final:
         try:
-            limits = step_limits(state, params)
-            heun_dt = dt = params.cfl * min(limits)
-            kind = LIMIT_KINDS[limits.index(min(limits))]
-            if kind == "diffusion":  # RKL2 takes tau where it is longer
-                _, acoustic, reaction = limits
-                tau = RKL2_STEP * params.cfl * min(acoustic, reaction)
-                if tau > dt:
-                    dt, kind = tau, "reaction" if reaction < acoustic else "acoustic"
+            diffusion, acoustic, reaction = limits = step_limits(state, params)
+            heun_dt = params.cfl * min(limits)
+            dt = max(heun_dt, RKL2_STEP * params.cfl * min(acoustic, reaction))
+            # the first of equal limits of the candidate that set dt
+            kind = LIMIT_KINDS[limits.index(min(limits if dt == heun_dt else limits[1:]))]
             if dt_cap is not None and dt_cap < dt:
                 dt, kind = dt_cap, "cap"
             # absorb float-accumulation slivers into the final step
             last = state.t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
             if last:
                 dt = t_final - state.t
-            stages = rkl2_stages(dt, max(heun_dt, RKL2_STAGE_LIMIT * limits[0]))
+            stages = rkl2_stages(dt, max(heun_dt, RKL2_STAGE_LIMIT * diffusion))
             state = step(state, params, bc, dt, sources=sources, stages=stages)
         except Exception as exc:
             raise SimulationAbort(

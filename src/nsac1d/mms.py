@@ -64,7 +64,7 @@ class ManufacturedCase:
         self.blend_scale = 0.25
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
-        self._grid_factors = None  # (copy of x, params, rows of _factors)
+        self._grid_cache = None  # see _cache
 
     # -- closed forms ------------------------------------------------------
 
@@ -104,11 +104,12 @@ class ManufacturedCase:
                   + (1.0 - th) * sp2 / s**2 - (1.0 + th) * sm2 / s**2)
         return phi, phi_x, phi_xx
 
-    def _factors(self, x):
-        """The t-independent rows of the grid x, rebuilt only when the values
-        of x or the parameters change: (rows scaled by e^-t, rows scaled by
-        1 - e^-t, the phase rows)."""
-        cached = self._grid_factors
+    def _cache(self, x):
+        """The cache of the grid x, rebuilt only when the values of x or the
+        parameters change: [copy of x, params, t-independent rows (rows
+        scaled by e^-t, rows scaled by 1 - e^-t, the phase rows), the last
+        sources (t, arrays) or None]; a rebuild drops the last sources."""
+        cached = self._grid_cache
         if (cached is None or cached[1] is not self.params
                 or not np.array_equal(cached[0], x)):
             a, a1, a2, b, b1, b2 = self._spatial(x)
@@ -119,23 +120,26 @@ class ManufacturedCase:
             decaying = np.stack((a, a1, a2, b, -(a + a1)))
             rising = np.stack((b, b1, b2))
             phase = (phi, phi_x, phi_xx, (phi * phi * phi - phi) / eps, eps * phi_x)
-            cached = self._grid_factors = (x.copy(), self.params, decaying, rising, phase)
-        return cached[2:]
+            cached = self._grid_cache = [x.copy(), self.params, (decaying, rising, phase), None]
+        return cached
 
     def fields(self, x, t):
-        decaying, rising, phase = self._factors(np.asarray(x, dtype=float))
+        decaying, rising, phase = self._cache(np.asarray(x, dtype=float))[2]
         decay = math.exp(-t)
         u = decaying[0] * decay
         return 1.0 + u, u, 1.0 + rising[0] * (1.0 - decay), phase[0].copy()
 
     def sources(self, x, t):
-        """Residuals of the governing equations on the manufactured fields.
+        """Residuals of the governing equations on the manufactured fields,
+        read-only arrays; a repeated (grid, t) returns the last ones again.
 
         v - 1 = u, so v_t = u_t = -u and v_x = u_x; w = v_x / v.
         """
+        cache = self._cache(np.asarray(x, dtype=float))
+        if cache[3] is not None and cache[3][0] == t:
+            return cache[3][1]
         beta, eps = self.params.beta, self.params.epsilon
-        decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = self._factors(
-            np.asarray(x, dtype=float))
+        decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = cache[2]
         decay = math.exp(-t)
         u, u_x, u_xx, theta_t, s_v = decaying * decay
         theta, theta_x, theta_xx = rising * (1.0 - decay)
@@ -152,7 +156,10 @@ class ManufacturedCase:
         # theta^(beta - 1) = theta^beta / theta
         cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
         s_theta = theta_t + theta_w - cond_v * inv_v - u_x_w - s_phi * mu
-        return s_v, s_u, s_theta, s_phi
+        for row in (s_v, s_u, s_theta, s_phi):
+            row.flags.writeable = False
+        cache[3] = (t, (s_v, s_u, s_theta, s_phi))
+        return cache[3][1]
 
 
 def default_case(params, grid, amplitude=0.1, t_star=0.25):

@@ -512,6 +512,11 @@ class TestAudit:
         assert ns.main(["audit", str(doctored)], out=out) == 1
         assert "mass_conservation" in out.getvalue()
 
+    def test_a_single_record_has_no_interval(self, healthy_records):
+        failures, lines = ns.audit_records(healthy_records[:1])
+        assert failures == []
+        assert "PASS  lyapunov_step: no interval: a single record" in lines
+
     def test_audit_rejects_a_header_only_csv(self, tmp_path):
         path = tmp_path / "diagnostics.csv"
         write_diagnostics([], path)
@@ -608,6 +613,17 @@ class TestMainCommands:
         assert steps > 1
         assert len(read_diagnostics(tmp_path / "out" / "diagnostics.csv")) == steps + 1
         assert len(calls) == steps + 1
+
+    def test_a_zero_step_run_reports_no_last_step(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EQ_CONFIG.replace("t_final = 0.05", "t_final = 0")
+                       + f"outdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "run finished: t = 0.0, steps = 0, rhs_evals = 0, rkl2_steps = 0"
+        assert re.search(r"steps = (\d+)", lines[0]).group(1) == "0"
+        assert "PASS  lyapunov_step: no interval: a single record" in lines
 
     @pytest.mark.parametrize("n_cells, regime", [(64, "rkl2"), (16, "heun")])
     def test_run_finished_line_reports_the_step_control(self, tmp_path, n_cells, regime):

@@ -248,7 +248,7 @@ class TestWeightedDissipation:
     def test_equilibrium_zero(self, params):
         grid = ns.make_grid(8, 64)
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
-        assert ns.weighted_dissipation(eq, params, 0.5, ns.cutoff_weight(0, grid.x)) == 0.0
+        assert ns.weighted_dissipation(eq, params, 0.5, 0) == 0.0
 
     def test_sine_temperature_oracle(self, params):
         grid = ns.make_grid(16, 1024)
@@ -256,7 +256,7 @@ class TestWeightedDissipation:
         theta = 1.0 + 0.1 * np.sin(np.pi * grid.x / 16.0)
         state = ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0),
                                      ones, 0 * ones, theta, ones, params)
-        got = ns.weighted_dissipation(state, params, 0.5, ns.cutoff_weight(0, grid.x))
+        got = ns.weighted_dissipation(state, params, 0.5, 0)
         fine = ns.make_grid(16, 10240)
         x = fine.x
         th = 1.0 + 0.1 * np.sin(np.pi * x / 16.0)
@@ -269,7 +269,14 @@ class TestWeightedDissipation:
         grid = ns.make_grid(8, 64)
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError):
-            ns.weighted_dissipation(eq, params, alpha, ns.cutoff_weight(0, grid.x))
+            ns.weighted_dissipation(eq, params, alpha, 0)
+
+    @pytest.mark.parametrize("n", [0.5, True, "0"])
+    def test_rejects_an_n_that_is_not_an_integer(self, params, n):
+        # the pair checked is the one whose weight is built, n included
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            ns.weighted_dissipation(eq, params, 0.5, n)
 
     @pytest.mark.parametrize("pair, match", [((2.0, 0), r"alpha must be in \(0, 1\), got 2\.0"),
                                              ((0.5, 0.5), "n must be an integer, got 0.5"),
@@ -322,8 +329,7 @@ class TestFunctionalGuard:
         for functional in (lambda s: ns.total_energy(s, params),
                            lambda s: ns.lyapunov_energy(s, params),
                            lambda s: ns.dissipation_rate(s, params),
-                           lambda s: ns.weighted_dissipation(
-                               s, params, 0.5, ns.cutoff_weight(0, grid.x))):
+                           lambda s: ns.weighted_dissipation(s, params, 0.5, 0)):
             with pytest.raises(ns.PositivityError) as exc_info:
                 functional(state)
             assert (exc_info.value.field, exc_info.value.cell) == (name, cell)
@@ -383,7 +389,7 @@ class TestRecord:
                 theta_min=float(theta.min()), theta_max=float(theta.max()),
                 bracket_violations=len(violations),
                 lemma24_residual=ns.lemma24_residual(s, state),
-                weighted={(a, n): ns.weighted_dissipation(s, p, a, ns.cutoff_weight(n, grid.x))
+                weighted={(a, n): ns.weighted_dissipation(s, p, a, n)
                           for a, n in pairs})
 
         want = [scratch(state)]
@@ -494,6 +500,6 @@ class TestTranslationInvariance:
                    lambda st: ns.dissipation_rate(st, params)):
             a, b = fn(state), fn(shifted)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
-        w0 = ns.weighted_dissipation(state, params, 0.5, ns.cutoff_weight(0, grid.x))
-        w3 = ns.weighted_dissipation(shifted, params, 0.5, ns.cutoff_weight(3, grid.x))
+        w0 = ns.weighted_dissipation(state, params, 0.5, 0)
+        w3 = ns.weighted_dissipation(shifted, params, 0.5, 3)
         assert w3 == pytest.approx(w0, rel=1e-12, abs=1e-12)

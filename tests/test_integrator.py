@@ -262,6 +262,7 @@ class TestRun:
         eq = ns.interface_initial_state(grid, params, bc)
         result = ns.run(eq, params, bc, 0.0)
         assert result.control.step_count == 0
+        assert result.control.limit_kind is None  # no step took a limit
         assert result.state is eq
 
     def test_rejects_past_t_final(self, params):
@@ -276,6 +277,16 @@ class TestRun:
         eq = ns.interface_initial_state(ns.make_grid(4, 16), params, ns.BoundaryConfig(1.0, 1.0))
         with pytest.raises(ValueError, match="must be finite"):
             ns.run(eq, params, ns.BoundaryConfig(1.0, 1.0), math.nan)
+
+    @pytest.mark.parametrize("dt_cap", [math.nan, 0.0, -1e-3])
+    def test_rejects_a_bad_dt_cap_before_the_first_step(self, params, dt_cap):
+        # a usage error, not a SimulationAbort of step 1, and nan is not ignored
+        eq = ns.interface_initial_state(ns.make_grid(4, 16), params, ns.BoundaryConfig(1.0, 1.0))
+        seen = []
+        with pytest.raises(ValueError, match=f"dt_cap = {dt_cap} must be > 0"):
+            ns.run(eq, params, ns.BoundaryConfig(1.0, 1.0), 0.1, observer=seen.append,
+                   dt_cap=dt_cap)
+        assert seen == []
 
     def test_equilibrium_step_count(self, params):
         # dx = 0.8: diffusion binds, and RKL2's tau, half the CFL step of the
@@ -492,61 +503,6 @@ class TestSymmetries:
             other = ns.run(mapped, params, mapped_bc, 1.0, dt_cap=dt_cap)
             assert other.control == control
             assert np.array_equal(other.state.data, symmetry(result.state, bc)[0].data)
-
-
-class TestSourcesOncePerStageTime:
-    """run evaluates a sources hook once per distinct stage time: the second
-    Heun stage of one step is at the first stage time of the next."""
-
-    def test_one_call_per_step_plus_the_first(self, params):
-        grid = ns.make_grid(8, 32)
-        bc = ns.BoundaryConfig(1.0, 1.0)
-        eq = ns.interface_initial_state(grid, params, bc)
-        cap = 0.25 * params.cfl * min(ns.step_limits(eq, params))
-        times, seen = [], []
-
-        def counting(x, t):
-            times.append(t)
-            return (np.zeros_like(x),) * 4
-
-        result = ns.run(eq, params, bc, 7.5 * cap, dt_cap=cap, observer=seen.append,
-                        sources=counting)
-        steps = result.control.step_count
-        assert steps == 8
-        assert len(times) == steps + 1
-        assert times[0] == eq.t
-        assert all(a < b for a, b in zip(times, times[1:])), times
-        # each step after the first starts where the last one's second stage was
-        assert times[1:steps] == [s.t for s in seen[:steps - 1]]
-
-    def test_same_fields_as_steps_that_evaluate_both_stages(self, params, monkeypatch):
-        case = ns.ManufacturedCase(params, 8, amplitude=0.2)
-        grid = ns.make_grid(8, 32)
-        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
-        step, dts = ns.integrator.step, []
-
-        def recording_step(state, params, bc, dt, sources=None, stages=2):
-            dts.append(dt)
-            assert stages == 2  # the dt cap binds: Heun
-            return step(state, params, bc, dt, sources=sources, stages=stages)
-
-        monkeypatch.setattr(ns.integrator, "step", recording_step)
-        result = ns.run(initial, params, case.bc, 0.05,
-                        dt_cap=ns.mms.DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
-        monkeypatch.undo()
-
-        calls = []
-
-        def raw(x, t):
-            calls.append(t)
-            return case.sources(x, t)
-
-        state = initial
-        for dt in dts:
-            state = ns.step(state, params, case.bc, dt, sources=raw)
-        assert len(dts) == result.control.step_count > 1
-        assert len(calls) == 2 * len(dts)  # step alone evaluates both stages
-        assert np.array_equal(result.state.data, state.data)
 
 
 class TestNonFiniteAbort:

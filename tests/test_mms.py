@@ -180,6 +180,70 @@ class TestManufacturedCase:
             ns.ManufacturedCase(params, 16.0, t_star=t_star)
 
 
+class TestLastSources:
+    """ManufacturedCase keeps the sources of its last t beside its per-grid
+    factors, so a run, which calls the hook at every stage, evaluates them
+    once per distinct stage time: the second Heun stage of one step is at the
+    first stage time of the next."""
+
+    def test_a_repeated_grid_and_time_returns_the_same_arrays(self, params):
+        def fresh(x, t):
+            return ns.default_case(params, ns.make_grid(16, 128)).sources(x.copy(), t)
+
+        case = ns.default_case(params, ns.make_grid(16, 128))
+        x = ns.make_grid(16, 128).x.copy()
+        last = case.sources(x, 0.1)
+        assert case.sources(x.copy(), 0.1) is last
+        with pytest.raises(ValueError, match="read-only"):
+            last[1][0] = 0.0  # the arrays are shared by every repeat
+        # a new t, a new grid, a return to the old grid and an edit of x in
+        # place each evaluate again
+        other = ns.make_grid(16, 256).x
+        for y, t, edit in ((x, 0.2, 0.0), (other, 0.2, 0.0), (x, 0.2, 0.0), (x, 0.2, 0.05)):
+            y[40] += edit
+            got = case.sources(y, t)
+            assert got is not last
+            for row, want in zip(got, fresh(y, t)):
+                assert np.array_equal(row, want)
+            last = got
+
+    def test_a_capped_run_evaluates_once_per_stage_time(self, params, monkeypatch):
+        case = ns.ManufacturedCase(params, 8, amplitude=0.2)
+        grid = ns.make_grid(8, 32)
+        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        step, dts, times, results, seen = ns.integrator.step, [], [], [], []
+
+        def recording_step(state, params, bc, dt, sources=None, stages=2):
+            dts.append(dt)
+            return step(state, params, bc, dt, sources=sources, stages=stages)
+
+        def counting(x, t):
+            times.append(t)
+            results.append(case.sources(x, t))  # kept, so no id is reused
+            return results[-1]
+
+        monkeypatch.setattr(ns.integrator, "step", recording_step)
+        result = ns.run(initial, params, case.bc, 0.05, observer=seen.append,
+                        dt_cap=ns.mms.DT_CAP_FACTOR * grid.dx**2, sources=counting)
+        monkeypatch.undo()
+        control = result.control
+        steps = control.step_count
+        assert steps == len(dts) > 1 and control.rhs_evals == 2 * steps
+        assert control.limit_kind == "cap" and control.rkl2_steps == 0
+        assert len(times) == 2 * steps
+        assert len({id(r) for r in results}) == steps + 1
+        # each step after the first starts where the last one's second stage was
+        assert times[2::2] == times[1:-1:2] == [s.t for s in seen[:-1]]
+
+        def uncached(x, t):
+            return ns.ManufacturedCase(params, 8, amplitude=0.2).sources(x, t)
+
+        state = initial
+        for dt in dts:
+            state = ns.step(state, params, case.bc, dt, sources=uncached)
+        assert np.array_equal(result.state.data, state.data)
+
+
 class TestConvergenceStudy:
     def test_zero_amplitude_errors_at_roundoff(self, params):
         grid = ns.make_grid(16, 64)

@@ -9,12 +9,14 @@ PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output, standard error and every file left in the
 directory must be identical; only the `outdir` line of each config.txt is
-exempt. Each
-difference is listed, and the script exits 1 if there is any.  A differing
-CSV file is listed with two sizes over its numeric cells, each with the
-column that holds it: the largest relative difference |change - parent| /
-|parent|, which is inf where the parent cell is 0, and the largest
-|change - parent| over the column's max |parent|, which stays finite there.
+exempt. Each difference is listed with the number of its first differing
+line, followed by that line from both sides, and the script exits 1 if
+there is any.  A differing CSV file is also listed with two sizes over its
+numeric cells, each with the column that holds it: the largest relative
+difference |change - parent| / |parent|, which is inf where the parent cell
+is 0, and the largest |change - parent| over the column's max |parent|,
+which stays finite there.  A line is shown as the repr of its text, its
+line ending included.
 """
 
 from __future__ import annotations
@@ -109,11 +111,15 @@ def outputs(src, workdir):
 
 
 def _first_differing_line(a, b):
+    """(k, shown): the number of the first line that differs, and that line
+    of the parent and of the change, each on an indented line of its own
+    ("(no such line)" past the end of one side)."""
     lines_a, lines_b = a.splitlines(keepends=True), b.splitlines(keepends=True)
-    for k, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
-        if x != y:
-            return k
-    return min(len(lines_a), len(lines_b)) + 1
+    k = next((k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+             min(len(lines_a), len(lines_b)))
+    parent, change = (repr(lines[k].decode(errors="replace"))[1:-1] if k < len(lines)
+                      else "(no such line)" for lines in (lines_a, lines_b))
+    return k + 1, f"\n  parent: {parent}\n  change: {change}"
 
 
 def _size(x, y, scale):
@@ -163,23 +169,23 @@ def differences(parent, change):
             found.append(f"{label}: exit code {code_p} -> {code_c}")
         for stream, out_p, out_c in zip(("output", "error"), streams_p, streams_c):
             if out_p != out_c:
-                found.append(f"{label}: standard {stream} differs from line "
-                             f"{_first_differing_line(out_p, out_c)}")
+                k, shown = _first_differing_line(out_p, out_c)
+                found.append(f"{label}: standard {stream} differs from line {k}{shown}")
     for path in sorted(files_p.keys() | files_c.keys()):
         if path not in files_c:
             found.append(f"{path}: written by the parent only")
         elif path not in files_p:
             found.append(f"{path}: written by the change only")
         elif files_p[path] != files_c[path]:
-            line = (f"{path}: differs from line "
-                    f"{_first_differing_line(files_p[path], files_c[path])}")
+            k, shown = _first_differing_line(files_p[path], files_c[path])
+            line = f"{path}: differs from line {k}"
             largest = (_largest_differences(files_p[path], files_c[path])
                        if path.endswith(".csv") else None)
             if largest is not None:
                 line += ("; largest relative difference {:.3g} in {}; largest "
                          "difference over the column's max |parent| {:.3g} in {}"
                          .format(*largest[0], *largest[1]))
-            found.append(line)
+            found.append(line + shown)
     return found
 
 
