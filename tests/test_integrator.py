@@ -505,6 +505,66 @@ class TestSymmetries:
             assert np.array_equal(other.state.data, symmetry(result.state, bc)[0].data)
 
 
+class TestSourcesOncePerStageTime:
+    """run calls a sources hook at every stage, at one distinct stage time per
+    step plus the first: the second Heun stage of one step is, bit for bit,
+    at the first stage time of the next, which is what lets a hook that keeps
+    its last t evaluate once per stage time."""
+
+    def test_one_call_per_step_plus_the_first(self, params):
+        grid = ns.make_grid(8, 32)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        eq = ns.interface_initial_state(grid, params, bc)
+        cap = 0.25 * params.cfl * min(ns.step_limits(eq, params))
+        times, seen = [], []
+
+        def counting(x, t):
+            times.append(t)
+            return (np.zeros_like(x),) * 4
+
+        result = ns.run(eq, params, bc, 7.5 * cap, dt_cap=cap, observer=seen.append,
+                        sources=counting)
+        steps = result.control.step_count
+        assert steps == 8
+        assert len(times) == 2 * steps
+        distinct = sorted(set(times))
+        assert len(distinct) == steps + 1
+        assert distinct[0] == times[0] == eq.t
+        assert times[::2] == distinct[:-1] and times[1::2] == distinct[1:], times
+        # each step after the first starts where the last one's second stage was
+        assert times[2::2] == times[1:-1:2] == [s.t for s in seen[:steps - 1]]
+
+    def test_same_fields_as_steps_that_evaluate_both_stages(self, params, monkeypatch):
+        case = ns.ManufacturedCase(params, 8, amplitude=0.2)
+        grid = ns.make_grid(8, 32)
+        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        step, dts = ns.integrator.step, []
+
+        def recording_step(state, params, bc, dt, sources=None, stages=2):
+            dts.append(dt)
+            assert stages == 2  # the dt cap binds: Heun
+            return step(state, params, bc, dt, sources=sources, stages=stages)
+
+        monkeypatch.setattr(ns.integrator, "step", recording_step)
+        result = ns.run(initial, params, case.bc, 0.05,
+                        dt_cap=ns.mms.DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
+        monkeypatch.undo()
+
+        calls = []
+
+        def raw(x, t):
+            # a case built fresh for every call keeps no last sources
+            calls.append(t)
+            return ns.ManufacturedCase(params, 8, amplitude=0.2).sources(x, t)
+
+        state = initial
+        for dt in dts:
+            state = ns.step(state, params, case.bc, dt, sources=raw)
+        assert len(dts) == result.control.step_count > 1
+        assert len(calls) == 2 * len(dts)  # step alone evaluates both stages
+        assert np.array_equal(result.state.data, state.data)
+
+
 class TestNonFiniteAbort:
     def test_nan_on_final_step_aborts(self, params):
         grid = ns.make_grid(8, 32)
