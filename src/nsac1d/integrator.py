@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FlowState, apply_bc
+from .core import FlowState, apply_bc, is_number
 from .operators import cell_coefficients, check_positive, face_average, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
@@ -168,25 +168,25 @@ def step(state, params, bc, dt, sources=None, stages=2):
     """One step of dt in `stages` evaluations of F: Heun for 2, RKL2 for more,
     as Y_0 + increments, so a state whose F is zero stays bit for bit.
 
-    F is the kernel plus the optional sources(x, t) of the verification
-    harness, which returns (s_v, s_u, s_theta, s_phi), at every stage time.
-    Ghosts are refreshed from bc on entry, in place, and on the result: F is
-    zero in the ghost columns and reads no G, so every stage keeps the far
-    field it needs.  G advances with the same weights as the physical fields.
+    F is the kernel plus, at every stage time, the optional sources(x, t) of
+    the verification harness: a (4, N) array-like whose rows are added to
+    the interior of u, phi, theta and v.  Ghosts are refreshed from bc on
+    entry, in place, and on the result: F is zero in the ghost columns and
+    reads no G, so every stage keeps the far field it needs.  G advances with
+    the same weights as the physical fields.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if stages < 2:
-        raise ValueError(f"stages must be >= 2, got {stages}")
+    if not 0.0 < dt < np.inf:  # also rejects nan
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not is_number(stages, int) or stages < 2:
+        raise ValueError(f"stages must be an integer >= 2, got {stages!r}")
     grid = state.grid
     apply_bc(state, bc)
 
     def rate(data, t):
         rhs = semi_discrete_rhs(FlowState(grid, t, data), params)
         if sources is not None:
-            # into the row views: `rhs.dv += s_v` would also copy the row onto itself
-            for row, source in zip((rhs.dv, rhs.du, rhs.dtheta, rhs.dphi), sources(grid.x, t)):
-                row += source
+            rows = rhs.data[:4, grid.interior]
+            rows += sources(grid.x, t)
         return rhs.data
 
     out = FlowState(grid, state.t + dt,

@@ -64,7 +64,7 @@ class ManufacturedCase:
         self.blend_scale = 0.25
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
-        self._grid_cache = None  # see _cache
+        self._x_key = self._rows = self._last = None  # see _rows_of
 
     # -- closed forms ------------------------------------------------------
 
@@ -104,14 +104,11 @@ class ManufacturedCase:
                   + (1.0 - th) * sp2 / s**2 - (1.0 + th) * sm2 / s**2)
         return phi, phi_x, phi_xx
 
-    def _cache(self, x):
-        """The cache of the grid x, rebuilt only when the values of x or the
-        parameters change: [copy of x, params, t-independent rows (rows
-        scaled by e^-t, rows scaled by 1 - e^-t, the phase rows), the last
-        sources (t, arrays) or None]; a rebuild drops the last sources."""
-        cached = self._grid_cache
-        if (cached is None or cached[1] is not self.params
-                or not np.array_equal(cached[0], x)):
+    def _rows_of(self, x):
+        """The t-independent rows of x (scaled by e^-t, by 1 - e^-t, phase),
+        kept under the key x.tobytes(); a new key rebuilds them and drops the
+        last sources (t, array).  params is fixed at construction."""
+        if (key := x.tobytes()) != self._x_key:
             a, a1, a2, b, b1, b2 = self._spatial(x)
             phi, phi_x, phi_xx = self._phase(x)
             eps = self.params.epsilon
@@ -120,26 +117,28 @@ class ManufacturedCase:
             decaying = np.stack((a, a1, a2, b, -(a + a1)))
             rising = np.stack((b, b1, b2))
             phase = (phi, phi_x, phi_xx, (phi * phi * phi - phi) / eps, eps * phi_x)
-            cached = self._grid_cache = [x.copy(), self.params, (decaying, rising, phase), None]
-        return cached
+            self._x_key, self._rows, self._last = key, (decaying, rising, phase), None
+        return self._rows
 
     def fields(self, x, t):
-        decaying, rising, phase = self._cache(np.asarray(x, dtype=float))[2]
+        """v, u, theta, phi: the paper's order, which state_from_fields takes."""
+        decaying, rising, phase = self._rows_of(np.asarray(x, dtype=float))
         decay = math.exp(-t)
         u = decaying[0] * decay
         return 1.0 + u, u, 1.0 + rising[0] * (1.0 - decay), phase[0].copy()
 
     def sources(self, x, t):
-        """Residuals of the governing equations on the manufactured fields,
-        read-only arrays; a repeated (grid, t) returns the last ones again.
+        """Residuals of the governing equations on the manufactured fields:
+        one read-only (4, N) array whose rows are those of u, phi, theta and
+        v (FIELDS order); a repeated (grid, t) returns the last one again.
 
         v - 1 = u, so v_t = u_t = -u and v_x = u_x; w = v_x / v.
         """
-        cache = self._cache(np.asarray(x, dtype=float))
-        if cache[3] is not None and cache[3][0] == t:
-            return cache[3][1]
+        decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = self._rows_of(
+            np.asarray(x, dtype=float))
+        if self._last is not None and self._last[0] == t:
+            return self._last[1]
         beta, eps = self.params.beta, self.params.epsilon
-        decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = cache[2]
         decay = math.exp(-t)
         u, u_x, u_xx, theta_t, s_v = decaying * decay
         theta, theta_x, theta_xx = rising * (1.0 - decay)
@@ -156,10 +155,10 @@ class ManufacturedCase:
         # theta^(beta - 1) = theta^beta / theta
         cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
         s_theta = theta_t + theta_w - cond_v * inv_v - u_x_w - s_phi * mu
-        for row in (s_v, s_u, s_theta, s_phi):
-            row.flags.writeable = False
-        cache[3] = (t, (s_v, s_u, s_theta, s_phi))
-        return cache[3][1]
+        rows = np.array((s_u, s_phi, s_theta, s_v))
+        rows.flags.writeable = False
+        self._last = t, rows
+        return rows
 
 
 def default_case(params, grid, amplitude=0.1, t_star=0.25):

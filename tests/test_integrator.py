@@ -243,6 +243,48 @@ class TestStep:
         with pytest.raises(ValueError):
             ns.step(ns.interface_initial_state(grid, params, bc), params, bc, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_a_dt_that_is_not_finite(self, params, dt):
+        # a usage error before the first stage, not an abort at a ghost cell
+        grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"dt must be finite and > 0, got {dt}"):
+            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, dt=dt)
+
+    @pytest.mark.parametrize("stages", [2.5, 3.0])
+    def test_rejects_stages_that_are_not_an_integer(self, params, stages):
+        grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"stages must be an integer >= 2, got {stages}"):
+            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, 1e-3,
+                    stages=stages)
+
+    def test_the_hook_rows_are_added_to_u_phi_theta_v(self, params, monkeypatch):
+        # with a zero kernel, a Heun step of constant hook rows c_k moves
+        # u, phi, theta and v by exactly dt c_k; G and the ghost columns are
+        # those of the same step with no hook
+        grid = ns.make_grid(16, 64)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        state = ns.interface_initial_state(grid, params, bc, phi_width=1.0,
+                                           theta_amp=0.1, theta_width=2.0)
+        monkeypatch.setattr(ns.integrator, "semi_discrete_rhs",
+                            lambda state, params: ns.Rhs(np.zeros(state.data.shape)))
+        rows, times, dt = (0.5, -0.25, 3.0, -1.5), [], 1e-3
+
+        def hook(x, t):
+            times.append(t)
+            return [np.full_like(x, c) for c in rows]
+
+        out = ns.step(state.copy(), params, bc, dt, sources=hook)
+        bare = ns.step(state.copy(), params, bc, dt)
+        assert times == [state.t, state.t + dt]
+        for name, c in zip(("u", "phi", "theta", "v"), rows):
+            assert np.array_equal(out.interior(name), state.interior(name) + dt * c)
+        g = grid.n_ghost
+        assert np.array_equal(out.G, bare.G)
+        assert np.array_equal(out.data[:, :g], bare.data[:, :g])
+        assert np.array_equal(out.data[:, -g:], bare.data[:, -g:])
+
     def test_phase_stays_in_range(self, params):
         grid = ns.make_grid(16, 256)
         bc = ns.BoundaryConfig(-1.0, 1.0)

@@ -38,7 +38,8 @@ SOURCE_ORACLE = [
 def reference_sources(case, x, t):
     """The sources as the closed forms of the governing equations' terms on
     the manufactured fields, one term at a time and sharing no factor
-    between terms: the reference ManufacturedCase.sources is compared with."""
+    between terms, in FIELDS order (u, phi, theta, v): the reference
+    ManufacturedCase.sources is compared with."""
     beta, eps = case.params.beta, case.params.epsilon
     a, a1, a2, b, b1, b2 = case._spatial(x)
     phi, phi_x, phi_xx = case._phase(x)
@@ -58,7 +59,7 @@ def reference_sources(case, x, t):
     cond = (beta * theta ** (beta - 1.0) * theta_x**2 / v + theta_b * theta_xx / v
             - theta_b * theta_x * v_x / v2)
     s_theta = theta_t + (theta / v) * u_x - cond - u_x**2 / v - v * mu**2
-    return s_v, s_u, s_theta, v * mu
+    return s_u, v * mu, s_theta, s_v
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ class TestManufacturedCase:
     def test_sources_match_symbolic_oracle(self, case):
         for x, t, sv, su, stheta, sphi in SOURCE_ORACLE:
             got = case.sources(np.array([x]), t)
-            for value, want in zip(got, (sv, su, stheta, sphi)):
+            for value, want in zip(got, (su, sphi, stheta, sv)):
                 assert float(value[0]) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
@@ -101,7 +102,7 @@ class TestManufacturedCase:
         a1 = amp * (np.pi / L * np.cos(np.pi * x / L) * env
                     + np.sin(np.pi * x / L) * env * (-2 * x / we**2))
         expected = (-a - a1) * math.exp(-t)
-        got = case.sources(x, t)[0]
+        got = case.sources(x, t)[3]  # the v row
         assert got == pytest.approx(expected, abs=1e-13)
 
     def test_fields_meet_far_field(self, case):

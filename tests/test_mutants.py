@@ -65,7 +65,7 @@ def _kernel_then(edit):
 
         def mutant(state, params):
             rhs = kernel(state, params)
-            edit(state, rhs)
+            edit(state, params, rhs)
             return rhs
 
         mp.setattr(integrator, "semi_discrete_rhs", mutant)
@@ -73,14 +73,28 @@ def _kernel_then(edit):
     return patch
 
 
-def _drop_viscous_heating(state, rhs):
+def _drop_viscous_heating(state, params, rhs):
     # step refreshed the ghosts, and the kernel's u_x is this central difference
     grid = state.grid
     u_x = ns.centered(state.u, grid.dx)[1:-1]
     rhs.dtheta -= u_x**2 / state.interior("v")
 
 
-def _freeze_G(state, rhs):
+def _drop_capillary_stress(state, params, rhs):
+    """p_eff = theta / v: the kernel's (eps/2)(phi_x/v)^2, on the interior
+    cells and one beyond, where du differences it, taken out of du and dG."""
+    phi_x = ns.centered(state.phi, state.grid.dx)
+    capillary = 0.5 * params.epsilon * (phi_x / state.v[1:-1]) ** 2
+    rhs.du += ns.centered(capillary, state.grid.dx)
+    rhs.dG -= capillary[1:-1]
+
+
+def _drop_v_mu2(state, params, rhs):
+    """v mu^2 taken out of dtheta, with mu the kernel's potential."""
+    rhs.dtheta -= state.interior("v") * ns.chemical_potential(state, params) ** 2
+
+
+def _freeze_G(state, params, rhs):
     rhs.dG = 0.0
 
 
@@ -136,6 +150,8 @@ MUTANTS = {
     "viscous_heating_dropped": _kernel_then(_drop_viscous_heating),
     "phi_cubed_x0.99_in_kernel_mu": _scale_cube_in_kernel_mu,
     "dG_zero": _kernel_then(_freeze_G),
+    "capillary_stress_dropped": _kernel_then(_drop_capillary_stress),
+    "v_mu2_dropped": _kernel_then(_drop_v_mu2),
     "left_value_face_average": _left_value_face_average,
     "forward_euler": _forward_euler,
     "rkl2_mu1_without_w1": _rkl2_first_stage_without_w1,
