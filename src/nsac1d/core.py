@@ -219,9 +219,11 @@ def apply_bc(state, bc):
     """Write the far-field values into both ghost layers, in place."""
     g = state.grid.n_ghost
     # one array: the left then the right column, each in FIELDS order
-    ends = np.array((FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t,
-                     FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V, state.t))
-    state.data[:, :g], state.data[:, -g:] = ends.reshape(2, -1, 1)
+    left, right = np.array((FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t,
+                            FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V,
+                            state.t)).reshape(2, -1, 1)
+    state.data[:, :g] = left
+    state.data[:, -g:] = right
     return state
 
 
@@ -229,13 +231,16 @@ def check_positive(state, params):
     """Hard error naming field and first offending cell if u, phi, theta or v
     is not finite, ghost cells included, or if interior v or theta is at or
     below the positivity floor.  Cells count from the first interior cell,
-    so the ghost cells are -2, -1, N and N + 1.  Fast path, which cannot warn:
-    max(u, phi, theta, v) < inf, min(u, phi) > -inf and min(theta, v) > floor,
-    ghosts included (a nan fails each); anything else, a low ghost too, falls
-    through to the exact per-field scan, which gives the verdict."""
-    data, floor = state.data, params.positivity_floor
-    if data[:4].max() < math.inf and data[:2].min() > -math.inf and data[2:4].min() > floor:
-        return
+    so the ghost cells are -2, -1, N and N + 1.  Fast path, two reductions
+    that cannot warn: the largest of u, phi, theta and v below inf, then the
+    four row minima, u's and phi's above -inf and theta's and v's above the
+    floor, ghosts included (a nan fails each); anything else, a low ghost
+    too, falls through to the exact per-field scan, which gives the verdict."""
+    data, floor = state.data[:4], params.positivity_floor
+    if np.maximum.reduce(data, axis=None) < math.inf:
+        u, phi, theta, v = np.minimum.reduce(data, axis=1).tolist()
+        if u > -math.inf and phi > -math.inf and theta > floor and v > floor:
+            return
     s = state.grid.interior
     for name in ("v", "theta", "u", "phi"):
         vals = getattr(state, name)

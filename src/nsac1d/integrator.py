@@ -86,29 +86,45 @@ def step_limits(state, params):
     check_positive(state, params)
     grid = state.grid
     s = grid.interior
-    phi, theta, v = state.data[1:4, s]
+    data = state.data
+    phi, theta, v = data[1, s], data[2, s], data[3, s]
 
     eps = params.epsilon
-    # one reduction of five rows: the u and theta stencil rows (the mean of
-    # the two faces of cell i, entry i - 1 of the faces' face_average), v times
-    # the u row, the sound speed (gamma = 2) and the reaction factor
-    rows = np.empty((5, grid.n_cells))
-    a = face_average(cell_coefficients(state.v, state.theta, params.beta)[1:])
-    rows[:2] = face_average(a)[:, s.start - 1:s.stop - 1]
-    np.multiply(v, rows[0], out=rows[2])
-    np.divide(np.sqrt(2.0 * theta), v, out=rows[3])
-    np.multiply(np.abs(3.0 * phi**2 - 1.0), v, out=rows[4])
-    u_row, theta_row, phi_row, sound, react = rows.max(axis=1).tolist()
+    # one reduction of five rows over the interior: the u and theta stencil
+    # rows (the mean of the two faces of a cell, by face_average along the
+    # flattened rows, as in the kernel), v times the u row, the sound speed
+    # (gamma = 2) and the reaction factor
+    rows = np.empty((5, grid.n_total))
+    phi_row, sound, react = rows[2, s], rows[3, s], rows[4, s]
+    a = face_average(cell_coefficients(data[3], data[2], params.beta)[1:].reshape(-1))
+    rows[:2].reshape(-1)[1:-1] = face_average(a)  # entry k is at flat cell k + 1
+    np.multiply(v, rows[0, s], out=phi_row)
+    np.multiply(theta, 2.0, out=sound)
+    np.sqrt(sound, out=sound)
+    sound /= v
+    np.square(phi, out=react)
+    react *= 3.0
+    react -= 1.0
+    np.abs(react, out=react)
+    react *= v
+    u_row, theta_row, phi_row, sound, react = np.maximum.reduce(rows[:, s], axis=1).tolist()
 
     diffusion = grid.dx**2 / (2.0 * max(u_row, theta_row, eps * phi_row))
     acoustic = grid.dx / sound
     reaction = eps / (1.0 + react / eps)
+    if not (0.0 < diffusion < np.inf and 0.0 < acoustic < np.inf
+            and 0.0 < reaction < np.inf):  # also rejects nan
+        raise ValueError(f"step limits (diffusion, acoustic, reaction) = ({diffusion:.6e}, "
+                         f"{acoustic:.6e}, {reaction:.6e}) are not all finite and > 0")
     return diffusion, acoustic, reaction
 
 
 def rkl2_stages(dt, base):
     """The fewest stages s >= 2 whose stability interval, (s^2 + s - 2) / 4
-    times a stable Heun step `base`, covers dt: 2 for dt <= base."""
+    times a stable Heun step `base`, covers dt: 2 for dt <= base.  base must
+    be finite and > 0, or no stage count would do."""
+    if not 0.0 < base < np.inf:  # also rejects nan
+        raise ValueError(f"the stage base must be finite and > 0, got {base}")
     s = 2
     while base * (s * s + s - 2) / 4 < dt:
         s += 1
@@ -149,17 +165,21 @@ def increments(y0, t0, dt, rate, stages):
     F = rate(y, t), over the rows of HEUN (2 stages) or rkl2_coefficients:
     D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0))
     from D_0 = 0, with Y_j = y0 + D_j at t0 + c_j dt; HEUN's zero nu and
-    gamma~ are skipped (no RKL2 row has one)."""
+    gamma~ are skipped (no RKL2 row has one).  y0 and F may be arrays or
+    plain numbers.  The scaled F terms of an RKL2 step are formed in one
+    scratch shaped like F(Y_0), Heun's one term in a new array; nothing
+    handed to rate or returned by it is written."""
     first, *rest = HEUN if stages == 2 else rkl2_coefficients(stages)
     f0 = rate(y0, t0)
+    term = np.empty_like(f0) if len(rest) > 1 else None
     older, last = 0.0, (dt * first[2]) * f0
     for mu, nu, mu_t, gamma_t, c in rest:
         inc = mu * last
         if nu:
             inc += nu * older
-        inc += (dt * mu_t) * rate(y0 + last, t0 + c * dt)
+        inc += np.multiply(dt * mu_t, rate(y0 + last, t0 + c * dt), out=term)
         if gamma_t:
-            inc += (dt * gamma_t) * f0
+            inc += np.multiply(dt * gamma_t, f0, out=term)
         older, last = last, inc
     return last
 
@@ -221,21 +241,25 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
         raise ValueError(f"dt_cap = {dt_cap} must be > 0")
     control = StepControl()
     state = initial
+    cfl, rkl2_cfl = params.cfl, RKL2_STEP * params.cfl
+    cap = np.inf if dt_cap is None else dt_cap
+    # a step that ends within this of t_final absorbs the float-accumulation
+    # sliver and lands on it
+    landing = t_final - 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final:
         try:
             diffusion, acoustic, reaction = limits = step_limits(state, params)
-            heun_dt = params.cfl * min(limits)
-            dt = max(heun_dt, RKL2_STEP * params.cfl * min(acoustic, reaction))
+            heun_dt = cfl * min(limits)
+            dt = max(heun_dt, rkl2_cfl * min(acoustic, reaction))
             # the first of equal limits of the candidate that set dt
             kind = LIMIT_KINDS[limits.index(min(limits if dt == heun_dt else limits[1:]))]
-            if dt_cap is not None and dt_cap < dt:
-                dt, kind = dt_cap, "cap"
-            # absorb float-accumulation slivers into the final step
-            last = state.t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
+            if cap < dt:
+                dt, kind = cap, "cap"
+            last = state.t + dt >= landing
             if last:
                 dt = t_final - state.t
             stages = rkl2_stages(dt, max(heun_dt, RKL2_STAGE_LIMIT * diffusion))
-            state = step(state, params, bc, dt, sources=sources, stages=stages)
+            state = step(state, params, bc, dt, sources, stages)
         except Exception as exc:
             raise SimulationAbort(
                 state, control.step_count,

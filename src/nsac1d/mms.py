@@ -140,7 +140,10 @@ class ManufacturedCase:
             return self._last[1]
         beta, eps = self.params.beta, self.params.epsilon
         decay = math.exp(-t)
-        u, u_x, u_xx, theta_t, s_v = decaying * decay
+        rows = np.empty_like(decaying[:4])  # S_u, S_phi, S_theta, S_v
+        s_u, s_phi, s_theta, s_v = rows
+        u, u_x, u_xx, theta_t = decaying[:4] * decay
+        np.multiply(decaying[4], decay, out=s_v)
         theta, theta_x, theta_xx = rising * (1.0 - decay)
         theta += 1.0
         v = 1.0 + u
@@ -148,14 +151,14 @@ class ManufacturedCase:
         w = u_x * inv_v
         ratio_x = (phi_xx - phi_x * w) * inv_v  # (phi_x / v)_x
         mu = cube - eps * ratio_x  # potential_from(phi, ratio_x, eps)
-        s_phi = v * mu
+        np.multiply(v, mu, out=s_phi)
         theta_w, u_x_w = theta * w, u_x * w
-        s_u = (theta_x - theta_w + eps_phi_x * ratio_x - u_xx + u_x_w) * inv_v - u
+        np.subtract((theta_x - theta_w + eps_phi_x * ratio_x - u_xx + u_x_w) * inv_v, u,
+                    out=s_u)
         # v times the conduction (theta^beta theta_x / v)_x, with
         # theta^(beta - 1) = theta^beta / theta
         cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
-        s_theta = theta_t + theta_w - cond_v * inv_v - u_x_w - s_phi * mu
-        rows = np.array((s_u, s_phi, s_theta, s_v))
+        np.subtract(theta_t + theta_w - cond_v * inv_v - u_x_w, s_phi * mu, out=s_theta)
         rows.flags.writeable = False
         self._last = t, rows
         return rows

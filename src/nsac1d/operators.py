@@ -21,12 +21,16 @@ def centered(f, dx):
     """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx) along the last
     axis, at every cell with both neighbours; the divided difference of face
     averages, so interior sums telescope to the outer face values."""
-    return (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    d = f[..., 2:] - f[..., :-2]
+    d /= 2.0 * dx
+    return d
 
 
 def face_average(c):
     """Mean of adjacent cell values along the last axis; entry k sits between cells k, k+1."""
-    return 0.5 * (c[..., :-1] + c[..., 1:])
+    a = c[..., :-1] + c[..., 1:]
+    a *= 0.5
+    return a
 
 
 def cell_coefficients(v, theta, beta):
@@ -40,16 +44,23 @@ def cell_coefficients(v, theta, beta):
 
 def diffusion_flux(a_face, f, dx):
     """Conservative flux form of (a f_x)_x with face coefficients a_face."""
-    flux = a_face * (f[1:] - f[:-1])
+    flux = f[1:] - f[:-1]
+    flux *= a_face
     out = np.empty(f.shape)
-    np.divide(flux[1:] - flux[:-1], dx**2, out=out[1:-1])
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[1:-1] /= dx**2
     return out
 
 
 def potential_from(phi, phi_lap, eps):
     """mu = (1/eps)(phi^3 - phi) - eps phi_lap, given phi_lap = (phi_x / v)_x;
     the cube is a product because pow() is slow for negative bases."""
-    return (phi * phi * phi - phi) / eps - eps * phi_lap
+    mu = phi * phi
+    mu *= phi
+    mu -= phi
+    mu /= eps
+    mu -= eps * phi_lap
+    return mu
 
 
 def chemical_potential(state, params):
@@ -101,36 +112,47 @@ def semi_discrete_rhs(state, params):
     check_positive(state, params)
 
     grid = state.grid
-    dx = grid.dx
+    dx, s = grid.dx, grid.interior
     n, g, m = grid.n_cells, grid.n_ghost, grid.n_total
-    s = grid.interior
     eps = params.epsilon
     data = state.data
     v, theta = data[3], data[2]
     v_i = v[s]
+    out = np.empty(data.shape)
+    du, dphi, dtheta, dv = out[0, s], out[1, s], out[2, s], out[3, s]
 
     # (a f_x)_x for f = u, phi, theta as one stencil along the flattened
-    # rows; where it straddles two rows it lands in a ghost column, which is
-    # never read
+    # rows, and u_x, phi_x as another; where one straddles two rows it lands
+    # in a ghost column, which is never read
     coef = cell_coefficients(v, theta, params.beta)
-    lap = diffusion_flux(face_average(coef.reshape(-1)), data[:3].reshape(-1), dx)
-    visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
+    lap = diffusion_flux(face_average(coef.reshape(-1)), data[:3].reshape(-1), dx).reshape(3, m)
+    grad = centered(data[:2].reshape(-1), dx)  # entry k is at flat cell k + 1
+    mu = potential_from(data[1, s], lap[1, s], eps)
 
-    # p_eff is differenced, so it is needed one ghost cell beyond the interior
+    # p_eff is differenced, so it and phi_x are needed one ghost cell beyond
+    # the interior, over e; p_eff is built in the row of dG, its interior
     e = slice(g - 1, g + n + 1)
-    u_x, phi_x = centered(data[:2, g - 2:g + n + 2], dx)  # one stencil, over e
-    u_x = u_x[1:-1]
-    mu = potential_from(data[1, s], phi_lap, eps)
+    u_x, phi_x = grad[g - 1:g - 1 + n], grad[m + e.start - 1:m + e.stop - 1]
     p_thermal = theta[e] / v[e]
-    p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
+    p_eff = np.divide(phi_x, v[e], out=out[4, e])
+    np.square(p_eff, out=p_eff)
+    p_eff *= 0.5 * eps
+    p_eff += p_thermal
+    np.subtract(lap[0, s], centered(p_eff, dx), out=du)
 
-    # written into the rows in place; dtheta adds its terms left to right
-    rhs = Rhs(np.zeros(data.shape))
-    np.subtract(visc, centered(p_eff, dx), out=rhs.du)
-    np.multiply(-v_i, mu, out=rhs.dphi)
-    dtheta = np.subtract(conduct, p_thermal[1:-1] * u_x, out=rhs.dtheta)
-    dtheta += u_x**2 / v_i
-    dtheta += v_i * mu**2
-    rhs.dv[:] = u_x
-    rhs.dG[:] = p_eff[1:-1]
-    return rhs
+    # each term in the order of dphi = -v mu and dtheta = conduction -
+    # p_thermal u_x + u_x^2 / v + v mu^2; dv is scratch until it takes u_x
+    np.negative(v_i, out=dphi)
+    dphi *= mu
+    np.multiply(p_thermal[1:-1], u_x, out=dtheta)
+    np.subtract(lap[2, s], dtheta, out=dtheta)
+    np.square(u_x, out=dv)
+    dv /= v_i
+    dtheta += dv
+    np.square(mu, out=dv)
+    dv *= v_i
+    dtheta += dv
+    dv[:] = u_x
+    out[:, :g] = 0.0  # the ghost columns, p_eff's two ends among them
+    out[:, -g:] = 0.0
+    return Rhs(out)

@@ -856,18 +856,35 @@ class TestReadme:
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ns.RunConfig))
 
 
+def _python_m_nsac1d(argv, cwd=None):
+    """`python -m nsac1d *argv` on this package, as a finished process."""
+    src = str(Path(ns.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "nsac1d", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv, code", [(["brackets", "0.5"], 0),
                                             (["no-such-command"], 2)])
     def test_python_m_nsac1d_exit_codes(self, argv, code):
-        src = str(Path(ns.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "nsac1d", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = _python_m_nsac1d(argv)
         assert proc.returncode == code, proc.stderr
         if code == 0:
             assert proc.stdout.split() == [f"{r:.17g}" for r in ns.bracket_roots(0.5)]
+
+    def test_an_overflowing_diffusion_limit_aborts_at_step_1(self, tmp_path):
+        # theta^beta overflows, so the diffusion limit is 0: valid data on
+        # which a run once never returned
+        (tmp_path / "run.cfg").write_text(
+            "L = 32\nN = 64\nt_final = 0.01\nbeta = 2\nphi_width = 1\n"
+            "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
+        proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith(
+            "ABORT: step 1 failed at t = 0.000000e+00: step limits (diffusion, acoustic, "
+            "reaction) = (0.000000e+00, ")
 
 
 class TestFloatFormatting:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -51,6 +52,39 @@ def _limits_by_expression(state, params):
     acoustic = grid.dx / np.max(np.sqrt(2.0 * theta) / v)
     reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
     return float(diffusion), float(acoustic), float(reaction)
+
+
+def _within(seconds, call, *args):
+    """call(*args), or TimeoutError once `seconds` have passed: a loop that
+    never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _increments_by_expression(y0, t0, dt, rate, stages):
+    """integrator.increments with every term a new array and no scratch:
+    the bit-for-bit reference."""
+    first, *rest = (ns.integrator.HEUN if stages == 2
+                    else ns.integrator.rkl2_coefficients(stages))
+    f0 = rate(y0, t0)
+    older, last = 0.0, (dt * first[2]) * f0
+    for mu, nu, mu_t, gamma_t, c in rest:
+        inc = mu * last
+        if nu:
+            inc = inc + nu * older
+        inc = inc + (dt * mu_t) * rate(y0 + last, t0 + c * dt)
+        if gamma_t:
+            inc = inc + (dt * gamma_t) * f0
+        older, last = last, inc
+    return last
 
 
 class TestStableDt:
@@ -422,6 +456,33 @@ class TestRun:
         assert abort.state.interior("theta").min() > params.positivity_floor
 
 
+class TestIncrements:
+    @pytest.mark.parametrize("stages", [2, 5])
+    @pytest.mark.parametrize("kind", ["float", "complex", "plain y0"])
+    def test_writes_nothing_it_was_given_or_handed_out(self, kind, stages):
+        # y0, and each stage state and F from the moment rate returned it,
+        # keep their bytes; F(Y_0) is the first F
+        rng = np.random.default_rng(stages)
+        z = rng.normal(size=(5, 12))
+        if kind != "float":
+            z = z + 1j * rng.normal(size=z.shape)
+        y0 = 1.0 if kind == "plain y0" else rng.normal(size=z.shape) * z
+        kept = [(y0, y0.tobytes())] if kind != "plain y0" else []
+
+        def rate(y, t):
+            f = z * y + t
+            kept.extend((a, a.tobytes()) for a in (y, f) if isinstance(a, np.ndarray))
+            return f
+
+        inc = ns.integrator.increments(y0, 0.25, 0.1, rate, stages)
+        # y0 itself, if it is an array, then each Y and each F
+        assert len(kept) == 2 * stages + (1 if kind != "plain y0" else -1)
+        assert all(a.tobytes() == before for a, before in kept)
+        assert not any(np.shares_memory(inc, a) for a, _ in kept)
+        expected = _increments_by_expression(y0, 0.25, 0.1, lambda y, t: z * y + t, stages)
+        assert inc.dtype == expected.dtype and inc.tobytes() == expected.tobytes()
+
+
 class TestRkl2:
     """Where diffusion binds the Heun step, run takes the longer step tau in
     the fewest RKL2 stages that keep it stable."""
@@ -624,6 +685,39 @@ class TestNonFiniteAbort:
         assert abort.state is seen[-1]
         assert abort.state.t == pytest.approx(9 * cap, rel=1e-12)
         assert np.all(np.isfinite(abort.state.data))
+
+
+# theta = 1 + 1e200 exp(-x^2) with beta = 2 on L = 32, N = 64: theta^beta
+# overflows, so the diffusion limit dx^2 / (2 inf) is 0, and with a stage
+# base of 0 no stage count covers a step
+OVERFLOWING = {"phi_width": 1.0, "theta_amp": 1e200, "theta_width": 1.0}
+
+
+class TestLimitsThatAreNotPositive:
+    @pytest.fixture
+    def hot(self):
+        params = ns.SimParams(beta=2.0)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        return params, bc, ns.interface_initial_state(ns.make_grid(32, 64), params, bc,
+                                                      **OVERFLOWING)
+
+    def test_step_limits_rejects_an_overflowing_diffusion_limit(self, hot):
+        params, _, state = hot
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"= \(0.000000e\+00, .*\) are not all finite and > 0"):
+            ns.step_limits(state, params)
+
+    def test_run_aborts_at_the_first_step(self, hot):
+        params, bc, state = hot
+        with np.errstate(over="ignore"), pytest.raises(ns.SimulationAbort) as exc_info:
+            _within(5.0, ns.run, state, params, bc, 0.01)
+        assert exc_info.value.step_count == 0
+        assert type(exc_info.value.__cause__) is ValueError
+
+    @pytest.mark.parametrize("base", [0.0, -1e-3, math.nan, math.inf])
+    def test_rkl2_stages_rejects_a_base_that_is_not_finite_and_positive(self, base):
+        with pytest.raises(ValueError, match="stage base must be finite and > 0"):
+            _within(1.0, ns.integrator.rkl2_stages, 1e-3, base)
 
 
 class TestAliasing:

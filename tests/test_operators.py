@@ -164,6 +164,43 @@ class TestDerivedFields:
         assert np.all(dphi[slice(None) if value else slice(1, -1)] == 0.0)
 
 
+def _rhs_by_expression(state, params):
+    """The kernel as plain numpy expressions, with the stencils written out
+    and each term in the order the kernel takes it: the bit-for-bit
+    reference for its in-place rows.  A (5, N + 4) array."""
+    grid = state.grid
+    dx, s = grid.dx, grid.interior
+    n, g, m = grid.n_cells, grid.n_ghost, grid.n_total
+    eps = params.epsilon
+    data = state.data
+    v, theta = data[3], data[2]
+    v_i = v[s]
+    coef = np.empty((3, m))
+    coef[0] = 1.0 / v
+    coef[1] = coef[0]
+    coef[2] = theta**params.beta / v
+    c, f = coef.reshape(-1), data[:3].reshape(-1)
+    flux = 0.5 * (c[:-1] + c[1:]) * (f[1:] - f[:-1])
+    lap = np.zeros(f.shape)
+    lap[1:-1] = (flux[1:] - flux[:-1]) / dx**2
+    visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
+    e = slice(g - 1, g + n + 1)
+    u_phi = data[:2, g - 2:g + n + 2]
+    u_x, phi_x = (u_phi[:, 2:] - u_phi[:, :-2]) / (2.0 * dx)
+    u_x = u_x[1:-1]
+    phi = data[1, s]
+    mu = (phi * phi * phi - phi) / eps - eps * phi_lap
+    p_thermal = theta[e] / v[e]
+    p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
+    out = np.zeros(data.shape)
+    out[0, s] = visc - (p_eff[2:] - p_eff[:-2]) / (2.0 * dx)
+    out[1, s] = -v_i * mu
+    out[2, s] = conduct - p_thermal[1:-1] * u_x + u_x**2 / v_i + v_i * mu**2
+    out[3, s] = u_x
+    out[4, s] = p_eff[1:-1]
+    return out
+
+
 class TestSemiDiscreteRhs:
     def test_sine_velocity_closed_forms(self, params):
         # u = sin(pi x / L), everything else at equilibrium, phi = 1:
@@ -239,6 +276,23 @@ class TestSemiDiscreteRhs:
             u_x, mu = rhs.dv, -rhs.dphi / vi
             heating = u_x**2 / vi + vi * mu**2
             assert np.all(heating >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 16, 64]),
+           beta=st.sampled_from([0.5, 1.0, 2.0]), epsilon=st.sampled_from([0.05, 1.0]))
+    def test_equals_the_expressions_bit_for_bit(self, seed, n, beta, epsilon):
+        # every row drawn, ghosts and G included, so no ghost is the far field
+        rng = np.random.default_rng(seed)
+        params = ns.SimParams(epsilon=epsilon, beta=beta)
+        m = n + 2 * ns.core.N_GHOST
+        data = np.array([rng.normal(0.0, 2.0, m), rng.uniform(-1.5, 1.5, m),
+                         rng.uniform(0.05, 5.0, m), rng.uniform(0.05, 5.0, m),
+                         rng.normal(0.0, 1.0, m)])
+        state = FlowState(ns.make_grid(4, n), 0.0, data)
+        out = ns.semi_discrete_rhs(state, params).data
+        expected = _rhs_by_expression(state, params)
+        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()  # the sign of a zero too
 
     def test_writes_nothing_to_its_input(self, params):
         # ghosts off the far field, G's too: the kernel reads them as they stand
