@@ -165,21 +165,17 @@ def increments(y0, t0, dt, rate, stages):
     F = rate(y, t), over the rows of HEUN (2 stages) or rkl2_coefficients:
     D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0))
     from D_0 = 0, with Y_j = y0 + D_j at t0 + c_j dt; HEUN's zero nu and
-    gamma~ are skipped (no RKL2 row has one).  y0 and F may be arrays or
-    plain numbers.  The scaled F terms of an RKL2 step are formed in one
-    scratch shaped like F(Y_0), Heun's one term in a new array; nothing
-    handed to rate or returned by it is written."""
+    gamma~ are skipped (no RKL2 row has one)."""
     first, *rest = HEUN if stages == 2 else rkl2_coefficients(stages)
     f0 = rate(y0, t0)
-    term = np.empty_like(f0) if len(rest) > 1 else None
     older, last = 0.0, (dt * first[2]) * f0
     for mu, nu, mu_t, gamma_t, c in rest:
         inc = mu * last
         if nu:
             inc += nu * older
-        inc += np.multiply(dt * mu_t, rate(y0 + last, t0 + c * dt), out=term)
+        inc += (dt * mu_t) * rate(y0 + last, t0 + c * dt)
         if gamma_t:
-            inc += np.multiply(dt * gamma_t, f0, out=term)
+            inc += (dt * gamma_t) * f0
         older, last = last, inc
     return last
 

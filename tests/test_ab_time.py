@@ -14,7 +14,7 @@ import nsac1d as ns
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_time.py"
 CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step-5", "run")
-TINY = ["--n", "16", "--rounds", "2", "--batch-ms", "0.5", "--t-final", "0.05"]
+TINY = ["--n", "16", "--rounds", "2"]
 NUMBER = r"\d+\.\d\d"
 LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"
                   rf"  change +{NUMBER} \[{NUMBER}, {NUMBER}\]  ratio \d+\.\d{{3}}  lower [0-2]/2")

@@ -70,8 +70,8 @@ def _within(seconds, call, *args):
 
 
 def _increments_by_expression(y0, t0, dt, rate, stages):
-    """integrator.increments with every term a new array and no scratch:
-    the bit-for-bit reference."""
+    """integrator.increments with every sum a new array and nothing written in
+    place: the bit-for-bit reference."""
     first, *rest = (ns.integrator.HEUN if stages == 2
                     else ns.integrator.rkl2_coefficients(stages))
     f0 = rate(y0, t0)

@@ -6,8 +6,10 @@
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). Both trees are loaded side by side under the package names
 nsac1d_parent and nsac1d_change (the package imports itself only
-relatively), and each builds the same inputs: the flagship initial data at
-L = 32 on N cells, the default parameters and the far-field phases -1, +1.
+relatively), and each builds the same inputs: the flagship initial data of
+the benchmark (bench/workloads.py's FLAGSHIP at FLAGSHIP_L) on N cells, the
+default parameters and the far-field phases -1, +1; the run case goes to the
+benchmark's T_FINAL.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
@@ -16,8 +18,8 @@ different work. Each case whose results differ is printed on a
 
 Then, in each of --rounds rounds, each case is timed as one batch of calls
 per side, the side that goes first drawn at random for each case and round.
-A batch holds as many calls as take about --batch-ms on the parent (one
-`run` at the default N). Times are process CPU time, which leaves out the
+A batch holds as many calls as take about BATCH_S on the parent (one `run`
+at the default N). Times are process CPU time, which leaves out the
 gaps when the host takes the CPU away; the garbage collector is off during a
 batch. The cases:
 
@@ -27,7 +29,7 @@ batch. The cases:
     increments-2  integrator.increments(y0, t0, dt, rate, stages) at 2 and 5
     increments-5  stages, with rate returning a fixed F: the arithmetic alone
     step-5        step(state, params, bc, dt, stages=5)
-    run           run(initial, params, bc, --t-final)
+    run           run(initial, params, bc, T_FINAL)
 
 dt is the Heun step of the initial state, cfl times its least limit. For
 each case one line gives the median and the quartiles of the per-call time
@@ -47,13 +49,8 @@ from time import process_time
 
 import numpy as np
 
-# the flagship initial data at L = 32 (tests/conftest.py::flagship_ic)
-FLAGSHIP_L = 32
-FLAGSHIP = {"phi_width": 1.0,
-            "v_amp": 0.2, "v_width": 1.5, "v_center": -2.0,
-            "u_amp": 0.25, "u_width": 1.5, "u_center": 2.0,
-            "theta_amp": 0.25, "theta_width": 1.5, "theta_center": 0.0}
 SIDES = ("parent", "change")
+BATCH_S = 0.02  # CPU seconds per batch on the parent
 
 
 def load(src, name):
@@ -70,13 +67,25 @@ def load(src, name):
     return module
 
 
-def cases(ns, n_cells, t_final):
+def _workloads():
+    """bench/workloads.py, loaded by path: the flagship data it times."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("ab_time_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+def cases(ns, n_cells):
     """{case: (call, key)}: call() runs the case once; key(result) is its
     result as bytes, the same on both sides if the trees agree bit for bit."""
     params = ns.SimParams()
     bc = ns.BoundaryConfig(-1.0, 1.0)
-    initial = ns.interface_initial_state(ns.make_grid(FLAGSHIP_L, n_cells), params, bc,
-                                         **FLAGSHIP)
+    initial = ns.interface_initial_state(ns.make_grid(WORKLOADS.FLAGSHIP_L, n_cells), params,
+                                         bc, **WORKLOADS.FLAGSHIP)
     state = initial.copy()
     dt = params.cfl * min(ns.step_limits(state, params))
     force = ns.semi_discrete_rhs(state, params).data
@@ -103,7 +112,7 @@ def cases(ns, n_cells, t_final):
         "increments-2": (lambda: increments(state.data, state.t, dt, rate, 2), array_key),
         "increments-5": (lambda: increments(state.data, state.t, dt, rate, 5), array_key),
         "step-5": (lambda: ns.step(state, params, bc, dt, stages=5), data_key),
-        "run": (lambda: ns.run(initial, params, bc, t_final), run_key),
+        "run": (lambda: ns.run(initial, params, bc, WORKLOADS.T_FINAL), run_key),
     }
 
 
@@ -128,10 +137,6 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=1024, help="cells (default 1024)")
     parser.add_argument("--rounds", type=int, default=15, help="rounds (default 15)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the side order")
-    parser.add_argument("--batch-ms", type=float, default=20.0,
-                        help="CPU milliseconds per batch on the parent (default 20)")
-    parser.add_argument("--t-final", type=float, default=1.0,
-                        help="t_final of the run case (default 1)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -139,7 +144,7 @@ def main(argv=None):
     for side, src in zip(SIDES, (args.parent_src, args.change_src)):
         if not (src / "nsac1d" / "__init__.py").is_file():
             parser.error(f"{src} holds no nsac1d package")
-        trees[side] = cases(load(src.resolve(), f"nsac1d_{side}"), args.n, args.t_final)
+        trees[side] = cases(load(src.resolve(), f"nsac1d_{side}"), args.n)
 
     names = list(trees["parent"])
     differing = [name for name in names
@@ -154,10 +159,10 @@ def main(argv=None):
     for name in names:
         call = trees["parent"][name][0]
         k, seconds = 1, timed(call, 1)
-        while seconds * k < 1e-3 * args.batch_ms / 4:
+        while seconds * k < BATCH_S / 4:
             k *= 2
             seconds = timed(call, k)
-        sizes[name] = max(1, round(1e-3 * args.batch_ms / seconds))
+        sizes[name] = max(1, round(BATCH_S / seconds))
 
     rng = random.Random(args.seed)
     samples = {name: {side: [] for side in SIDES} for name in names}
