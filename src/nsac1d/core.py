@@ -252,18 +252,15 @@ def check_positive(state, params):
             raise PositivityError(name, j - s.start, vals[j], state.t, floor)
 
 
-def state_from_fields(grid, bc, v, u, theta, phi, params):
-    """Assemble a FlowState at t = 0 from interior field arrays, checked with
-    check_positive; G starts at zero."""
-    state = FlowState(grid, 0.0, np.empty((len(FIELDS), grid.n_total)))
-    state.G[:] = 0.0
-    s = grid.interior
-    for name, arr in (("v", v), ("u", u), ("theta", theta), ("phi", phi)):
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (grid.n_cells,):
-            raise ValueError(f"{name} must have {grid.n_cells} interior values, "
-                             f"got shape {arr.shape}")
-        getattr(state, name)[s] = arr
+def state_from_fields(grid, bc, rows, params):
+    """Assemble a FlowState at t = 0 from a (4, N) array-like of the interior
+    rows u, phi, theta and v (FIELDS order, the layout of the sources hook),
+    checked with check_positive; G starts at zero."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (4, grid.n_cells):
+        raise ValueError(f"rows must have shape (4, {grid.n_cells}), got {rows.shape}")
+    state = FlowState(grid, 0.0, np.zeros((len(FIELDS), grid.n_total)))
+    state.data[:4, grid.interior] = rows
     apply_bc(state, bc)
     check_positive(state, params)
     return state
@@ -308,12 +305,13 @@ def interface_initial_state(grid, params, bc, **keywords):
         raise ValueError(
             f"L / phi_width = {L!r} / {data.phi_width!r} overflows a double, so the "
             f"phi profile cannot be built; widen phi_width")
-    fields = {"phi": mid + dphi * np.tanh(x / data.phi_width)}
+    rows = np.empty((4, grid.n_cells))  # FIELDS order, as state_from_fields takes
+    rows[FIELDS.index("phi")] = mid + dphi * np.tanh(x / data.phi_width)
     if dphi != 0.0:
         _check_reach("phi", abs(dphi) * (1.0 - math.tanh(L / data.phi_width)))
     for name, farfield, amp, w, c in data.bumps():
         _check_span(name, L, w, c)
         if amp != 0.0:
             _check_reach(name, abs(amp) * math.exp(-(((L - abs(c)) / w) ** 2)))
-        fields[name] = farfield + _gaussian_bump(x, amp, w, c)
-    return state_from_fields(grid, bc, params=params, **fields)
+        rows[FIELDS.index(name)] = farfield + _gaussian_bump(x, amp, w, c)
+    return state_from_fields(grid, bc, rows, params)

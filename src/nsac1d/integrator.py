@@ -47,6 +47,11 @@ RKL2_STEP = 0.5
 # takes, and fail one stage fewer.
 RKL2_STAGE_LIMIT = 0.8
 
+# the most stages rkl2_stages counts: the largest count measured is 10
+# (flagship data at N = 4096 with cfl 0.4, or N = 2048 with cfl 0.95), and it
+# grows as sqrt(N), so 1000 stages is about 4e7 cells, far past a desk-scale run
+RKL2_MAX_STAGES = 1000
+
 
 @dataclass
 class StepControl:
@@ -122,12 +127,16 @@ def step_limits(state, params):
 def rkl2_stages(dt, base):
     """The fewest stages s >= 2 whose stability interval, (s^2 + s - 2) / 4
     times a stable Heun step `base`, covers dt: 2 for dt <= base.  base must
-    be finite and > 0, or no stage count would do."""
+    be finite and > 0, or no stage count would do, and s at most
+    RKL2_MAX_STAGES, or a ValueError is raised."""
     if not 0.0 < base < np.inf:  # also rejects nan
         raise ValueError(f"the stage base must be finite and > 0, got {base}")
     s = 2
     while base * (s * s + s - 2) / 4 < dt:
         s += 1
+        if s > RKL2_MAX_STAGES:
+            raise ValueError(f"dt = {dt:.6e} needs more than {RKL2_MAX_STAGES} RKL2 stages "
+                             f"of the stage base {base:.6e}")
     return s
 
 

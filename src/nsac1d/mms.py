@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryConfig, make_grid, state_from_fields
+from .core import FIELDS, BoundaryConfig, make_grid, state_from_fields
 from .integrator import SimulationAbort, run
 
 # dt cap of the refinement study, in units of dx^2: small enough that the
@@ -121,11 +121,11 @@ class ManufacturedCase:
         return self._rows
 
     def fields(self, x, t):
-        """v, u, theta, phi: the paper's order, which state_from_fields takes."""
+        """u, phi, theta, v: one new (4, N) array in FIELDS order, as sources."""
         decaying, rising, phase = self._rows_of(np.asarray(x, dtype=float))
         decay = math.exp(-t)
         u = decaying[0] * decay
-        return 1.0 + u, u, 1.0 + rising[0] * (1.0 - decay), phase[0].copy()
+        return np.stack((u, phase[0], 1.0 + rising[0] * (1.0 - decay), 1.0 + u))
 
     def sources(self, x, t):
         """Residuals of the governing equations on the manufactured fields:
@@ -206,18 +206,16 @@ def convergence_study(case, resolutions):
     errors = []
     for n in resolutions:
         grid = make_grid(case.half_width, n)
-        v, u, theta, phi = case.fields(grid.x, 0.0)
-        state = state_from_fields(grid, case.bc, v, u, theta, phi, case.params)
+        state = state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), case.params)
         try:
             result = run(state, case.params, case.bc, case.t_star,
                          dt_cap=DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
         except SimulationAbort as exc:
             raise SimulationAbort(exc.state, exc.step_count, f"{exc} (N = {n})") from exc
-        final = result.state
+        final = result.state.data[:4, grid.interior]
         exact = case.fields(grid.x, case.t_star)
-        errs = [math.sqrt(((final.interior(name) - ex) ** 2).sum() * grid.dx)
-                for name, ex in zip(("v", "u", "theta", "phi"), exact)]
-        errors.append(errs)
+        errors.append([math.sqrt(((final[k] - exact[k]) ** 2).sum() * grid.dx)
+                       for k in map(FIELDS.index, ("v", "u", "theta", "phi"))])
 
     rows = []
     for i, n in enumerate(resolutions):

@@ -5,11 +5,17 @@ hook, and the linear stability certificate of a step (the kernel's Jacobian,
 its spectrum and the step's amplification on it)."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nsac1d as ns
+
+
+# the flagship data's one owner, the benchmark's bench/workloads.py, read by path
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
 
 
 @pytest.fixture(scope="session")
@@ -147,18 +153,15 @@ def nan_sources_after(t_bad):
 
 @pytest.fixture(scope="session")
 def flagship_ic():
-    """Interface run with hydrodynamic bumps, kept well away from the far field;
-    keyword arguments of interface_initial_state replace the flagship's."""
+    """Interface run with hydrodynamic bumps, kept well away from the far field:
+    the benchmark's FLAGSHIP data at FLAGSHIP_L; keyword arguments of
+    interface_initial_state replace the flagship's."""
 
-    def make(n_cells, half_width=32, epsilon=1.0, beta=1.0, **data):
+    def make(n_cells, half_width=WORKLOADS["FLAGSHIP_L"], epsilon=1.0, beta=1.0, **data):
         p = ns.SimParams(epsilon=epsilon, beta=beta)
         grid = ns.make_grid(half_width, n_cells)
         bc = ns.BoundaryConfig(-1.0, 1.0)
-        keys = dict(phi_width=1.0,
-                    v_amp=0.2, v_width=1.5, v_center=-2.0,
-                    u_amp=0.25, u_width=1.5, u_center=2.0,
-                    theta_amp=0.25, theta_width=1.5, theta_center=0.0)
-        state = ns.interface_initial_state(grid, p, bc, **{**keys, **data})
+        state = ns.interface_initial_state(grid, p, bc, **{**WORKLOADS["FLAGSHIP"], **data})
         return p, grid, bc, state
 
     return make

@@ -307,8 +307,8 @@ class TestSnapshotIO:
         path = tmp_path / "snap.csv"
         write_snapshot(state, params, path)
         data = read_snapshot(path)
-        rebuilt = ns.state_from_fields(grid, bc, data["v"], data["u"],
-                                       data["theta"], data["phi"], params)
+        rebuilt = ns.state_from_fields(grid, bc, [data[name] for name in ns.core.FIELDS[:4]],
+                                       params)
         mu = ns.chemical_potential(rebuilt, params)
         assert np.max(np.abs(mu - data["mu"])) <= 1e-15
 
@@ -885,6 +885,18 @@ class TestModuleEntryPoint:
         assert proc.stdout.startswith(
             "ABORT: step 1 failed at t = 0.000000e+00: step limits (diffusion, acoustic, "
             "reaction) = (0.000000e+00, ")
+
+    def test_a_step_of_too_many_rkl2_stages_aborts_at_step_1(self, tmp_path):
+        # at beta = 1 nothing overflows, but the diffusion limit is about
+        # 1e-200 against a step of about 1e-101: a run that once never returned
+        (tmp_path / "run.cfg").write_text(
+            "L = 32\nN = 64\nt_final = 0.01\nbeta = 1\nphi_width = 1\n"
+            "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
+        proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith(
+            "ABORT: step 1 failed at t = 0.000000e+00: dt = 1.602514e-101 needs more than "
+            "1000 RKL2 stages of the stage base 6.552539e-201\n")
 
 
 class TestFloatFormatting:

@@ -158,11 +158,10 @@ class TestInterfaceInitialState:
 
     def test_state_from_fields_rejects_a_wrong_shape(self, params):
         grid = ns.make_grid(8, 64)
-        ones = np.ones(grid.n_cells)
-        with pytest.raises(ValueError,
-                           match=r"^v must have 64 interior values, got shape \(63,\)$"):
-            ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0), ones[1:], 0 * ones,
-                                 ones, ones, params)
+        for shape in ((4, 63), (3, 64), (5, 64), (64,), (4, 1, 64)):
+            with pytest.raises(ValueError, match=rf"^rows must have shape \(4, 64\), "
+                                                 rf"got {re.escape(str(shape))}$"):
+                ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0), np.ones(shape), params)
 
     @pytest.mark.parametrize("keyword", [
         "phi_width", "v_amp", "v_width", "v_center", "u_amp", "u_width", "u_center",

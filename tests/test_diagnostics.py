@@ -26,7 +26,7 @@ def smooth_state(grid):
     u = 0.2 * np.exp(-(((x - 2.0) / 2.0) ** 2))
     theta = 1.0 + 0.15 * np.exp(-((x / 2.0) ** 2))
     phi = np.tanh(x / 2.0)
-    return ns.state_from_fields(grid, ns.BoundaryConfig(-1.0, 1.0), v, u, theta, phi,
+    return ns.state_from_fields(grid, ns.BoundaryConfig(-1.0, 1.0), [u, phi, theta, v],
                                 ns.SimParams())
 
 
@@ -255,7 +255,7 @@ class TestWeightedDissipation:
         ones = np.ones(grid.n_cells)
         theta = 1.0 + 0.1 * np.sin(np.pi * grid.x / 16.0)
         state = ns.state_from_fields(grid, ns.BoundaryConfig(1.0, 1.0),
-                                     ones, 0 * ones, theta, ones, params)
+                                     [0 * ones, ones, theta, ones], params)
         got = ns.weighted_dissipation(state, params, 0.5, 0)
         fine = ns.make_grid(16, 10240)
         x = fine.x

@@ -96,8 +96,8 @@ class TestStableDt:
         params = ns.SimParams(epsilon=epsilon, beta=beta)
         state = ns.state_from_fields(
             ns.make_grid(4, n), ns.BoundaryConfig(-1.0, 1.0),
-            v=rng.uniform(0.05, 5.0, n), u=rng.normal(0.0, 2.0, n),
-            theta=rng.uniform(0.05, 5.0, n), phi=rng.uniform(-1.5, 1.5, n), params=params)
+            [rng.normal(0.0, 2.0, n), rng.uniform(-1.5, 1.5, n), rng.uniform(0.05, 5.0, n),
+             rng.uniform(0.05, 5.0, n)], params)
         limits = ns.step_limits(state, params)
         assert all(type(limit) is float for limit in limits)
         assert limits == _limits_by_expression(state, params)
@@ -640,7 +640,7 @@ class TestSourcesOncePerStageTime:
     def test_same_fields_as_steps_that_evaluate_both_stages(self, params, monkeypatch):
         case = ns.ManufacturedCase(params, 8, amplitude=0.2)
         grid = ns.make_grid(8, 32)
-        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        initial = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
         step, dts = ns.integrator.step, []
 
         def recording_step(state, params, bc, dt, sources=None, stages=2):
@@ -718,6 +718,24 @@ class TestLimitsThatAreNotPositive:
     def test_rkl2_stages_rejects_a_base_that_is_not_finite_and_positive(self, base):
         with pytest.raises(ValueError, match="stage base must be finite and > 0"):
             _within(1.0, ns.integrator.rkl2_stages, 1e-3, base)
+
+    def test_rkl2_stages_counts_no_further_than_its_bound(self):
+        # at beta = 1 the same data do not overflow: the limits are finite
+        # and the step asks for about 1e50 stages of the stage base
+        rkl2_stages, most = ns.integrator.rkl2_stages, ns.integrator.RKL2_MAX_STAGES
+        reach = (most * most + most - 2) / 4
+        assert _within(1.0, rkl2_stages, reach, 1.0) == most
+        for dt, base in ((math.nextafter(reach, math.inf), 1.0), (1.6e-101, 6.6e-201)):
+            with pytest.raises(ValueError, match=rf"needs more than {most} RKL2 stages"):
+                _within(1.0, rkl2_stages, dt, base)
+
+    def test_run_aborts_at_the_first_step_beyond_the_stage_bound(self):
+        params, bc = ns.SimParams(beta=1.0), ns.BoundaryConfig(-1.0, 1.0)
+        state = ns.interface_initial_state(ns.make_grid(32, 64), params, bc, **OVERFLOWING)
+        with pytest.raises(ns.SimulationAbort, match="RKL2 stages") as exc_info:
+            _within(5.0, ns.run, state, params, bc, 0.01)
+        assert exc_info.value.step_count == 0
+        assert type(exc_info.value.__cause__) is ValueError
 
 
 class TestAliasing:

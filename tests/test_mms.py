@@ -34,6 +34,18 @@ SOURCE_ORACLE = [
     (-5.631009472426637, 0.1735315026649657, 0.0021612422503958116, 0.004012322104544248, -0.0011917213441398683, 0.007046422245615862),
 ]
 
+# The kernel's truncation error on the manufactured pair, by FIELDS row: the
+# L2 norm of semi_discrete_rhs of the exact fields plus the sources minus the
+# fields' time derivative (central difference, step TRUNCATION_H), at L = 8,
+# amplitude 0.2, t = 0.1.  On these resolutions every row's order measured
+# 1.976 to 1.999 at (beta, epsilon) = (1, 1) and (2, 0.5), but phi's 1.952
+# from 256 to 512 (at L = 8 the phase misses +-1 by 4.5e-8 at |x| = L, which
+# the phi_xx stencil reads beside the ghosts); a row on which the fields and
+# the sources disagree keeps a residual that does not fall, order 0.
+TRUNCATION_RESOLUTIONS = (64, 128, 256, 512)
+TRUNCATION_H = 1e-4
+MIN_TRUNCATION_ORDER = 1.9
+
 
 def reference_sources(case, x, t):
     """The sources as the closed forms of the governing equations' terms on
@@ -105,9 +117,25 @@ class TestManufacturedCase:
         got = case.sources(x, t)[3]  # the v row
         assert got == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("beta, epsilon", [(1.0, 1.0), (2.0, 0.5)])
+    def test_kernel_truncation_error_is_second_order_by_row(self, beta, epsilon):
+        case = ns.ManufacturedCase(ns.SimParams(epsilon=epsilon, beta=beta), 8, amplitude=0.2)
+        t, h = 0.1, TRUNCATION_H
+        norms = []
+        for n in TRUNCATION_RESOLUTIONS:
+            grid = ns.make_grid(case.half_width, n)
+            x = grid.x
+            state = ns.state_from_fields(grid, case.bc, case.fields(x, t), case.params)
+            time_derivative = (case.fields(x, t + h) - case.fields(x, t - h)) / (2.0 * h)
+            residual = (ns.semi_discrete_rhs(state, case.params).data[:4, grid.interior]
+                        + case.sources(x, t) - time_derivative)
+            norms.append(np.sqrt((residual**2).sum(axis=1) * grid.dx))
+        orders = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))  # pairs x rows
+        assert orders.min() >= MIN_TRUNCATION_ORDER, orders
+
     def test_fields_meet_far_field(self, case):
         for x_edge in (-16.0, 16.0, -16.5, 16.5):
-            v, u, theta, phi = case.fields(np.array([x_edge]), 0.3)
+            u, phi, theta, v = case.fields(np.array([x_edge]), 0.3)
             assert abs(v[0] - 1.0) < 1e-12
             assert abs(u[0]) < 1e-12
             assert abs(theta[0] - 1.0) < 1e-12
@@ -116,7 +144,7 @@ class TestManufacturedCase:
     def test_fields_stay_in_validity_window(self, case):
         x = np.linspace(-16, 16, 2001)
         for t in (0.0, 0.1, 0.25):
-            v, _, theta, phi = case.fields(x, t)
+            _, phi, theta, v = case.fields(x, t)
             assert v.min() >= 0.5 and theta.min() >= 0.5
             assert phi.min() >= -1.0 - 1e-12 and phi.max() <= 1.0 + 1e-12
 
@@ -129,7 +157,7 @@ class TestManufacturedCase:
 
         case = ns.default_case(params, ns.make_grid(16, 128))
         a, b = ns.make_grid(16, 128).x.copy(), ns.make_grid(16, 256).x
-        case.fields(a, 0.1)[3][:] = 0.0  # a caller may write to what it gets
+        case.fields(a, 0.1)[:] = 0.0  # a caller may write to what it gets
         for x, t in ((a, 0.1), (b, 0.1), (a, 0.2), (a, 0.2)):
             for got, want in zip(case.sources(x, t), fresh(x, t)):
                 assert np.array_equal(got, want)
@@ -142,7 +170,7 @@ class TestManufacturedCase:
         flat = ns.default_case(params, grid, amplitude=0.0)
         x = np.linspace(-15, 15, 31)
         for t in (0.0, 0.3):
-            v, u, theta, phi = flat.fields(x, t)
+            u, phi, theta, v = flat.fields(x, t)
             assert np.all(v == 1.0) and np.all(u == 0.0)
             assert np.all(theta == 1.0) and np.all(phi == 1.0)
             for src in flat.sources(x, t):
@@ -165,7 +193,7 @@ class TestManufacturedCase:
         # [0.7, 1.3], and the logistic weights sum to < 1, so |phi| <= 1;
         # the case therefore needs no check of its own
         case = ns.ManufacturedCase(ns.SimParams(), half_width, amplitude=amplitude)
-        v, _, theta, phi = case.fields(np.linspace(-half_width, half_width, 4001), t)
+        _, phi, theta, v = case.fields(np.linspace(-half_width, half_width, 4001), t)
         for field in (v, theta):
             assert 0.7 - 1e-12 <= field.min() and field.max() <= 1.3 + 1e-12
         assert np.abs(phi).max() <= 1.0 + 1e-12
@@ -211,7 +239,7 @@ class TestLastSources:
     def test_a_capped_run_evaluates_once_per_stage_time(self, params, monkeypatch):
         case = ns.ManufacturedCase(params, 8, amplitude=0.2)
         grid = ns.make_grid(8, 32)
-        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        initial = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
         step, dts, times, results, seen = ns.integrator.step, [], [], [], []
 
         def recording_step(state, params, bc, dt, sources=None, stages=2):
@@ -281,7 +309,7 @@ class TestConvergenceStudy:
                                - getattr(fine, f"order_{name}")) <= 0.01
         # the cap, not the Heun step or RKL2, sets every step of the finest run
         grid = ns.make_grid(16, resolutions[-1])
-        initial = ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), params)
+        initial = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
         cap = ns.mms.DT_CAP_FACTOR * grid.dx**2
         control = ns.run(initial, params, case.bc, case.t_star, dt_cap=cap,
                          sources=case.sources).control

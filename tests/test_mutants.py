@@ -163,7 +163,7 @@ SURVIVORS = {}
 
 def _initial(case, n_cells):
     grid = ns.make_grid(case.half_width, n_cells)
-    return ns.state_from_fields(grid, case.bc, *case.fields(grid.x, 0.0), case.params)
+    return ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), case.params)
 
 
 def _heun_orders(case):

@@ -24,16 +24,17 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-# the flagship initial data at L = 32 (tests/conftest.py::flagship_ic)
-FLAGSHIP = ("L = 32\nphi_width = 1.0\n"
-            "v_amp = 0.2\nv_width = 1.5\nv_center = -2.0\n"
-            "u_amp = 0.25\nu_width = 1.5\nu_center = 2.0\n"
-            "theta_amp = 0.25\ntheta_width = 1.5\ntheta_center = 0.0\n")
+# the flagship initial data as config text, from its one owner, the
+# benchmark's bench/workloads.py (FLAGSHIP at FLAGSHIP_L), read by path
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+FLAGSHIP = f"L = {WORKLOADS['FLAGSHIP_L']}\n" + "".join(
+    f"{key} = {value!r}\n" for key, value in WORKLOADS["FLAGSHIP"].items())
 
 # (name, command, config); each writes to the output directory `name`
 RUNS = (
