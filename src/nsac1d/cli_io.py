@@ -247,9 +247,14 @@ def read_diagnostics(path):
 LYAP_SLACK = 1e-3
 PHI_TOL = 1e-8
 MASS_TOL = 1e-12
-# read by the asserted checks, whose comparisons a NaN would pass vacuously
-ASSERTED_COLUMNS = ("t", "mass_excess", "e_lyap", "diss_cum", "e0", "phi_min",
-                    "phi_max", "v_min", "theta_min")
+
+
+def _record_columns(rec):
+    """(column, value) for every numeric column of a record, in CSV order: a
+    NaN or an Inf in any of them fails the audit, since the asserted checks'
+    comparisons would pass it vacuously and a monitored line would print it."""
+    return ([(name, getattr(rec, name)) for name in _RECORD_SCALARS]
+            + [(_weighted_column(*pair), rec.weighted[pair]) for pair in sorted(rec.weighted)])
 
 
 def audit_records(records):
@@ -270,10 +275,10 @@ def audit_records(records):
 
     if not records:
         return ["empty diagnostics"], ["FAIL  empty diagnostics: no records"]
-    bad = [(name, r.t) for r in records for name in ASSERTED_COLUMNS
-           if not math.isfinite(getattr(r, name))]
+    bad = [(name, r.t) for r in records for name, value in _record_columns(r)
+           if not math.isfinite(value)]
     check("finite_values", not bad,
-          f"{len(bad)} non-finite values in the asserted columns"
+          f"{len(bad)} non-finite values in the record columns"
           + (f", first {bad[0][0]} at t = {bad[0][1]}" if bad else ""))
     records = sorted(records, key=lambda r: r.t)
     e0 = records[0].e0

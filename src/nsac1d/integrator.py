@@ -18,11 +18,18 @@ is longer: cfl cuts the step, not the stage count a second time.  The step
 count grows as N, not N^2, and the stage count as sqrt(N).  Both run one
 recurrence, increments: an s = 2 step is the Heun step, the table HEUN, so
 cap-, acoustic- and reaction-bound runs are unchanged.
+
+A refinement study steps at a dt_cap below the Heun step.  After a run's
+first step, cap_step certifies such a step from limit_floor, a floor of the
+three limits from two reductions (the row extrema of u, phi, theta and v),
+and the exact limits are not computed; step_choice is monotone in the
+limits, so a certified step is the one they give, bit for bit.
 Positivity failures abort the run; fields are never clamped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,6 +131,53 @@ def step_limits(state, params):
     return diffusion, acoustic, reaction
 
 
+# the relative margin by which limit_floor lowers its bounds: numpy's
+# theta**beta may round a few ulps above the scalar pow; every other bound
+# takes step_limits' operations in its order, and rounding is monotone
+LIMIT_FLOOR_MARGIN = 1e-12
+
+
+def limit_floor(state, params):
+    """A floor of step_limits(state, params), component by component, from two
+    reductions: the row minima and maxima of u, phi, theta and v, ghosts
+    included.  None where it proves nothing: an extremum that is not finite,
+    a theta or v at or below the positivity floor, theta_max^beta
+    overflowing, or extrema that do not bound step_limits' limits away from
+    0 and inf, so step_limits does not raise where a floor is returned.
+
+    1/v_min bounds the u row, theta_max^beta / v_min the theta row,
+    eps v_max / v_min the phi row, sqrt(2 theta_max) / v_min the sound speed
+    and max(1, 3 phi_abs^2 - 1) v_max the reaction factor; 1/v_max and
+    sqrt(2 theta_min) / v_max bound the u row and the sound speed below.
+    """
+    rows = state.data[:4]
+    u_lo, phi_lo, theta_lo, v_lo = np.minimum.reduce(rows, axis=1).tolist()
+    u_hi, phi_hi, theta_hi, v_hi = np.maximum.reduce(rows, axis=1).tolist()
+    pf = params.positivity_floor
+    # a nan in a row is its minimum too, and fails these comparisons
+    if not (u_lo > -math.inf and phi_lo > -math.inf and theta_lo > pf and v_lo > pf
+            and max(u_hi, phi_hi, theta_hi, v_hi) < math.inf):
+        return None
+    try:
+        theta_pow = theta_hi**params.beta
+    except OverflowError:
+        return None
+    eps, dx = params.epsilon, state.grid.dx
+    sound_lo = math.sqrt(theta_lo * 2.0) / v_hi
+    if not (sound_lo > 0.0 and dx / sound_lo < math.inf
+            and dx**2 / (2.0 * (1.0 / v_hi)) < math.inf):
+        return None
+    u_row = 1.0 / v_lo
+    phi_sq = max(phi_lo * phi_lo, phi_hi * phi_hi)
+    react = max(1.0, 3.0 * phi_sq - 1.0) * v_hi
+    floor = (dx**2 / (2.0 * max(u_row, theta_pow / v_lo, eps * (v_hi * u_row))),
+             dx / (math.sqrt(theta_hi * 2.0) / v_lo),
+             eps / (1.0 + react / eps))
+    if not min(floor) > 0.0:
+        return None
+    return tuple(limit * (1.0 - LIMIT_FLOOR_MARGIN) for limit in floor)
+
+
 def rkl2_stages(dt, base):
     """The fewest stages s >= 2 whose stability interval, (s^2 + s - 2) / 4
     times a stable Heun step `base`, covers dt: 2 for dt <= base.  base must
@@ -221,6 +275,39 @@ def step(state, params, bc, dt, sources=None, stages=2):
     return out
 
 
+def step_choice(limits, params, cap, t, t_final):
+    """run's step from t under the (diffusion, acoustic, reaction) limits:
+    (dt, kind, base, last).  dt = max(cfl min(limits), RKL2_STEP cfl
+    min(acoustic, reaction)), or cap where cap is shorter; kind is the first
+    of equal limits of the candidate that set dt, or "cap"; base, the RKL2
+    stage base, is the longer of the Heun step and RKL2_STAGE_LIMIT times the
+    diffusion limit; last says that dt was cut to land on t_final.  Limits
+    no larger give a dt and a base no larger, and "cap" wherever these do."""
+    diffusion, acoustic, reaction = limits
+    heun_dt = params.cfl * min(limits)
+    dt = max(heun_dt, RKL2_STEP * params.cfl * min(acoustic, reaction))
+    kind = LIMIT_KINDS[limits.index(min(limits if dt == heun_dt else limits[1:]))]
+    if cap < dt:
+        dt, kind = cap, "cap"
+    # a step that ends within this of t_final absorbs the float-accumulation
+    # sliver and lands on it
+    last = t + dt >= t_final - 1e-12 * max(1.0, abs(t_final))
+    if last:
+        dt = t_final - t
+    return dt, kind, max(heun_dt, RKL2_STAGE_LIMIT * diffusion), last
+
+
+def cap_step(state, params, cap, t_final):
+    """(dt, last) of run's step from state where limit_floor proves that the
+    cap sets it in 2 stages, else None.  step_choice is monotone in the
+    limits, so the step is the one step_limits would give."""
+    floor = limit_floor(state, params)
+    if floor is None:
+        return None
+    dt, kind, base, last = step_choice(floor, params, cap, state.t, t_final)
+    return (dt, last) if kind == "cap" and dt <= base else None
+
+
 @dataclass
 class RunResult:
     state: FlowState
@@ -230,15 +317,18 @@ class RunResult:
 def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     """Advance from initial.t to t_final; the last step lands on it exactly.
 
-    Each step is dt = max(cfl min(limits), RKL2_STEP cfl min(acoustic,
-    reaction)), capped by dt_cap; RKL2_STEP = 0.5 is exact, so the RKL2 step
-    is the longer only where diffusion binds the Heun step.  limit_kind names
-    the limit that set dt, or "cap".  The step takes rkl2_stages(dt, base)
-    stages, base the longer of the Heun step and RKL2_STAGE_LIMIT times the
-    diffusion limit, so a step no longer than the Heun step is a Heun step.
-    observer(state) is called after every accepted step, not on the initial
-    state, and sources(x, t) at every stage.  Any step error aborts with the
-    last accepted state attached.
+    Each step is step_choice of step_limits: dt = max(cfl min(limits),
+    RKL2_STEP cfl min(acoustic, reaction)), capped by dt_cap; RKL2_STEP = 0.5
+    is exact, so the RKL2 step is the longer only where diffusion binds the
+    Heun step.  limit_kind names the limit that set dt, or "cap".  The step
+    takes rkl2_stages(dt, base) stages, so a step no longer than the Heun
+    step is a Heun step.  After the first step, a run with a dt_cap asks
+    cap_step first: a step it certifies is the cap in 2 stages, with no
+    exact limits computed.  The first step's step_limits guards the input;
+    step guards every later state at its first stage.  observer(state) is
+    called after every accepted step, not on the initial state, and
+    sources(x, t) at every stage.  Any step error aborts with the last
+    accepted state attached.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
@@ -246,24 +336,18 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
         raise ValueError(f"dt_cap = {dt_cap} must be > 0")
     control = StepControl()
     state = initial
-    cfl, rkl2_cfl = params.cfl, RKL2_STEP * params.cfl
     cap = np.inf if dt_cap is None else dt_cap
-    # a step that ends within this of t_final absorbs the float-accumulation
-    # sliver and lands on it
-    landing = t_final - 1e-12 * max(1.0, abs(t_final))
     while state.t < t_final:
         try:
-            diffusion, acoustic, reaction = limits = step_limits(state, params)
-            heun_dt = cfl * min(limits)
-            dt = max(heun_dt, rkl2_cfl * min(acoustic, reaction))
-            # the first of equal limits of the candidate that set dt
-            kind = LIMIT_KINDS[limits.index(min(limits if dt == heun_dt else limits[1:]))]
-            if cap < dt:
-                dt, kind = cap, "cap"
-            last = state.t + dt >= landing
-            if last:
-                dt = t_final - state.t
-            stages = rkl2_stages(dt, max(heun_dt, RKL2_STAGE_LIMIT * diffusion))
+            certified = (control.step_count and dt_cap is not None
+                         and cap_step(state, params, cap, t_final))
+            if certified:
+                dt, last = certified
+                kind, stages = "cap", 2
+            else:
+                dt, kind, base, last = step_choice(step_limits(state, params), params, cap,
+                                                   state.t, t_final)
+                stages = rkl2_stages(dt, base)
             state = step(state, params, bc, dt, sources, stages)
         except Exception as exc:
             raise SimulationAbort(

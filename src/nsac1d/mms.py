@@ -39,9 +39,11 @@ class ManufacturedCase:
 
     v = 1 + A(x) e^-t and u = A(x) e^-t with A = amp sin(pi x / L) env(x);
     theta = 1 + B(x)(1 - e^-t) with B = amp cos(pi x / L) env(x); the phase
-    profile is a tanh blended to exactly +-1 near the boundary by logistic
-    steps, so every field is within 1e-12 of its far-field value on the
-    ghost region.  |A|, |B| <= amplitude <= 0.3 keeps v and theta in
+    profile is a tanh blended to +-1 near the boundary by logistic steps.
+    On the ghost region u, v and theta are within 1e-19 of their far-field
+    values at every L, and the phase within about 2 e^(-2.2 L) of +-1: under
+    1e-12 for L >= 13 (1e-15 at L = 16), but 4.5e-8 at the smallest L = 8
+    and 6.8e-12 at L = 12.  |A|, |B| <= amplitude <= 0.3 keeps v and theta in
     [0.7, 1.3] at every t >= 0, and the two logistic weights sum to less
     than 1, so |phi| <= 1.  amplitude = 0 collapses everything to the equilibrium
     constants (phi = +1) and all sources vanish identically.

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nsac1d as ns
 from conftest import nan_sources_after, recorded_run
 from nsac1d import cli_io
-from nsac1d.cli_io import (_RECORD_SCALARS, ASSERTED_COLUMNS, _fmt,
+from nsac1d.cli_io import (_RECORD_SCALARS, _fmt, _record_columns,
                            read_diagnostics, read_snapshot, write_diagnostics,
                            write_snapshot)
 
@@ -541,22 +541,30 @@ class TestAuditNonFinite:
         assert failures == []
         assert any(line.startswith("PASS  finite_values") for line in lines)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_nan_in_any_asserted_cell_fails(self, healthy_records, data):
+    def test_a_non_finite_value_in_any_column_fails(self, healthy_records, data):
         records = copy.deepcopy(healthy_records)
         row = data.draw(st.integers(0, len(records) - 1), label="row")
-        column = data.draw(st.sampled_from(ASSERTED_COLUMNS), label="column")
-        setattr(records[row], column, math.nan)
+        columns = [name for name, _ in _record_columns(records[row])]
+        assert columns[len(_RECORD_SCALARS):] == ["wdiss_a0.5_n0"]
+        column = data.draw(st.sampled_from(columns), label="column")
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+        if column in _RECORD_SCALARS:
+            setattr(records[row], column, value)
+        else:
+            records[row].weighted[(0.5, 0)] = value
         failures, lines = ns.audit_records(records)
         assert "finite_values" in failures
-        assert any(line.startswith("FAIL  finite_values") for line in lines)
+        assert (f"FAIL  finite_values: 1 non-finite values in the record columns, "
+                f"first {column} at t = {records[row].t}") in lines
 
     def test_nan_last_row_fails_from_csv(self, healthy_records, tmp_path):
         records = copy.deepcopy(healthy_records)
-        for name in ASSERTED_COLUMNS:
-            if name != "t":
+        for name in _RECORD_SCALARS:
+            if name not in ("t", "bracket_violations"):  # the CSV reads an integer there
                 setattr(records[-1], name, math.nan)
+        records[-1].weighted[(0.5, 0)] = math.inf
         path = tmp_path / "nan.csv"
         write_diagnostics(records, path)
         out = io.StringIO()
@@ -838,8 +846,7 @@ class TestMainCommands:
         records = read_diagnostics(tmp_path / "out" / "diagnostics.csv")
         # the dump is the last accepted state, one step short of t_final
         assert 0.0 < records[-1].t < 0.05
-        assert all(math.isfinite(getattr(r, name))
-                   for r in records for name in ASSERTED_COLUMNS)
+        assert all(math.isfinite(value) for r in records for _, value in _record_columns(r))
 
 
 class TestReadme:
@@ -885,6 +892,20 @@ class TestModuleEntryPoint:
         assert proc.stdout.startswith(
             "ABORT: step 1 failed at t = 0.000000e+00: step limits (diffusion, acoustic, "
             "reaction) = (0.000000e+00, ")
+
+    def test_the_audit_of_the_overflowing_run_fails(self, tmp_path):
+        # the run's one record holds v_diss = nan and wdiss_a0.5_n0 = inf,
+        # which no asserted check reads
+        (tmp_path / "run.cfg").write_text(
+            "L = 32\nN = 64\nt_final = 0.01\nbeta = 2\nphi_width = 1\n"
+            "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
+        assert _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path).returncode == 1
+        proc = _python_m_nsac1d(["audit", "out/diagnostics.csv"], cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == ("FAIL  finite_values: 2 non-finite values in the record "
+                            "columns, first v_diss at t = 0.0")
+        assert lines[-1] == "AUDIT FAILED: finite_values"
 
     def test_a_step_of_too_many_rkl2_stages_aborts_at_step_1(self, tmp_path):
         # at beta = 1 nothing overflows, but the diffusion limit is about

@@ -774,3 +774,161 @@ class TestAliasing:
         states = {id(state): state for state, _, _ in seen}.values()
         for a, b in itertools.combinations(states, 2):
             assert not np.shares_memory(a.data, b.data)
+
+
+def _mms_state(params, half_width=16, n_cells=64):
+    """(state, case, cap): the default manufactured case's initial state on
+    n_cells, the case, and the study's dt cap."""
+    case = ns.ManufacturedCase(params, half_width)
+    grid = ns.make_grid(half_width, n_cells)
+    state = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
+    return state, case, ns.mms.DT_CAP_FACTOR * grid.dx**2
+
+
+@st.composite
+def _drawn_states(draw):
+    """(state, params): beta in {0.5, 1, 2, 4}, epsilon in {0.05, 1}, N = 8,
+    every column drawn, ghosts included, each row from a band drawn for it,
+    so that each bound of limit_floor binds on some states: theta and v near
+    the positivity floor (at it included), below 1, around 1, mixed, and v
+    also near the largest double; phi within 0.5 or 1.5 of 0, or in
+    [-1.5, 0.2], where its minimum sets |phi|."""
+    params = ns.SimParams(epsilon=draw(st.sampled_from([0.05, 1.0])),
+                          beta=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])))
+    grid = ns.make_grid(draw(st.sampled_from([0.5, 4.0, 64.0])), 8)
+    floor = params.positivity_floor
+    near_floor, unit = st.floats(floor, 4.0 * floor), st.floats(0.01, 100.0)
+    positive = [near_floor, st.floats(0.01, 1.0), unit, st.one_of(near_floor, unit)]
+
+    def row(bands):
+        values = draw(st.sampled_from(bands))
+        return draw(st.lists(values, min_size=grid.n_total, max_size=grid.n_total))
+
+    data = np.array([row([st.floats(-10.0, 10.0)]),
+                     row([st.floats(-0.5, 0.5), st.floats(-1.5, 1.5), st.floats(-1.5, 0.2)]),
+                     row(positive), row(positive + [st.floats(1e306, 1e308)]),
+                     [0.0] * grid.n_total])
+    return ns.FlowState(grid, 0.0, data), params
+
+
+class TestLimitFloor:
+    """integrator.limit_floor bounds step_limits below from the row extrema,
+    and a step that integrator.cap_step certifies is the exact path's step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_drawn_states())
+    def test_the_floor_is_below_step_limits(self, drawn):
+        state, params = drawn
+        floor = ns.integrator.limit_floor(state, params)
+        if floor is not None:
+            limits = ns.step_limits(state, params)  # does not raise
+            assert all(0.0 < low <= limit for low, limit in zip(floor, limits)), (floor, limits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_drawn_states(), fraction=st.floats(0.05, 2.0),
+           steps=st.sampled_from([0.5, 1.0, 1.0 + 1e-13, 3.0]))
+    def test_a_certified_step_is_the_cap_in_two_stages(self, drawn, fraction, steps):
+        state, params = drawn
+        floor = ns.integrator.limit_floor(state, params)
+        if floor is None:
+            return
+        cap = fraction * params.cfl * min(floor)
+        t_final = steps * cap
+        certified = ns.integrator.cap_step(state, params, cap, t_final)
+        if certified is not None:
+            dt, kind, base, last = ns.integrator.step_choice(
+                ns.step_limits(state, params), params, cap, state.t, t_final)
+            assert kind == "cap" and ns.integrator.rkl2_stages(dt, base) == 2
+            assert (dt, last) == certified
+
+    def test_the_manufactured_step_is_certified(self, params):
+        state, _, cap = _mms_state(params)
+        assert ns.integrator.cap_step(state, params, cap, 1.0) == (cap, False)
+        assert ns.integrator.cap_step(state, params, cap, 0.5 * cap) == (0.5 * cap, True)
+        # the exact limits set a step of 0.0667 (RKL2_STEP times the CFL step
+        # of the reaction limit) and their floor one of 0.0657: a cap above
+        # the one is not certified, nor one between the two, which the exact
+        # path takes
+        limits = ns.step_limits(state, params)
+        dt = ns.integrator.step_choice(limits, params, math.inf, 0.0, 1.0)[0]
+        assert dt == ns.integrator.RKL2_STEP * params.cfl * limits[2]
+        assert ns.integrator.cap_step(state, params, 1.01 * dt, 1.0) is None
+        assert ns.integrator.cap_step(state, params, 0.999 * dt, 1.0) is None
+        assert ns.integrator.step_choice(limits, params, 0.999 * dt, 0.0, 1.0)[1] == "cap"
+
+    @pytest.mark.parametrize("row, column, value", [
+        (3, 0, math.nan), (0, -1, math.inf), (1, 5, -math.inf), (0, 4, math.nan),
+        (1, 5, math.nan), (2, -2, math.nan), (2, 5, 1e-10), (3, -1, 1e-10), (2, 5, 1e200)])
+    def test_the_floor_declines(self, row, column, value):
+        # a non-finite value, ghosts included; theta or v at the floor; theta^beta
+        # overflowing at beta = 2
+        params = ns.SimParams(beta=2.0)
+        state, _, _ = _mms_state(params)
+        state.data[row, column] = value
+        assert ns.integrator.limit_floor(state, params) is None
+
+    @pytest.mark.parametrize("run_case", ["mms-L16", "mms-beta2", "flagship-capped",
+                                          "flagship-near-base-0.98", "flagship-near-base-1.01",
+                                          "equilibrium"])
+    def test_cap_bound_runs_are_the_exact_path_byte_for_byte(self, monkeypatch, flagship_ic,
+                                                              run_case):
+        if run_case.startswith("mms"):
+            params = (ns.SimParams() if run_case == "mms-L16"
+                      else ns.SimParams(epsilon=0.5, beta=2.0))
+            state, case, cap = _mms_state(params, 16 if run_case == "mms-L16" else 8)
+            args, kwargs = (state, params, case.bc, 0.05), {"dt_cap": cap,
+                                                           "sources": case.sources}
+        elif run_case == "equilibrium":
+            params, bc = ns.SimParams(), ns.BoundaryConfig(1.0, 1.0)
+            state = ns.interface_initial_state(ns.make_grid(8, 64), params, bc)
+            cap = 0.25 * params.cfl * min(ns.step_limits(state, params))
+            args, kwargs = (state, params, bc, 20 * cap), {"dt_cap": cap}
+        elif run_case == "flagship-capped":  # 1e-3 binds every step
+            params, _, bc, state = flagship_ic(128)
+            args, kwargs = (state, params, bc, 0.2), {"dt_cap": 1e-3}
+        else:
+            # a cap near the first stage base at N = 256: the floor certifies
+            # 5 of the 9 steps after the first at 0.98 of it, and 1 at 1.01,
+            # where 2 steps are RKL2 steps
+            params, _, bc, state = flagship_ic(256)
+            base = ns.integrator.RKL2_STAGE_LIMIT * ns.step_limits(state, params)[0]
+            args, kwargs = (state, params, bc, 0.2), {"dt_cap": float(run_case[-4:]) * base}
+
+        def outcome(result):
+            return result.state.data.tobytes(), result.state.t, result.control
+
+        certify, certified = ns.integrator.cap_step, []
+
+        def counted(*step_args):
+            step = certify(*step_args)
+            certified.append(step is not None)
+            return step
+
+        monkeypatch.setattr(ns.integrator, "cap_step", counted)
+        fast = outcome(ns.run(*args, **kwargs))
+        monkeypatch.setattr(ns.integrator, "cap_step", lambda *step_args: None)
+        exact = outcome(ns.run(*args, **kwargs))
+        assert fast == exact
+        assert any(certified)
+        if run_case.startswith("flagship-near-base"):
+            assert not all(certified)
+
+    def test_step_limits_is_called_once_per_cap_bound_run(self, params, monkeypatch):
+        step_limits, calls = ns.integrator.step_limits, []
+
+        def counted(state, p):
+            calls.append(state.t)
+            return step_limits(state, p)
+
+        monkeypatch.setattr(ns.integrator, "step_limits", counted)
+        case = ns.ManufacturedCase(params, 8, amplitude=0.2)
+        ns.convergence_study(case, [16, 32, 64])
+        assert calls == [0.0] * 3
+
+    def test_a_run_without_a_cap_never_computes_the_floor(self, flagship_ic, monkeypatch):
+        def refused(state, params):
+            raise AssertionError("limit_floor called")
+
+        monkeypatch.setattr(ns.integrator, "limit_floor", refused)
+        params, _, bc, state = flagship_ic(64)
+        assert ns.run(state, params, bc, 0.2).control.step_count > 1

@@ -141,6 +141,17 @@ class TestManufacturedCase:
             assert abs(theta[0] - 1.0) < 1e-12
             assert abs(abs(phi[0]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("half_width, low, high",
+                             [(8, 4e-8, 5e-8), (12, 6e-12, 7e-12), (13, 0.0, 1e-12),
+                              (16, 0.0, 1e-15)])
+    def test_the_phase_gap_at_the_far_field(self, params, half_width, low, high):
+        # the docstring's figures: 1 - |phi| at |x| = L, where the ghost
+        # region starts, is about 2 e^(-2.2 L)
+        case = ns.ManufacturedCase(params, half_width)
+        x = np.array([-half_width, half_width])
+        gap = max(np.abs(1.0 - np.abs(case.fields(x, t)[1])).max() for t in (0.0, 0.25, 1.0))
+        assert low <= gap <= high
+
     def test_fields_stay_in_validity_window(self, case):
         x = np.linspace(-16, 16, 2001)
         for t in (0.0, 0.1, 0.25):

@@ -9,7 +9,10 @@ nsac1d_parent and nsac1d_change (the package imports itself only
 relatively), and each builds the same inputs: the flagship initial data of
 the benchmark (bench/workloads.py's FLAGSHIP at FLAGSHIP_L) on N cells, the
 default parameters and the far-field phases -1, +1; the run case goes to the
-benchmark's T_FINAL.
+benchmark's T_FINAL.  The mms-run case is the manufactured case of the
+default `nsac1d mms` config on N cells, run with its sources to t_star under
+the study's cap, mms.DT_CAP_FACTOR dx^2, so every step is a cap-bound Heun
+step.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
@@ -30,6 +33,7 @@ batch. The cases:
     increments-5  stages, with rate returning a fixed F: the arithmetic alone
     step-5        step(state, params, bc, dt, stages=5)
     run           run(initial, params, bc, T_FINAL)
+    mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
 
 dt is the Heun step of the initial state, cfl times its least limit. For
 each case one line gives the median and the quartiles of the per-call time
@@ -94,6 +98,13 @@ def cases(ns, n_cells):
     def rate(y, t):
         return force
 
+    cfg = ns.parse_config("")
+    case = ns.ManufacturedCase(params, cfg.L, amplitude=cfg.mms_amplitude,
+                               t_star=cfg.mms_t_final)
+    mms_grid = ns.make_grid(case.half_width, n_cells)
+    mms_initial = ns.state_from_fields(mms_grid, case.bc, case.fields(mms_grid.x, 0.0), params)
+    mms_cap = ns.mms.DT_CAP_FACTOR * mms_grid.dx**2
+
     def run_key(result):
         c = result.control
         return repr((result.state.data.tobytes(), result.state.t, c.step_count, c.rhs_evals,
@@ -113,6 +124,8 @@ def cases(ns, n_cells):
         "increments-5": (lambda: increments(state.data, state.t, dt, rate, 5), array_key),
         "step-5": (lambda: ns.step(state, params, bc, dt, stages=5), data_key),
         "run": (lambda: ns.run(initial, params, bc, WORKLOADS.T_FINAL), run_key),
+        "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
+                                   sources=case.sources), run_key),
     }
 
 
