@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -472,8 +473,14 @@ def _cmd_brackets(e0, out=sys.stdout):
     return 0
 
 
+# the exit status of a command whose standard output closed early: the
+# status a shell reports for SIGPIPE, 128 + 13
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None, out=sys.stdout):
-    """Entry point; returns 0 on success, 1 on assertion failure, 2 on usage."""
+    """Entry point; returns 0 on success, 1 on assertion failure, 2 on usage.
+    A BrokenPipeError from writing to out is raised, not taken for usage."""
     parser = argparse.ArgumentParser(
         prog="nsac1d",
         description="1-D two-phase compressible flow solver and diagnostics auditor")
@@ -503,6 +510,8 @@ def main(argv=None, out=sys.stdout):
             return _cmd_mms(cfg, out=out)
         if args.command == "brackets":
             return _cmd_brackets(args.e0, out=out)
+    except BrokenPipeError:
+        raise
     except (ConfigError, OSError, PositivityError, ValueError) as exc:
         # a PositivityError here means bad initial data; run() raises SimulationAbort
         print(f"error: {exc}", file=out)
@@ -511,4 +520,13 @@ def main(argv=None, out=sys.stdout):
 
 
 def main_cli():
-    sys.exit(main())
+    """main on sys.argv; a standard output that closes early ends the command
+    quietly with EXIT_BROKEN_PIPE (Python's documented SIGPIPE recipe: the
+    rest of the output goes to devnull, so the flush at exit cannot fail)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -36,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FlowState, apply_bc, is_number
-from .operators import cell_coefficients, check_positive, face_average, semi_discrete_rhs
+from .operators import (WORKSPACE_GRIDS, cell_coefficients, check_positive, face_average,
+                        semi_discrete_rhs)
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
@@ -85,6 +86,25 @@ class SimulationAbort(RuntimeError):
         super().__init__(message)
 
 
+class _LimitsWorkspace:
+    """step_limits' coefficient rows, faces and five rows on one grid, and
+    the views of them that it reads."""
+
+    def __init__(self, grid):
+        s = grid.interior
+        self.coef = np.empty((3, grid.n_total))
+        self.coef_flat = self.coef[1:].reshape(-1)  # the u and theta rows
+        self.faces = np.empty(2 * grid.n_total - 1)
+        self.rows = np.empty((5, grid.n_total))
+        self.interior_rows = self.rows[:, s]
+        # entry k of the face average of faces is at flat cell k + 1
+        self.stencil_rows = self.rows[:2].reshape(-1)[1:-1]
+        self.u_row, _, self.phi_row, self.sound, self.react = self.interior_rows
+
+
+_limits_workspace = lru_cache(maxsize=WORKSPACE_GRIDS)(_LimitsWorkspace)
+
+
 def step_limits(state, params):
     """Per-state (diffusion, acoustic, reaction) stability limits, pre-CFL;
     the state is run through check_positive first.
@@ -93,10 +113,12 @@ def step_limits(state, params):
     stencils (a f_x)_x, their ghost neighbours included: r = (a[i-1/2] +
     a[i+1/2]) / 2 with a the face average of 1/v for u and of theta^beta/v
     for theta, and eps v_i times the u row for phi, whose dphi = -v mu holds
-    -eps (a phi_x)_x.
+    -eps (a phi_x)_x.  Its rows live in a workspace per grid, kept as the
+    kernel's is.
     """
     check_positive(state, params)
     grid = state.grid
+    w = _limits_workspace(grid)
     s = grid.interior
     data = state.data
     phi, theta, v = data[1, s], data[2, s], data[3, s]
@@ -106,11 +128,10 @@ def step_limits(state, params):
     # rows (the mean of the two faces of a cell, by face_average along the
     # flattened rows, as in the kernel), v times the u row, the sound speed
     # (gamma = 2) and the reaction factor
-    rows = np.empty((5, grid.n_total))
-    phi_row, sound, react = rows[2, s], rows[3, s], rows[4, s]
-    a = face_average(cell_coefficients(data[3], data[2], params.beta)[1:].reshape(-1))
-    rows[:2].reshape(-1)[1:-1] = face_average(a)  # entry k is at flat cell k + 1
-    np.multiply(v, rows[0, s], out=phi_row)
+    phi_row, sound, react = w.phi_row, w.sound, w.react
+    cell_coefficients(data[3], data[2], params.beta, out=w.coef)
+    face_average(face_average(w.coef_flat, out=w.faces), out=w.stencil_rows)
+    np.multiply(v, w.u_row, out=phi_row)
     np.multiply(theta, 2.0, out=sound)
     np.sqrt(sound, out=sound)
     sound /= v
@@ -119,7 +140,8 @@ def step_limits(state, params):
     react -= 1.0
     np.abs(react, out=react)
     react *= v
-    u_row, theta_row, phi_row, sound, react = np.maximum.reduce(rows[:, s], axis=1).tolist()
+    u_row, theta_row, phi_row, sound, react = np.maximum.reduce(w.interior_rows,
+                                                                axis=1).tolist()
 
     diffusion = grid.dx**2 / (2.0 * max(u_row, theta_row, eps * phi_row))
     acoustic = grid.dx / sound

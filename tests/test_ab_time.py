@@ -13,8 +13,8 @@ import pytest
 import nsac1d as ns
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_time.py"
-CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step-5", "run",
-         "mms-run")
+CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step-5", "step-2",
+         "run", "mms-run")
 TINY = ["--n", "16", "--rounds", "2"]
 NUMBER = r"\d+\.\d\d"
 LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"

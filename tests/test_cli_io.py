@@ -863,13 +863,15 @@ class TestReadme:
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ns.RunConfig))
 
 
-def _python_m_nsac1d(argv, cwd=None):
-    """`python -m nsac1d *argv` on this package, as a finished process."""
+def _python_m_nsac1d(argv, cwd=None, stdout=subprocess.PIPE, environ=os.environ):
+    """`python -m nsac1d *argv` on this package, as a finished process, in
+    the environment `environ`; standard error is captured, and so is
+    standard output unless `stdout` says where it goes."""
     src = str(Path(ns.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-m", "nsac1d", *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 class TestModuleEntryPoint:
@@ -880,6 +882,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == code, proc.stderr
         if code == 0:
             assert proc.stdout.split() == [f"{r:.17g}" for r in ns.bracket_roots(0.5)]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_standard_output_closed_early_ends_quietly(self, tmp_path, unbuffered):
+        # README's "Known limits" run, whose audit lines go to a pipe that no
+        # one reads: a write fails at once unbuffered, at the flush on exit
+        # buffered; once each ended in tracebacks
+        (tmp_path / "run.cfg").write_text("L = 8\nN = 64\nt_final = 0.01\nphi_width = 0.5\n"
+                                          "theta_amp = 0.1\ntheta_width = 1\noutdir = out\n")
+        environ = {key: value for key, value in os.environ.items()
+                   if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            environ["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path, stdout=write_end,
+                                    environ=environ)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli_io.EXIT_BROKEN_PIPE, "")
+        assert cli_io.EXIT_BROKEN_PIPE not in (0, 1, 2)
+        assert (tmp_path / "out" / "diagnostics.csv").is_file()
 
     def test_an_overflowing_diffusion_limit_aborts_at_step_1(self, tmp_path):
         # theta^beta overflows, so the diffusion limit is 0: valid data on

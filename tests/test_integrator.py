@@ -168,6 +168,24 @@ class TestStableDt:
         assert row == binding
         assert ns.step_limits(state, params)[0] == pytest.approx(expected, rel=1e-14)
 
+    def test_writes_nothing_to_its_input_and_keeps_nothing(self, params):
+        # ghosts off the far field, G's too; B on the grid of A, computed in
+        # between, leaves A's limits as they were
+        grid = ns.make_grid(4, 16)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        a = ns.interface_initial_state(grid, params, bc, phi_width=0.25, u_amp=0.2,
+                                       u_width=0.5)
+        b = a.copy()
+        b.data[2:4] *= [[1.5], [0.8]]
+        g = grid.n_ghost
+        a.data[:, :g] += 0.05
+        a.data[:, -g:] += 0.1
+        before = a.data.tobytes()
+        limits = ns.step_limits(a, params)
+        assert a.data.tobytes() == before
+        assert ns.step_limits(b, params) == _limits_by_expression(b, params) != limits
+        assert ns.step_limits(a, params) == limits == _limits_by_expression(a, params)
+
     def test_rejects_non_finite(self, params):
         grid = ns.make_grid(4, 16)
         eq = ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0))

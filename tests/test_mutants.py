@@ -26,6 +26,7 @@ Run with `pytest tests/test_mutants.py -s` to see the kill matrix.
 
 import sys
 
+import numpy as np
 import pytest
 
 import nsac1d as ns
@@ -102,8 +103,8 @@ def _scale_cube_in_kernel_mu(mp):
     """phi^3 * 0.99 in the kernel's mu; the diagnostics keep the true mu."""
     kernel = operators.semi_discrete_rhs
 
-    def potential(phi, phi_lap, eps):
-        return (0.99 * phi * phi * phi - phi) / eps - eps * phi_lap
+    def potential(phi, phi_lap, eps, out=None, scratch=None):
+        return np.subtract((0.99 * phi * phi * phi - phi) / eps, eps * phi_lap, out=out)
 
     def mutant(state, params):
         with pytest.MonkeyPatch.context() as inner:
@@ -120,7 +121,8 @@ def _left_value_face_average(mp):
     for name, module in list(sys.modules.items()):
         if (name.partition(".")[0] == "nsac1d"
                 and getattr(module, "face_average", None) is original):
-            mp.setattr(module, "face_average", lambda c: c[..., :-1])
+            mp.setattr(module, "face_average",
+                       lambda c, out=None: np.positive(c[..., :-1], out=out))
 
 
 def _forward_euler(mp):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import nsac1d as ns
 from conftest import x_with_ghosts
+from nsac1d import operators
 from nsac1d.core import FlowState
 from nsac1d.operators import check_positive
 
@@ -20,6 +21,43 @@ def manual_state(grid, v, u, theta, phi, t=0.0, G=None):
     return FlowState(grid, t, data)
 
 
+# the stencil owners: name -> (the shape of its scratch from its arguments,
+# or None where it takes none; the entries of its result that hold values)
+OWNERS = {
+    "centered": (None, ...),
+    "face_average": (None, ...),
+    "cell_coefficients": (None, ...),
+    "diffusion_flux": (lambda a_face, f, dx: a_face.shape, np.s_[1:-1]),
+    "potential_from": (lambda phi, phi_lap, eps: phi.shape, ...),
+}
+
+
+@pytest.fixture
+def out_form_checked(monkeypatch):
+    """Each stencil owner, in nsac1d and nsac1d.operators, called in both
+    forms on every call: the new array, and the out= form on the caller's
+    out, or on a NaN-filled out (and scratch) where the caller gave none.
+    The out= call must return out and hold the new array's bits wherever
+    the result holds values; the caller gets it."""
+    for name, (scratch_shape, filled) in OWNERS.items():
+        def checked(*args, _owner=getattr(operators, name), _scratch_shape=scratch_shape,
+                    _filled=filled, **given):
+            new = _owner(*args)
+            if "out" not in given:
+                given = {"out": np.full(new.shape, np.nan)}
+                if _scratch_shape is not None:
+                    given["scratch"] = np.full(_scratch_shape(*args), np.nan)
+            got = _owner(*args, **given)
+            assert got is given["out"]
+            assert got[_filled].tobytes() == new[_filled].tobytes()
+            return got
+
+        for module in (ns, operators):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked)
+
+
+@pytest.mark.usefixtures("out_form_checked")
 class TestD1Center:
     """The central first derivative `centered`: one value per cell with both
     neighbours."""
@@ -42,6 +80,7 @@ class TestD1Center:
         assert np.array_equal(out, 2.0 * x[1:-1])
 
 
+@pytest.mark.usefixtures("out_form_checked")
 class TestDiffusionFlux:
     def test_constant_field(self):
         grid = ns.make_grid(1, 8)
@@ -84,6 +123,7 @@ class TestDiffusionFlux:
         assert total == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
+@pytest.mark.usefixtures("out_form_checked")
 class TestChemicalPotential:
     def test_pure_phase_vanishes(self, params):
         grid = ns.make_grid(4, 16)
@@ -127,6 +167,7 @@ class TestChemicalPotential:
                               -ns.chemical_potential(base, params))
 
 
+@pytest.mark.usefixtures("out_form_checked")
 class TestDerivedFields:
     """Quantities derived inside the kernel, seen through its outputs."""
 
@@ -305,6 +346,43 @@ class TestSemiDiscreteRhs:
         before = state.data.tobytes()
         ns.semi_discrete_rhs(state, params)
         assert state.data.tobytes() == before
+
+    @pytest.mark.parametrize("grids", [(16,), (16, 32)])
+    def test_a_workspace_carries_nothing_from_call_to_call(self, params, grids):
+        # states A and B on each grid, ghosts and G drawn, called A, B, A on
+        # one grid, and interleaved on two: each result is the one a fresh
+        # workspace gives, and no call writes to a state or an earlier Rhs
+        rng = np.random.default_rng(29)
+
+        def drawn(n):
+            m = n + 2 * ns.core.N_GHOST
+            data = np.array([rng.normal(0.0, 2.0, m), rng.uniform(-1.5, 1.5, m),
+                             rng.uniform(0.05, 5.0, m), rng.uniform(0.05, 5.0, m),
+                             rng.normal(0.0, 1.0, m)])
+            return FlowState(ns.make_grid(4, n), 0.0, data)
+
+        states = [drawn(n) for n in grids for _ in "AB"]
+        inputs = [state.data.tobytes() for state in states]
+        fresh = []
+        for state in states:
+            operators._kernel_workspace.cache_clear()
+            fresh.append(ns.semi_discrete_rhs(state, params).data.tobytes())
+        operators._kernel_workspace.cache_clear()
+        order = [0, 1, 0] if len(grids) == 1 else [0, 2, 1, 3, 0, 2]
+        results = [ns.semi_discrete_rhs(states[k], params) for k in order]
+        assert [rhs.data.tobytes() for rhs in results] == [fresh[k] for k in order]
+        assert [state.data.tobytes() for state in states] == inputs
+        assert operators._kernel_workspace.cache_info().misses == len(grids)
+
+    def test_an_mms_ladder_builds_each_workspace_once(self, params):
+        case = ns.ManufacturedCase(params, 8.0, t_star=0.002)
+        assert operators.WORKSPACE_GRIDS >= 3
+        operators._kernel_workspace.cache_clear()
+        ns.integrator._limits_workspace.cache_clear()
+        for _ in range(2):
+            ns.convergence_study(case, (32, 64, 128))
+        assert operators._kernel_workspace.cache_info().misses == 3
+        assert ns.integrator._limits_workspace.cache_info().misses == 3
 
     def test_positivity_guard_names_cell_and_field(self, params):
         grid = ns.make_grid(4, 16)

@@ -12,7 +12,7 @@ default parameters and the far-field phases -1, +1; the run case goes to the
 benchmark's T_FINAL.  The mms-run case is the manufactured case of the
 default `nsac1d mms` config on N cells, run with its sources to t_star under
 the study's cap, mms.DT_CAP_FACTOR dx^2, so every step is a cap-bound Heun
-step.
+step; the step-2 case is one such step from the case's initial state.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
@@ -32,6 +32,7 @@ batch. The cases:
     increments-2  integrator.increments(y0, t0, dt, rate, stages) at 2 and 5
     increments-5  stages, with rate returning a fixed F: the arithmetic alone
     step-5        step(state, params, bc, dt, stages=5)
+    step-2        step(mms_initial, params, case.bc, dt_cap, case.sources)
     run           run(initial, params, bc, T_FINAL)
     mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
 
@@ -123,6 +124,8 @@ def cases(ns, n_cells):
         "increments-2": (lambda: increments(state.data, state.t, dt, rate, 2), array_key),
         "increments-5": (lambda: increments(state.data, state.t, dt, rate, 5), array_key),
         "step-5": (lambda: ns.step(state, params, bc, dt, stages=5), data_key),
+        "step-2": (lambda: ns.step(mms_initial, params, case.bc, mms_cap, case.sources),
+                   data_key),
         "run": (lambda: ns.run(initial, params, bc, WORKLOADS.T_FINAL), run_key),
         "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
                                    sources=case.sources), run_key),

@@ -5,7 +5,7 @@
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). For each tree the same commands run as `python -m nsac1d` with
-PYTHONPATH set to that tree alone, in a fresh temporary directory: nine
+PYTHONPATH set to that tree alone, in a fresh temporary directory: ten
 `run` configs and three `mms`, then `audit` of the first run's diagnostics
 CSV. Exit codes, standard output, standard error and every file left in the
 directory must be identical; only the `outdir` line of each config.txt is
@@ -75,6 +75,10 @@ RUNS = (
     # step: 13 steps of 4 stages at cfl 0.95
     ("rkl2-cfl095", "run", FLAGSHIP + "N = 512\nt_final = 0.5\ncfl = 0.95\n"
                            "diag_every_steps = 3\nsnapshot_every_steps = 5\n"),
+    # beta = 1/2, the one non-integer beta of these configs: theta**beta
+    # in the kernel and the limits, over 9 RKL2 steps of 10
+    ("rkl2-beta05", "run", FLAGSHIP + "N = 256\nt_final = 0.3\nbeta = 0.5\n"
+                           "diag_every_steps = 5\nsnapshot_every_steps = 10\n"),
     ("mms", "mms", ""),
     # beta = 2 exercises the theta**(beta - 1) term of the manufactured sources
     ("mms-beta2", "mms", "beta = 2\nepsilon = 0.5\nmms_amplitude = 0.2\nL = 8\n"
