@@ -157,11 +157,12 @@ def _brackets(data, grid, alpha1, alpha2):
 
 
 def cutoff_weight(n, x):
-    """Exponential cutoff: 1 on [n, n+1], decaying like e^{-|gap|/2} outside."""
+    """Exponential cutoff: 1 on [n, n+1], decaying like e^{-|gap|/2} outside.
+    The exponent is never positive, so exp does not overflow however far
+    [n, n+1] lies from x."""
     x = np.asarray(x, dtype=float)
-    left = np.exp(0.5 * (x - n))
-    right = np.exp(0.5 * (n + 1.0 - x))
-    return np.minimum(1.0, np.minimum(left, right))
+    gap = np.maximum(np.maximum(n - x, x - (n + 1.0)), 0.0)
+    return np.exp(-0.5 * gap)
 
 
 def check_weighted_pairs(pairs):

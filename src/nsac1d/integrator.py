@@ -94,6 +94,7 @@ class _LimitsWorkspace:
         s = grid.interior
         self.coef = np.empty((3, grid.n_total))
         self.coef_flat = self.coef[1:].reshape(-1)  # the u and theta rows
+        self.inv_v = self.coef[0, s]
         self.faces = np.empty(2 * grid.n_total - 1)
         self.rows = np.empty((5, grid.n_total))
         self.interior_rows = self.rows[:, s]
@@ -127,14 +128,14 @@ def step_limits(state, params):
     # one reduction of five rows over the interior: the u and theta stencil
     # rows (the mean of the two faces of a cell, by face_average along the
     # flattened rows, as in the kernel), v times the u row, the sound speed
-    # (gamma = 2) and the reaction factor
+    # (gamma = 2), sqrt(2 theta) times the 1/v row, and the reaction factor
     phi_row, sound, react = w.phi_row, w.sound, w.react
     cell_coefficients(data[3], data[2], params.beta, out=w.coef)
     face_average(face_average(w.coef_flat, out=w.faces), out=w.stencil_rows)
     np.multiply(v, w.u_row, out=phi_row)
     np.multiply(theta, 2.0, out=sound)
     np.sqrt(sound, out=sound)
-    sound /= v
+    sound *= w.inv_v
     np.square(phi, out=react)
     react *= 3.0
     react -= 1.0
@@ -167,10 +168,11 @@ def limit_floor(state, params):
     overflowing, or extrema that do not bound step_limits' limits away from
     0 and inf, so step_limits does not raise where a floor is returned.
 
-    1/v_min bounds the u row, theta_max^beta / v_min the theta row,
-    eps v_max / v_min the phi row, sqrt(2 theta_max) / v_min the sound speed
-    and max(1, 3 phi_abs^2 - 1) v_max the reaction factor; 1/v_max and
-    sqrt(2 theta_min) / v_max bound the u row and the sound speed below.
+    1/v_min bounds the u row, theta_max^beta (1/v_min) the theta row,
+    eps v_max (1/v_min) the phi row, sqrt(2 theta_max) (1/v_min) the sound
+    speed and max(1, 3 phi_abs^2 - 1) v_max the reaction factor; 1/v_max and
+    sqrt(2 theta_min) (1/v_max) bound the u row and the sound speed below,
+    each bound in step_limits' operations and order.
     """
     rows = state.data[:4]
     u_lo, phi_lo, theta_lo, v_lo = np.minimum.reduce(rows, axis=1).tolist()
@@ -185,15 +187,16 @@ def limit_floor(state, params):
     except OverflowError:
         return None
     eps, dx = params.epsilon, state.grid.dx
-    sound_lo = math.sqrt(theta_lo * 2.0) / v_hi
+    u_row_lo = 1.0 / v_hi
+    sound_lo = math.sqrt(theta_lo * 2.0) * u_row_lo
     if not (sound_lo > 0.0 and dx / sound_lo < math.inf
-            and dx**2 / (2.0 * (1.0 / v_hi)) < math.inf):
+            and dx**2 / (2.0 * u_row_lo) < math.inf):
         return None
     u_row = 1.0 / v_lo
     phi_sq = max(phi_lo * phi_lo, phi_hi * phi_hi)
     react = max(1.0, 3.0 * phi_sq - 1.0) * v_hi
-    floor = (dx**2 / (2.0 * max(u_row, theta_pow / v_lo, eps * (v_hi * u_row))),
-             dx / (math.sqrt(theta_hi * 2.0) / v_lo),
+    floor = (dx**2 / (2.0 * max(u_row, theta_pow * u_row, eps * (v_hi * u_row))),
+             dx / (math.sqrt(theta_hi * 2.0) * u_row),
              eps / (1.0 + react / eps))
     if not min(floor) > 0.0:
         return None

@@ -12,6 +12,11 @@ diffusion_flux, potential_from) take an optional out, which they fill and
 return; without it they return a new array holding the same bits.
 semi_discrete_rhs keeps its intermediates in a workspace per grid, so that a
 call allocates only its output.
+
+Divisions are slow next to products, so the owners multiply by 0.5/dx,
+1/dx^2 and 1/eps, which equals dividing, bit for bit, wherever dx and eps
+are powers of two, and every /v of the kernel is a product with the 1/v row
+of cell_coefficients: 1/v is a kernel call's one array division.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from .core import N_GHOST, check_positive, row_property
 
 
 def centered(f, dx, out=None):
-    """Central first derivative (f_{i+1} - f_{i-1}) / (2 dx) along the last
+    """Central first derivative (f_{i+1} - f_{i-1}) (0.5 / dx) along the last
     axis, at every cell with both neighbours; the divided difference of face
     averages, so interior sums telescope to the outer face values."""
     d = np.subtract(f[..., 2:], f[..., :-2], out=out)
-    d /= 2.0 * dx
+    d *= 0.5 / dx
     return d
 
 
@@ -41,7 +46,8 @@ def face_average(c, out=None):
 
 
 def cell_coefficients(v, theta, beta, out=None):
-    """The rows 1/v, 1/v and theta^beta/v of a in the kernel's (a f_x)_x, f = u, phi, theta."""
+    """The rows 1/v, 1/v and theta^beta/v of a in the kernel's (a f_x)_x, f = u, phi, theta;
+    the third is theta^beta times the first, 1/v being its one division."""
     coef = np.empty((3,) + v.shape) if out is None else out
     np.divide(1.0, v, out=coef[0])
     coef[1] = coef[0]
@@ -50,7 +56,7 @@ def cell_coefficients(v, theta, beta, out=None):
     theta_pow = coef[2]
     theta_pow[...] = theta
     theta_pow **= beta
-    theta_pow /= v
+    theta_pow *= coef[0]
     return coef
 
 
@@ -62,18 +68,18 @@ def diffusion_flux(a_face, f, dx, out=None, scratch=None):
     if out is None:
         out = np.empty(f.shape)
     inner = np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    inner /= dx**2
+    inner *= 1.0 / dx**2
     return out
 
 
 def potential_from(phi, phi_lap, eps, out=None, scratch=None):
-    """mu = (1/eps)(phi^3 - phi) - eps phi_lap, given phi_lap = (phi_x / v)_x;
+    """mu = (phi^3 - phi)(1/eps) - eps phi_lap, given phi_lap = (phi_x / v)_x;
     the cube is a product because pow() is slow for negative bases.
     scratch, of the shape of phi, takes eps phi_lap if given."""
     mu = np.multiply(phi, phi, out=out)
     mu *= phi
     mu -= phi
-    mu /= eps
+    mu *= 1.0 / eps
     mu -= np.multiply(eps, phi_lap, out=scratch)
     return mu
 
@@ -126,6 +132,10 @@ class _KernelWorkspace:
         s = grid.interior
         self.coef = np.empty((3, m))
         self.coef_flat = self.coef.reshape(-1)
+        # the 1/v row of coef over e (the interior and one ghost cell each
+        # side) and over the interior
+        self.inv_v_e = self.coef[0, g - 1:g + n + 1]
+        self.inv_v_i = self.coef[0, s]
         self.faces = np.empty(3 * m - 1)
         self.flux = np.empty(3 * m - 1)
         self.lap = np.empty(3 * m)
@@ -182,11 +192,12 @@ def semi_discrete_rhs(state, params):
     mu = potential_from(data[1, s], w.lap_phi, eps, out=w.mu, scratch=w.eps_lap)
 
     # p_eff is differenced, so it and phi_x are needed one ghost cell beyond
-    # the interior, over e; p_eff is built in the row of dG, its interior
+    # the interior, over e; p_eff is built in the row of dG, its interior.
+    # Every /v is a product with the 1/v row of the coefficients
     e = slice(g - 1, g + n + 1)
-    u_x, v_e = w.u_x, v[e]
-    p_thermal = np.divide(theta[e], v_e, out=w.p_thermal)
-    p_eff = np.divide(w.phi_x, v_e, out=out[4, e])
+    u_x = w.u_x
+    p_thermal = np.multiply(theta[e], w.inv_v_e, out=w.p_thermal)
+    p_eff = np.multiply(w.phi_x, w.inv_v_e, out=out[4, e])
     np.square(p_eff, out=p_eff)
     p_eff *= 0.5 * eps
     p_eff += p_thermal
@@ -199,7 +210,7 @@ def semi_discrete_rhs(state, params):
     np.multiply(w.p_thermal_i, u_x, out=dtheta)
     np.subtract(w.lap_theta, dtheta, out=dtheta)
     np.square(u_x, out=dv)
-    dv /= v_i
+    dv *= w.inv_v_i
     dtheta += dv
     np.square(mu, out=dv)
     dv *= v_i

@@ -18,7 +18,8 @@ CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step
 TINY = ["--n", "16", "--rounds", "2"]
 NUMBER = r"\d+\.\d\d"
 LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"
-                  rf"  change +{NUMBER} \[{NUMBER}, {NUMBER}\]  ratio \d+\.\d{{3}}  lower [0-2]/2")
+                  rf"  change +{NUMBER} \[{NUMBER}, {NUMBER}\]  ratio \d+\.\d{{3}}"
+                  rf"  round ratio \d+\.\d{{3}}  lower [0-2]/2")
 
 # appended to a copy's operators.py: dG moves by one ulp, so every case that
 # reads the kernel differs

@@ -243,6 +243,17 @@ class TestCutoffWeight:
         assert w.shape == (3,)
         assert np.all((w > 0) & (w <= 1.0))
 
+    @pytest.mark.parametrize("n", [-2000, 2000])
+    @pytest.mark.parametrize("half_width, cells", [(16, 64), (1500, 3000)])
+    def test_an_interval_far_from_the_grid_does_not_overflow(self, n, half_width, cells):
+        # warnings are errors here; the weights keep the bytes of the
+        # two-exponential form, whose larger exponential overflows to inf
+        x = ns.make_grid(half_width, cells).x
+        with np.errstate(over="ignore"):
+            two_sided = np.minimum(1.0, np.minimum(np.exp(0.5 * (x - n)),
+                                                   np.exp(0.5 * (n + 1.0 - x))))
+        assert ns.cutoff_weight(n, x).tobytes() == two_sided.tobytes()
+
 
 class TestWeightedDissipation:
     def test_equilibrium_zero(self, params):

@@ -36,20 +36,21 @@ def _loop_diffusion_limit(state, params):
 
 
 def _limits_by_expression(state, params):
-    """step_limits as one numpy expression per limit, each reduced on its own:
-    the reference for the one (5, N) reduction."""
+    """step_limits as one numpy expression per limit, each reduced on its own,
+    /v a product with the 1/v row: the reference for the one (5, N)
+    reduction."""
     grid = state.grid
     s = grid.interior
     phi, theta, v = state.data[1:4, s]
     eps = params.epsilon
     coef = np.empty((2, grid.n_total))
     coef[0] = 1.0 / state.v
-    coef[1] = state.theta**params.beta / state.v
+    coef[1] = state.theta**params.beta * coef[0]
     a = ns.face_average(coef)
     rows = 0.5 * (a[:, s.start - 1:s.stop - 1] + a[:, s])
     largest = max(np.max(rows), eps * np.max(v * rows[0]))
     diffusion = grid.dx**2 / (2.0 * largest)
-    acoustic = grid.dx / np.max(np.sqrt(2.0 * theta) / v)
+    acoustic = grid.dx / np.max(np.sqrt(2.0 * theta) * coef[0, s])
     reaction = eps / (1.0 + np.max(np.abs(3.0 * phi**2 - 1.0) * v) / eps)
     return float(diffusion), float(acoustic), float(reaction)
 

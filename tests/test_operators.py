@@ -167,6 +167,31 @@ class TestChemicalPotential:
                               -ns.chemical_potential(base, params))
 
 
+class TestReciprocalForms:
+    """The owners multiply by 0.5/dx, 1/dx^2 and 1/eps; where dx and eps are
+    powers of two those reciprocals are exact, and each product has the
+    bytes of the division it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dx_exp=st.integers(-20, 20),
+           eps_exp=st.integers(-20, 20))
+    def test_power_of_two_steps_give_the_division_forms(self, seed, dx_exp, eps_exp):
+        rng = np.random.default_rng(seed)
+        dx, eps = 2.0**dx_exp, 2.0**eps_exp
+
+        def draw(n):
+            return rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+
+        f, phi, phi_lap = draw(40), draw(38), draw(38)
+        a_face = np.abs(draw(39))
+        assert operators.centered(f, dx).tobytes() == ((f[2:] - f[:-2]) / (2.0 * dx)).tobytes()
+        flux = a_face * (f[1:] - f[:-1])
+        assert (operators.diffusion_flux(a_face, f, dx)[1:-1].tobytes()
+                == ((flux[1:] - flux[:-1]) / dx**2).tobytes())
+        assert (operators.potential_from(phi, phi_lap, eps).tobytes()
+                == ((phi * phi * phi - phi) / eps - eps * phi_lap).tobytes())
+
+
 @pytest.mark.usefixtures("out_form_checked")
 class TestDerivedFields:
     """Quantities derived inside the kernel, seen through its outputs."""
@@ -207,8 +232,9 @@ class TestDerivedFields:
 
 def _rhs_by_expression(state, params):
     """The kernel as plain numpy expressions, with the stencils written out
-    and each term in the order the kernel takes it: the bit-for-bit
-    reference for its in-place rows.  A (5, N + 4) array."""
+    and each term in the order the kernel takes it, /v, /dx and /eps as
+    products with 1/v, 0.5/dx, 1/dx^2 and 1/eps: the bit-for-bit reference
+    for its in-place rows.  A (5, N + 4) array."""
     grid = state.grid
     dx, s = grid.dx, grid.interior
     n, g, m = grid.n_cells, grid.n_ghost, grid.n_total
@@ -217,26 +243,27 @@ def _rhs_by_expression(state, params):
     v, theta = data[3], data[2]
     v_i = v[s]
     coef = np.empty((3, m))
-    coef[0] = 1.0 / v
-    coef[1] = coef[0]
-    coef[2] = theta**params.beta / v
+    inv_v = 1.0 / v
+    coef[0] = inv_v
+    coef[1] = inv_v
+    coef[2] = theta**params.beta * inv_v
     c, f = coef.reshape(-1), data[:3].reshape(-1)
     flux = 0.5 * (c[:-1] + c[1:]) * (f[1:] - f[:-1])
     lap = np.zeros(f.shape)
-    lap[1:-1] = (flux[1:] - flux[:-1]) / dx**2
+    lap[1:-1] = (flux[1:] - flux[:-1]) * (1.0 / dx**2)
     visc, phi_lap, conduct = lap.reshape(3, m)[:, s]
     e = slice(g - 1, g + n + 1)
     u_phi = data[:2, g - 2:g + n + 2]
-    u_x, phi_x = (u_phi[:, 2:] - u_phi[:, :-2]) / (2.0 * dx)
+    u_x, phi_x = (u_phi[:, 2:] - u_phi[:, :-2]) * (0.5 / dx)
     u_x = u_x[1:-1]
     phi = data[1, s]
-    mu = (phi * phi * phi - phi) / eps - eps * phi_lap
-    p_thermal = theta[e] / v[e]
-    p_eff = p_thermal + 0.5 * eps * (phi_x / v[e]) ** 2
+    mu = (phi * phi * phi - phi) * (1.0 / eps) - eps * phi_lap
+    p_thermal = theta[e] * inv_v[e]
+    p_eff = p_thermal + 0.5 * eps * (phi_x * inv_v[e]) ** 2
     out = np.zeros(data.shape)
-    out[0, s] = visc - (p_eff[2:] - p_eff[:-2]) / (2.0 * dx)
+    out[0, s] = visc - (p_eff[2:] - p_eff[:-2]) * (0.5 / dx)
     out[1, s] = -v_i * mu
-    out[2, s] = conduct - p_thermal[1:-1] * u_x + u_x**2 / v_i + v_i * mu**2
+    out[2, s] = conduct - p_thermal[1:-1] * u_x + u_x**2 * inv_v[s] + v_i * mu**2
     out[3, s] = u_x
     out[4, s] = p_eff[1:-1]
     return out
@@ -291,8 +318,9 @@ class TestSemiDiscreteRhs:
         # p_eff at every cell with both neighbours; the outermost stay 0
         c = slice(1, -1)
         phi_x = ns.centered(state.phi, grid.dx)
+        inv_v = 1.0 / v
         p_eff = np.zeros(grid.n_total)
-        p_eff[c] = state.theta[c] / v[c] + 0.5 * params.epsilon * (phi_x / v[c]) ** 2
+        p_eff[c] = state.theta[c] * inv_v[c] + 0.5 * params.epsilon * (phi_x * inv_v[c]) ** 2
         # G integrates the same effective pressure that du differences
         assert np.array_equal(rhs.dG, p_eff[grid.interior])
         a = ns.face_average(1.0 / v)

@@ -38,8 +38,11 @@ batch. The cases:
 
 dt is the Heun step of the initial state, cfl times its least limit. For
 each case one line gives the median and the quartiles of the per-call time
-in microseconds on each side, the ratio of the medians (change over parent)
-and the number of rounds in which the change was lower.
+in microseconds on each side, the ratio of the medians (change over parent),
+the median of the per-round ratios (change over parent within one round) and
+the number of rounds in which the change was lower. A round's two batches
+run back to back, so its ratio cancels a host whose speed drifts over the
+run, which the ratio of the medians does not.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def main(argv=None):
         lower = int(np.sum(change < parent))
         print(f"{name:<13} calls {sizes[name]:>5}  parent {p2:10.2f} [{p1:.2f}, {p3:.2f}]"
               f"  change {c2:10.2f} [{c1:.2f}, {c3:.2f}]  ratio {c2 / p2:.3f}"
-              f"  lower {lower}/{args.rounds}")
+              f"  round ratio {np.median(change / parent):.3f}  lower {lower}/{args.rounds}")
     return 0
 
 
