@@ -512,8 +512,9 @@ def main(argv=None, out=sys.stdout):
             return _cmd_brackets(args.e0, out=out)
     except BrokenPipeError:
         raise
-    except (ConfigError, OSError, PositivityError, ValueError) as exc:
-        # a PositivityError here means bad initial data; run() raises SimulationAbort
+    except (ConfigError, MemoryError, OSError, PositivityError, ValueError) as exc:
+        # a PositivityError here means bad initial data, and a MemoryError a
+        # grid the machine cannot allocate; run() raises SimulationAbort
         print(f"error: {exc}", file=out)
         return 2
     return 2

@@ -10,6 +10,7 @@ phase range, brackets) are asserted by the audit layer and the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -167,8 +168,8 @@ def cutoff_weight(n, x):
 
 def check_weighted_pairs(pairs):
     """The rule for weighted-dissipation pairs (alpha, n): 0 < alpha < 1, n
-    an integer, the unit interval [n, n+1] of the cutoff weight, and each
-    pair listed once."""
+    an integer no larger in magnitude than the largest double, the unit
+    interval [n, n+1] of the cutoff weight, and each pair listed once."""
     seen = []
     for alpha, n in pairs:
         if not is_number(alpha, float):  # one that text records as written
@@ -177,6 +178,9 @@ def check_weighted_pairs(pairs):
             raise ValueError(f"weighted_diss alpha must be in (0, 1), got {alpha}")
         if not is_number(n, int):
             raise ValueError(f"weighted_diss n must be {NUMBERS[int][1]}, got {n!r}")
+        if not -sys.float_info.max <= n <= sys.float_info.max:  # cutoff_weight takes a double
+            raise ValueError(f"weighted_diss n must be at most {sys.float_info.max!r} "
+                             f"in magnitude, got {n}")
         if (alpha, n) in seen:
             raise ValueError(f"weighted_diss lists the pair {alpha}:{n} twice")
         seen.append((alpha, n))

@@ -20,9 +20,9 @@ recurrence, increments: an s = 2 step is the Heun step, the table HEUN, so
 cap-, acoustic- and reaction-bound runs are unchanged.
 
 A refinement study steps at a dt_cap below the Heun step.  After a run's
-first step, cap_step certifies such a step from limit_floor, a floor of the
-three limits from two reductions (the row extrema of u, phi, theta and v),
-and the exact limits are not computed; step_choice is monotone in the
+first step, cap_step certifies such a step from limit_floor, step_limits'
+formula on bounds from two reductions (the row extrema of u, phi, theta and
+v), and the exact limits are not computed; step_choice is monotone in the
 limits, so a certified step is the one they give, bit for bit.
 Positivity failures abort the run; fields are never clamped.
 """
@@ -36,8 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FlowState, apply_bc, is_number
-from .operators import (WORKSPACE_GRIDS, cell_coefficients, check_positive, face_average,
-                        semi_discrete_rhs)
+from .operators import cell_coefficients, check_positive, face_average, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
@@ -86,24 +85,12 @@ class SimulationAbort(RuntimeError):
         super().__init__(message)
 
 
-class _LimitsWorkspace:
-    """step_limits' coefficient rows, faces and five rows on one grid, and
-    the views of them that it reads."""
-
-    def __init__(self, grid):
-        s = grid.interior
-        self.coef = np.empty((3, grid.n_total))
-        self.coef_flat = self.coef[1:].reshape(-1)  # the u and theta rows
-        self.inv_v = self.coef[0, s]
-        self.faces = np.empty(2 * grid.n_total - 1)
-        self.rows = np.empty((5, grid.n_total))
-        self.interior_rows = self.rows[:, s]
-        # entry k of the face average of faces is at flat cell k + 1
-        self.stencil_rows = self.rows[:2].reshape(-1)[1:-1]
-        self.u_row, _, self.phi_row, self.sound, self.react = self.interior_rows
-
-
-_limits_workspace = lru_cache(maxsize=WORKSPACE_GRIDS)(_LimitsWorkspace)
+def _limits(dx, eps, u_row, theta_row, phi_row, sound, react):
+    """(diffusion, acoustic, reaction) from the maxima of step_limits' five
+    rows, or from bounds of them: no limit grows as a row grows."""
+    return (dx**2 / (2.0 * max(u_row, theta_row, eps * phi_row)),
+            dx / sound,
+            eps / (1.0 + react / eps))
 
 
 def step_limits(state, params):
@@ -114,39 +101,34 @@ def step_limits(state, params):
     stencils (a f_x)_x, their ghost neighbours included: r = (a[i-1/2] +
     a[i+1/2]) / 2 with a the face average of 1/v for u and of theta^beta/v
     for theta, and eps v_i times the u row for phi, whose dphi = -v mu holds
-    -eps (a phi_x)_x.  Its rows live in a workspace per grid, kept as the
-    kernel's is.
+    -eps (a phi_x)_x.
     """
     check_positive(state, params)
     grid = state.grid
-    w = _limits_workspace(grid)
     s = grid.interior
     data = state.data
     phi, theta, v = data[1, s], data[2, s], data[3, s]
 
-    eps = params.epsilon
     # one reduction of five rows over the interior: the u and theta stencil
     # rows (the mean of the two faces of a cell, by face_average along the
     # flattened rows, as in the kernel), v times the u row, the sound speed
     # (gamma = 2), sqrt(2 theta) times the 1/v row, and the reaction factor
-    phi_row, sound, react = w.phi_row, w.sound, w.react
-    cell_coefficients(data[3], data[2], params.beta, out=w.coef)
-    face_average(face_average(w.coef_flat, out=w.faces), out=w.stencil_rows)
-    np.multiply(v, w.u_row, out=phi_row)
+    coef = cell_coefficients(data[3], data[2], params.beta)
+    rows = np.empty((5, grid.n_total))
+    u_row, _, phi_row, sound, react = interior = rows[:, s]
+    # entry k of the face average of the faces is at flat cell k + 1
+    face_average(face_average(coef[1:].reshape(-1)), out=rows[:2].reshape(-1)[1:-1])
+    np.multiply(v, u_row, out=phi_row)
     np.multiply(theta, 2.0, out=sound)
     np.sqrt(sound, out=sound)
-    sound *= w.inv_v
+    sound *= coef[0, s]
     np.square(phi, out=react)
     react *= 3.0
     react -= 1.0
     np.abs(react, out=react)
     react *= v
-    u_row, theta_row, phi_row, sound, react = np.maximum.reduce(w.interior_rows,
-                                                                axis=1).tolist()
-
-    diffusion = grid.dx**2 / (2.0 * max(u_row, theta_row, eps * phi_row))
-    acoustic = grid.dx / sound
-    reaction = eps / (1.0 + react / eps)
+    diffusion, acoustic, reaction = _limits(grid.dx, params.epsilon,
+                                            *np.maximum.reduce(interior, axis=1).tolist())
     if not (0.0 < diffusion < np.inf and 0.0 < acoustic < np.inf
             and 0.0 < reaction < np.inf):  # also rejects nan
         raise ValueError(f"step limits (diffusion, acoustic, reaction) = ({diffusion:.6e}, "
@@ -169,10 +151,11 @@ def limit_floor(state, params):
     0 and inf, so step_limits does not raise where a floor is returned.
 
     1/v_min bounds the u row, theta_max^beta (1/v_min) the theta row,
-    eps v_max (1/v_min) the phi row, sqrt(2 theta_max) (1/v_min) the sound
-    speed and max(1, 3 phi_abs^2 - 1) v_max the reaction factor; 1/v_max and
-    sqrt(2 theta_min) (1/v_max) bound the u row and the sound speed below,
-    each bound in step_limits' operations and order.
+    v_max (1/v_min) the phi row, sqrt(2 theta_max) (1/v_min) the sound speed
+    and max(1, 3 phi_abs^2 - 1) v_max the reaction factor, each in
+    step_limits' operations and order; 1/v_max and sqrt(2 theta_min) (1/v_max)
+    bound the u row and the sound speed below, and 0 the other rows.  The
+    limits of these bounds are step_limits' own formula, _limits.
     """
     rows = state.data[:4]
     u_lo, phi_lo, theta_lo, v_lo = np.minimum.reduce(rows, axis=1).tolist()
@@ -187,17 +170,16 @@ def limit_floor(state, params):
     except OverflowError:
         return None
     eps, dx = params.epsilon, state.grid.dx
+    # lower bounds of the five rows give a ceiling of the limits
     u_row_lo = 1.0 / v_hi
     sound_lo = math.sqrt(theta_lo * 2.0) * u_row_lo
-    if not (sound_lo > 0.0 and dx / sound_lo < math.inf
-            and dx**2 / (2.0 * u_row_lo) < math.inf):
+    if not (sound_lo > 0.0
+            and max(_limits(dx, eps, u_row_lo, 0.0, 0.0, sound_lo, 0.0)) < math.inf):
         return None
     u_row = 1.0 / v_lo
     phi_sq = max(phi_lo * phi_lo, phi_hi * phi_hi)
-    react = max(1.0, 3.0 * phi_sq - 1.0) * v_hi
-    floor = (dx**2 / (2.0 * max(u_row, theta_pow * u_row, eps * (v_hi * u_row))),
-             dx / (math.sqrt(theta_hi * 2.0) * u_row),
-             eps / (1.0 + react / eps))
+    floor = _limits(dx, eps, u_row, theta_pow * u_row, v_hi * u_row,
+                    math.sqrt(theta_hi * 2.0) * u_row, max(1.0, 3.0 * phi_sq - 1.0) * v_hi)
     if not min(floor) > 0.0:
         return None
     return tuple(limit * (1.0 - LIMIT_FLOOR_MARGIN) for limit in floor)
@@ -323,14 +305,15 @@ def step_choice(limits, params, cap, t, t_final):
 
 
 def cap_step(state, params, cap, t_final):
-    """(dt, last) of run's step from state where limit_floor proves that the
-    cap sets it in 2 stages, else None.  step_choice is monotone in the
-    limits, so the step is the one step_limits would give."""
+    """step_choice of limit_floor, (dt, "cap", base, last), where it proves
+    that the cap sets run's step from state in 2 stages (dt <= base), else
+    None.  step_choice is monotone in the limits, so dt, kind and last are
+    those of step_limits, and its base, no larger, still gives 2 stages."""
     floor = limit_floor(state, params)
     if floor is None:
         return None
-    dt, kind, base, last = step_choice(floor, params, cap, state.t, t_final)
-    return (dt, last) if kind == "cap" and dt <= base else None
+    dt, kind, base, _ = choice = step_choice(floor, params, cap, state.t, t_final)
+    return choice if kind == "cap" and dt <= base else None
 
 
 @dataclass
@@ -347,13 +330,13 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     is exact, so the RKL2 step is the longer only where diffusion binds the
     Heun step.  limit_kind names the limit that set dt, or "cap".  The step
     takes rkl2_stages(dt, base) stages, so a step no longer than the Heun
-    step is a Heun step.  After the first step, a run with a dt_cap asks
-    cap_step first: a step it certifies is the cap in 2 stages, with no
-    exact limits computed.  The first step's step_limits guards the input;
-    step guards every later state at its first stage.  observer(state) is
-    called after every accepted step, not on the initial state, and
-    sources(x, t) at every stage.  Any step error aborts with the last
-    accepted state attached.
+    step is a Heun step.  After the first step, a run with a dt_cap takes
+    the choice cap_step certifies where there is one: the cap, which the
+    same rkl2_stages gives 2 stages, with no exact limits computed.  The
+    first step's step_limits guards the input; step guards every later state
+    at its first stage.  observer(state) is called after every accepted
+    step, not on the initial state, and sources(x, t) at every stage.  Any
+    step error aborts with the last accepted state attached.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
@@ -366,13 +349,9 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
         try:
             certified = (control.step_count and dt_cap is not None
                          and cap_step(state, params, cap, t_final))
-            if certified:
-                dt, last = certified
-                kind, stages = "cap", 2
-            else:
-                dt, kind, base, last = step_choice(step_limits(state, params), params, cap,
-                                                   state.t, t_final)
-                stages = rkl2_stages(dt, base)
+            dt, kind, base, last = certified or step_choice(step_limits(state, params), params,
+                                                            cap, state.t, t_final)
+            stages = rkl2_stages(dt, base)
             state = step(state, params, bc, dt, sources, stages)
         except Exception as exc:
             raise SimulationAbort(

@@ -26,11 +26,12 @@ def params():
 @pytest.fixture(autouse=True)
 def certified_steps_are_the_exact_choice(monkeypatch):
     """In every test, each step that run takes on the certificate of
-    integrator.cap_step is checked against the exact path: step_choice of
-    step_limits on the same state gives the same dt, the kind "cap", 2
-    stages and the same landing, so every cap-bound run of the suite is the
-    exact path's run, byte for byte.  The functions are the unpatched ones,
-    so a test that counts or replaces step_limits sees no extra call."""
+    integrator.cap_step is checked against the exact path: the certified
+    choice is the kind "cap" in 2 stages of its own base, and step_choice of
+    step_limits on the same state gives the same dt, kind and landing in 2
+    stages, so every cap-bound run of the suite is the exact path's run,
+    byte for byte.  The functions are the unpatched ones, so a test that
+    counts or replaces step_limits sees no extra call."""
     integrator = ns.integrator
     certify, limits_of = integrator.cap_step, integrator.step_limits
     choose, stages_of = integrator.step_choice, integrator.rkl2_stages
@@ -38,8 +39,9 @@ def certified_steps_are_the_exact_choice(monkeypatch):
     def checked(state, params, cap, t_final):
         certified = certify(state, params, cap, t_final)
         if certified is not None:
+            assert certified[1] == "cap" and stages_of(certified[0], certified[2]) == 2
             dt, kind, base, last = choose(limits_of(state, params), params, cap, state.t, t_final)
-            assert (dt, kind, stages_of(dt, base), last) == (certified[0], "cap", 2, certified[1])
+            assert (dt, kind, stages_of(dt, base), last) == (certified[0], "cap", 2, certified[3])
         return certified
 
     monkeypatch.setattr(integrator, "cap_step", checked)

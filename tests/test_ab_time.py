@@ -65,3 +65,12 @@ def test_trees_that_differ_are_not_timed(ab_time, src, tmp_path, capsys):
     assert ab_time.main([str(src), str(tmp_path), *TINY]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"not bit-identical: {name}" for name in CASES if name not in ("guard", "step_limits")]
+
+
+@pytest.mark.parametrize("n", ["7", "4"])
+def test_a_grid_the_tree_rejects_is_a_usage_error(ab_time, src, capsys, n):
+    with pytest.raises(SystemExit) as exc_info:
+        ab_time.main([str(src), str(src), "--n", n, "--rounds", "1"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --n: n_cells must be even and >= 8, got {n}\n")

@@ -728,6 +728,30 @@ class TestMainCommands:
         assert out.getvalue() == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_an_n_beyond_a_double_exits_2_without_output(self, tmp_path):
+        n = "1" + "0" * 400
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weighted_diss = 0.5:{n}\nt_final = 0.01\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main(["run", str(cfg)], out=out) == 2
+        assert out.getvalue() == ("error: weighted_diss n must be at most "
+                                  f"1.7976931348623157e+308 in magnitude, got {n}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("run", "N = 100000000000000000"),
+        ("mms", "mms_resolutions = 100000000000000000, 200000000000000000, 400000000000000000"),
+    ], ids=["run", "mms"])
+    def test_a_grid_the_machine_cannot_allocate_exits_2(self, tmp_path, command, line):
+        # numpy refuses the 711 PiB of the first grid's cell centres without
+        # touching memory
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"{line}\noutdir = {tmp_path / 'out'}\n")
+        out = io.StringIO()
+        assert ns.main([command, str(cfg)], out=out) == 2
+        assert out.getvalue().startswith("error: Unable to allocate 711. PiB")
+        assert not (tmp_path / "out").exists()
+
     def test_inadmissible_initial_data_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"L = 16\nN = 64\nv_amp = -1.5\noutdir = {tmp_path / 'out'}\n")

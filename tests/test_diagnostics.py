@@ -289,6 +289,25 @@ class TestWeightedDissipation:
         with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
             ns.weighted_dissipation(eq, params, 0.5, n)
 
+    @pytest.mark.parametrize("n", [2**1024, -(2**1024), int(sys.float_info.max) + 1, 10**400],
+                             ids=["2^1024", "-2^1024", "max+1", "10^400"])
+    def test_rejects_an_n_beyond_the_largest_double(self, params, n):
+        # cutoff_weight takes n as a double, which no such n converts to
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
+        with pytest.raises(ValueError, match="n must be at most 1.7976931348623157e[+]308 in "
+                                             "magnitude, got"):
+            ns.make_context(eq, params, [(0.5, n)])
+
+    @pytest.mark.parametrize("n", [10**308, -(10**308), int(sys.float_info.max),
+                                   -int(sys.float_info.max)],
+                             ids=["10^308", "-10^308", "max", "-max"])
+    def test_an_n_within_a_double_weighs_nothing_on_the_grid(self, params, n):
+        # warnings are errors here
+        eq = ns.interface_initial_state(ns.make_grid(8, 64), params, ns.BoundaryConfig(1.0, 1.0))
+        ctx = ns.make_context(eq, params, [(0.5, n)])
+        assert not ns.cutoff_weight(n, eq.grid.x).any()
+        assert ns.record(ctx)[0].weighted[(0.5, n)] == 0.0
+
     @pytest.mark.parametrize("pair, match", [((2.0, 0), r"alpha must be in \(0, 1\), got 2\.0"),
                                              ((0.5, 0.5), "n must be an integer, got 0.5"),
                                              ((0.5, True), "n must be an integer, got True"),

@@ -163,7 +163,12 @@ def main(argv=None):
     for side, src in zip(SIDES, (args.parent_src, args.change_src)):
         if not (src / "nsac1d" / "__init__.py").is_file():
             parser.error(f"{src} holds no nsac1d package")
-        trees[side] = cases(load(src.resolve(), f"nsac1d_{side}"), args.n)
+        ns = load(src.resolve(), f"nsac1d_{side}")
+        try:
+            ns.make_grid(WORKLOADS.FLAGSHIP_L, args.n)  # the tree's own grid rule
+        except ValueError as exc:
+            parser.error(f"--n: {exc}")
+        trees[side] = cases(ns, args.n)
 
     names = list(trees["parent"])
     differing = [name for name in names
