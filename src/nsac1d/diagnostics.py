@@ -23,22 +23,27 @@ from .operators import block_potential, centered
 # Every functional is computed on a block: the (K, 5, N + 4) stacked data of
 # K states, whose field rows are (K, N); it reduces over the last axis to one
 # value per state, so a single state is the block state.data[None].
-_Rows = namedtuple("_Rows", "grid data u phi theta v u_x phi_x theta_x")
+_Rows = namedtuple("_Rows", "grid data u phi theta v u_x phi_x theta_x heat")
 
 
-def _block_rows(data, grid):
-    """The interior rows (in FIELDS order) and u_x, phi_x and theta_x of a
-    block, each taken once for every functional to read."""
+def _block_rows(data, grid, beta):
+    """The interior rows (in FIELDS order), u_x, phi_x and theta_x of a block,
+    and heat = theta^beta theta_x^2, the conduction factor of V and of the
+    weighted dissipation, each taken once for every functional to read.
+    theta^beta may overflow to inf on a state the guard passes; the
+    functionals that read heat are then not finite, and nothing warns."""
     g, n = grid.n_ghost, grid.n_cells
     u, phi, theta, v = data[:, :4, g:g + n].swapaxes(0, 1)
     u_x, phi_x, theta_x = centered(data[:, :3, g - 1:g + n + 1], grid.dx).swapaxes(0, 1)
-    return _Rows(grid, data, u, phi, theta, v, u_x, phi_x, theta_x)
+    with np.errstate(over="ignore"):
+        heat = theta**beta * theta_x**2
+    return _Rows(grid, data, u, phi, theta, v, u_x, phi_x, theta_x, heat)
 
 
 def _rows(state, params):
     """Run check_positive once, then take the rows of the one-state block."""
     check_positive(state, params)
-    return _block_rows(state.data[None], state.grid)
+    return _block_rows(state.data[None], state.grid, params.beta)
 
 
 def mass_excess(state):
@@ -79,9 +84,11 @@ def dissipation_rate(state, params):
 
 def _dissipation_rate(r, params):
     mu = block_potential(r.data, r.grid, params.epsilon)
-    integrand = (r.theta**params.beta * r.theta_x**2 / (r.v * r.theta**2)
-                 + r.u_x**2 / (r.v * r.theta)
-                 + r.v * mu**2 / r.theta)
+    # not finite, without a warning, where a power of theta overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = (r.heat / (r.v * r.theta**2)
+                     + r.u_x**2 / (r.v * r.theta)
+                     + r.v * mu**2 / r.theta)
     return integrand.sum(axis=-1) * r.grid.dx
 
 
@@ -195,12 +202,13 @@ def weighted_dissipation(state, params, alpha, n):
     constant.  (alpha, n) must pass check_weighted_pairs.
     """
     check_weighted_pairs([(alpha, n)])
-    return float(_weighted_dissipation(_rows(state, params), params, alpha,
+    return float(_weighted_dissipation(_rows(state, params), alpha,
                                        cutoff_weight(n, state.grid.x))[0])
 
 
-def _weighted_dissipation(r, params, alpha, weight):
-    integrand = r.theta**params.beta * r.theta_x**2 / (r.v * r.theta ** (alpha + 1.0)) * weight
+def _weighted_dissipation(r, alpha, weight):
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _dissipation_rate
+        integrand = r.heat / (r.v * r.theta ** (alpha + 1.0)) * weight
     return integrand.sum(axis=-1) * r.grid.dx
 
 
@@ -301,7 +309,7 @@ def record(context, states=(), kept=None):
     for state in states:
         check_positive(state, params)
     block = states or (context.state,)
-    rows = _block_rows(np.stack([s.data for s in block]), context.state.grid)
+    rows = _block_rows(np.stack([s.data for s in block]), context.state.grid, params.beta)
     if states:
         v_diss, cum = _dissipation_rate(rows, params).tolist(), []
         for state, v in zip(block, v_diss):
@@ -329,7 +337,7 @@ def record(context, states=(), kept=None):
                "lemma24_residual": _lemma24_residual(r.data, r.grid, context.log_v0,
                                                      context.G0, context.u0)}
     columns = {name: values.tolist() for name, values in columns.items()}
-    weighted = {pair: _weighted_dissipation(r, params, pair[0], w).tolist()
+    weighted = {pair: _weighted_dissipation(r, pair[0], w).tolist()
                 for pair, w in context.weights.items()}
     return [DiagnosticsRecord(
         t=float(block[i].t), v_diss=v_diss[i], diss_cum=cum[i],

@@ -113,7 +113,8 @@ def step_limits(state, params):
     # rows (the mean of the two faces of a cell, by face_average along the
     # flattened rows, as in the kernel), v times the u row, the sound speed
     # (gamma = 2), sqrt(2 theta) times the 1/v row, and the reaction factor
-    coef = cell_coefficients(data[3], data[2], params.beta)
+    with np.errstate(over="ignore"):  # an overflowing theta^beta fails the check below
+        coef = cell_coefficients(data[3], data[2], params.beta)
     rows = np.empty((5, grid.n_total))
     u_row, _, phi_row, sound, react = interior = rows[:, s]
     # entry k of the face average of the faces is at flat cell k + 1
@@ -255,11 +256,14 @@ def step(state, params, bc, dt, sources=None, stages=2):
     as Y_0 + increments, so a state whose F is zero stays bit for bit.
 
     F is the kernel plus, at every stage time, the optional sources(x, t) of
-    the verification harness: a (4, N) array-like whose rows are added to
-    the interior of u, phi, theta and v.  Ghosts are refreshed from bc on
-    entry, in place, and on the result: F is zero in the ghost columns and
-    reads no G, so every stage keeps the far field it needs.  G advances with
-    the same weights as the physical fields.
+    the verification harness: a (4, N + 4) array in the layout of the Rhs
+    rows u, phi, theta and v, added to them in one operation; its ghost
+    columns must be zero, as the kernel's are, and any other shape is a
+    ValueError.  Ghosts are refreshed from bc on entry, in place.  F is zero
+    in the ghost columns and reads no G, so every stage, and the result,
+    keeps the far field of u, phi, theta and v; on the result only G's
+    ghosts are written, with its t.  G advances with the same weights as
+    the physical fields.
     """
     if not 0.0 < dt < np.inf:  # also rejects nan
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -269,15 +273,19 @@ def step(state, params, bc, dt, sources=None, stages=2):
     apply_bc(state, bc)
 
     def rate(data, t):
-        rhs = semi_discrete_rhs(FlowState(grid, t, data), params)
+        rhs = semi_discrete_rhs(FlowState(grid, t, data), params).data
         if sources is not None:
-            rows = rhs.data[:4, grid.interior]
-            rows += sources(grid.x, t)
-        return rhs.data
+            rows, extra = rhs[:4], sources(grid.x, t)
+            if np.shape(extra) != rows.shape:
+                raise ValueError(f"sources must have the shape {rows.shape} of the Rhs rows "
+                                 f"u, phi, theta and v, got {np.shape(extra)}")
+            rows += extra
+        return rhs
 
     out = FlowState(grid, state.t + dt,
                     state.data + increments(state.data, state.t, dt, rate, stages))
-    apply_bc(out, bc)
+    g = grid.n_ghost
+    out.data[4, :g] = out.data[4, -g:] = out.t
     check_positive(out, params)
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FIELDS, BoundaryConfig, make_grid, state_from_fields
+from .core import FIELDS, N_GHOST, BoundaryConfig, make_grid, state_from_fields
 from .integrator import SimulationAbort, run
 
 # dt cap of the refinement study, in units of dx^2: small enough that the
@@ -123,7 +123,8 @@ class ManufacturedCase:
         return self._rows
 
     def fields(self, x, t):
-        """u, phi, theta, v: one new (4, N) array in FIELDS order, as sources."""
+        """u, phi, theta, v: one new (4, N) array of the interior in FIELDS
+        order, as state_from_fields takes."""
         decaying, rising, phase = self._rows_of(np.asarray(x, dtype=float))
         decay = math.exp(-t)
         u = decaying[0] * decay
@@ -131,8 +132,10 @@ class ManufacturedCase:
 
     def sources(self, x, t):
         """Residuals of the governing equations on the manufactured fields:
-        one read-only (4, N) array whose rows are those of u, phi, theta and
-        v (FIELDS order); a repeated (grid, t) returns the last one again.
+        one read-only (4, N + 4) array in the layout of the Rhs rows u, phi,
+        theta and v (FIELDS order), the N cells of x between N_GHOST ghost
+        columns each side that are +0.0, so step adds it to the kernel's rows
+        in one operation; a repeated (grid, t) returns the last one again.
 
         v - 1 = u, so v_t = u_t = -u and v_x = u_x; w = v_x / v.
         """
@@ -142,8 +145,8 @@ class ManufacturedCase:
             return self._last[1]
         beta, eps = self.params.beta, self.params.epsilon
         decay = math.exp(-t)
-        rows = np.empty_like(decaying[:4])  # S_u, S_phi, S_theta, S_v
-        s_u, s_phi, s_theta, s_v = rows
+        rows = np.zeros((4, decaying.shape[1] + 2 * N_GHOST))
+        s_u, s_phi, s_theta, s_v = rows[:, N_GHOST:-N_GHOST]
         u, u_x, u_xx, theta_t = decaying[:4] * decay
         np.multiply(decaying[4], decay, out=s_v)
         theta, theta_x, theta_xx = rising * (1.0 - decay)

@@ -166,11 +166,13 @@ def linear_amplification(state, params, dt, stages):
 
 
 def nan_sources_after(t_bad):
-    """A sources(x, t) hook for run() that is NaN at stage times past t_bad."""
+    """A sources(x, t) hook for run() in the layout of the Rhs rows: zero in
+    the ghost columns, and in the interior NaN at stage times past t_bad."""
 
     def sources(x, t):
-        value = np.nan if t > t_bad else 0.0
-        return (np.full_like(x, value),) * 4
+        rows = np.zeros((4, len(x) + 2 * ns.core.N_GHOST))
+        rows[:, ns.core.N_GHOST:-ns.core.N_GHOST] = np.nan if t > t_bad else 0.0
+        return rows
 
     return sources
 

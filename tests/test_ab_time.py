@@ -14,8 +14,8 @@ import nsac1d as ns
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_time.py"
 CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step-5", "step-2",
-         "run", "mms-run")
-TINY = ["--n", "16", "--rounds", "2"]
+         "run", "mms-run", "record", "csv")
+TINY = ["--n", "64", "--rounds", "2"]
 NUMBER = r"\d+\.\d\d"
 LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"
                   rf"  change +{NUMBER} \[{NUMBER}, {NUMBER}\]  ratio \d+\.\d{{3}}"
@@ -52,7 +52,7 @@ def src():
 def test_one_line_per_case_after_the_header(ab_time, src, capsys):
     assert ab_time.main([str(src), str(src), *TINY]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header == ("ab_time: N = 16, 2 rounds, seed 0; per-call CPU time in "
+    assert header == ("ab_time: N = 64, 2 rounds, seed 0; per-call CPU time in "
                       "microseconds, median [first quartile, third quartile]")
     assert [LINE.fullmatch(line)[1] for line in lines] == list(CASES)
 
@@ -67,10 +67,13 @@ def test_trees_that_differ_are_not_timed(ab_time, src, tmp_path, capsys):
         f"not bit-identical: {name}" for name in CASES if name not in ("guard", "step_limits")]
 
 
-@pytest.mark.parametrize("n", ["7", "4"])
+@pytest.mark.parametrize("n", ["7", "4", "16"])
 def test_a_grid_the_tree_rejects_is_a_usage_error(ab_time, src, capsys, n):
+    # the flagship grid (L = 32) must pass make_grid and, for the record and
+    # csv cases, the monitor's rule that its cells tile the unit intervals
+    message = ("N = 16 cells do not tile 64 unit intervals; pick N divisible by 2L"
+               if n == "16" else f"n_cells must be even and >= 8, got {n}")
     with pytest.raises(SystemExit) as exc_info:
         ab_time.main([str(src), str(src), "--n", n, "--rounds", "1"])
     assert exc_info.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        f"error: --n: n_cells must be even and >= 8, got {n}\n")
+    assert capsys.readouterr().err.endswith(f"error: --n: {message}\n")

@@ -936,7 +936,7 @@ class TestModuleEntryPoint:
             "L = 32\nN = 64\nt_final = 0.01\nbeta = 2\nphi_width = 1\n"
             "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
         proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path)
-        assert proc.returncode == 1, proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith(
             "ABORT: step 1 failed at t = 0.000000e+00: step limits (diffusion, acoustic, "
             "reaction) = (0.000000e+00, ")
@@ -947,9 +947,11 @@ class TestModuleEntryPoint:
         (tmp_path / "run.cfg").write_text(
             "L = 32\nN = 64\nt_final = 0.01\nbeta = 2\nphi_width = 1\n"
             "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
-        assert _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path).returncode == 1
+        proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert "  v_diss = nan\n" in proc.stdout
         proc = _python_m_nsac1d(["audit", "out/diagnostics.csv"], cwd=tmp_path)
-        assert proc.returncode == 1, proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
         lines = proc.stdout.splitlines()
         assert lines[0] == ("FAIL  finite_values: 2 non-finite values in the record "
                             "columns, first v_diss at t = 0.0")
@@ -962,7 +964,7 @@ class TestModuleEntryPoint:
             "L = 32\nN = 64\nt_final = 0.01\nbeta = 1\nphi_width = 1\n"
             "theta_amp = 1e200\ntheta_width = 1\noutdir = out\n")
         proc = _python_m_nsac1d(["run", "run.cfg"], cwd=tmp_path)
-        assert proc.returncode == 1, proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith(
             "ABORT: step 1 failed at t = 0.000000e+00: dt = 1.602514e-101 needs more than "
             "1000 RKL2 stages of the stage base 6.552539e-201\n")

@@ -110,6 +110,22 @@ class TestDissipationRate:
         bump = ns.interface_initial_state(grid, params, bc, theta_amp=0.1, theta_width=1.0)
         assert ns.dissipation_rate(bump, params) > 0.0
 
+    def test_an_overflowing_theta_power_is_not_finite_and_quiet(self):
+        # theta = 1 + 1e200 exp(-x^2) at beta = 2 passes the guard, but
+        # theta^beta overflows: V is nan and the weighted dissipation inf,
+        # which the audit's finite_values check fails, and nothing warns
+        # (warnings are errors in this suite)
+        params = ns.SimParams(beta=2.0)
+        state = ns.interface_initial_state(ns.make_grid(32, 64), params,
+                                           ns.BoundaryConfig(-1.0, 1.0), phi_width=1.0,
+                                           theta_amp=1e200, theta_width=1.0)
+        assert math.isnan(ns.dissipation_rate(state, params))
+        assert ns.weighted_dissipation(state, params, 0.5, 0) == math.inf
+        [rec] = ns.record(ns.make_context(state, params, [(0.5, 0)]))
+        assert math.isnan(rec.v_diss) and rec.weighted == {(0.5, 0): math.inf}
+        failures, _ = ns.audit_records([rec])
+        assert "finite_values" in failures
+
 
 class TestBracketRoots:
     def test_zero_energy(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import signal
 
 import numpy as np
@@ -224,18 +225,22 @@ class TestStep:
         # G grows at the rate p_eff = 1, which the stage times integrate exactly
         assert out.G[grid.interior] == pytest.approx(dt, rel=1e-14)
 
+    @pytest.mark.parametrize("hooked", [False, True])
     @pytest.mark.parametrize("stages", [2, 5])
-    def test_ghosts_are_refreshed_on_entry_and_exit(self, flagship_ic, stages):
+    def test_ghosts_are_refreshed_on_entry_and_exit(self, flagship_ic, stages, hooked):
         # the input's ghosts are set to the far field in place, so ghosts off
-        # it change nothing; the output's are the far field at its own t
+        # it change nothing; the output's are the far field at its own t,
+        # carried through the stages (with sources too, whose ghost columns
+        # are zero) and for G written at the end
         params, grid, bc, state = flagship_ic(64)
         dt = params.cfl * min(ns.step_limits(state, params))
-        expected = ns.step(state.copy(), params, bc, dt, stages=stages)
+        sources = ns.ManufacturedCase(params, grid.half_width).sources if hooked else None
+        expected = ns.step(state.copy(), params, bc, dt, sources, stages)
         g = grid.n_ghost
         off = state.copy()
         off.data[:, :g] += 0.05
         off.data[:, -g:] += 0.1
-        out = ns.step(off, params, bc, dt, stages=stages)
+        out = ns.step(off, params, bc, dt, sources, stages)
         assert np.array_equal(off.data, state.data)
         assert np.array_equal(out.data, expected.data)
         far = ns.apply_bc(out.copy(), bc)
@@ -326,7 +331,9 @@ class TestStep:
 
         def hook(x, t):
             times.append(t)
-            return [np.full_like(x, c) for c in rows]
+            added = np.zeros((4, grid.n_total))
+            added[:, grid.interior] = np.array(rows)[:, None]
+            return added
 
         out = ns.step(state.copy(), params, bc, dt, sources=hook)
         bare = ns.step(state.copy(), params, bc, dt)
@@ -337,6 +344,19 @@ class TestStep:
         assert np.array_equal(out.G, bare.G)
         assert np.array_equal(out.data[:, :g], bare.data[:, :g])
         assert np.array_equal(out.data[:, -g:], bare.data[:, -g:])
+
+    @pytest.mark.parametrize("shape", ["interior", "one column", "one row"])
+    def test_a_hook_of_another_shape_is_an_error(self, params, shape):
+        # the (4, N) interior layout, or one that would broadcast into the
+        # ghost columns, is refused, not added silently
+        grid = ns.make_grid(16, 64)
+        bc = ns.BoundaryConfig(-1.0, 1.0)
+        state = ns.interface_initial_state(grid, params, bc, phi_width=1.0)
+        added = {"interior": np.zeros((4, grid.n_cells)), "one column": np.zeros((4, 1)),
+                 "one row": np.zeros(grid.n_total)}[shape]
+        with pytest.raises(ValueError, match=rf"sources must have the shape "
+                                             rf"\(4, 68\) .*, got {re.escape(str(added.shape))}"):
+            ns.step(state, params, bc, 1e-3, sources=lambda x, t: added)
 
     def test_phase_stays_in_range(self, params):
         grid = ns.make_grid(16, 256)
@@ -642,7 +662,7 @@ class TestSourcesOncePerStageTime:
 
         def counting(x, t):
             times.append(t)
-            return (np.zeros_like(x),) * 4
+            return np.zeros((4, grid.n_total))
 
         result = ns.run(eq, params, bc, 7.5 * cap, dt_cap=cap, observer=seen.append,
                         sources=counting)
@@ -722,13 +742,14 @@ class TestLimitsThatAreNotPositive:
 
     def test_step_limits_rejects_an_overflowing_diffusion_limit(self, hot):
         params, _, state = hot
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"= \(0.000000e\+00, .*\) are not all finite and > 0"):
+        # theta^beta overflows without a warning (warnings are errors here)
+        with pytest.raises(ValueError,
+                           match=r"= \(0.000000e\+00, .*\) are not all finite and > 0"):
             ns.step_limits(state, params)
 
     def test_run_aborts_at_the_first_step(self, hot):
         params, bc, state = hot
-        with np.errstate(over="ignore"), pytest.raises(ns.SimulationAbort) as exc_info:
+        with pytest.raises(ns.SimulationAbort) as exc_info:
             _within(5.0, ns.run, state, params, bc, 0.01)
         assert exc_info.value.step_count == 0
         assert type(exc_info.value.__cause__) is ValueError

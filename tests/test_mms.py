@@ -47,6 +47,10 @@ TRUNCATION_H = 1e-4
 MIN_TRUNCATION_ORDER = 1.9
 
 
+# the interior columns of the sources, which sit in the layout of the Rhs rows
+INTERIOR = np.s_[:, ns.core.N_GHOST:-ns.core.N_GHOST]
+
+
 def reference_sources(case, x, t):
     """The sources as the closed forms of the governing equations' terms on
     the manufactured fields, one term at a time and sharing no factor
@@ -74,6 +78,33 @@ def reference_sources(case, x, t):
     return s_u, v * mu, s_theta, s_v
 
 
+def interior_layout_sources(case, x, t):
+    """ManufacturedCase.sources as it was computed into a (4, N) array of the
+    interior: the same operations in the same order, so its rows are the
+    bytes the Rhs-layout sources must hold between their ghost columns."""
+    decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = case._rows_of(x)
+    beta, eps = case.params.beta, case.params.epsilon
+    decay = math.exp(-t)
+    rows = np.empty_like(decaying[:4])
+    s_u, s_phi, s_theta, s_v = rows
+    u, u_x, u_xx, theta_t = decaying[:4] * decay
+    np.multiply(decaying[4], decay, out=s_v)
+    theta, theta_x, theta_xx = rising * (1.0 - decay)
+    theta += 1.0
+    v = 1.0 + u
+    inv_v = 1.0 / v
+    w = u_x * inv_v
+    ratio_x = (phi_xx - phi_x * w) * inv_v
+    mu = cube - eps * ratio_x
+    np.multiply(v, mu, out=s_phi)
+    theta_w, u_x_w = theta * w, u_x * w
+    np.subtract((theta_x - theta_w + eps_phi_x * ratio_x - u_xx + u_x_w) * inv_v, u,
+                out=s_u)
+    cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
+    np.subtract(theta_t + theta_w - cond_v * inv_v - u_x_w, s_phi * mu, out=s_theta)
+    return rows
+
+
 @pytest.fixture(scope="module")
 def case(params):
     grid = ns.make_grid(16, 128)
@@ -83,7 +114,7 @@ def case(params):
 class TestManufacturedCase:
     def test_sources_match_symbolic_oracle(self, case):
         for x, t, sv, su, stheta, sphi in SOURCE_ORACLE:
-            got = case.sources(np.array([x]), t)
+            got = case.sources(np.array([x]), t)[INTERIOR]
             for value, want in zip(got, (su, sphi, stheta, sv)):
                 assert float(value[0]) == pytest.approx(want, abs=1e-10)
 
@@ -97,11 +128,31 @@ class TestManufacturedCase:
                                    amplitude=amplitude)
         x = ns.make_grid(16, 256).x
         for t in (0.0, 0.1, 0.25, 3.0):
-            for got, want in zip(case.sources(x, t), reference_sources(case, x, t)):
+            for got, want in zip(case.sources(x, t)[INTERIOR], reference_sources(case, x, t)):
                 if amplitude == 0.0:
                     assert np.all(got == 0.0)
                 else:
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("beta, epsilon, amplitude", [(1.0, 1.0, 0.1), (2.0, 0.5, 0.3),
+                                                          (0.5, 1.0, 0.0)])
+    def test_sources_are_in_the_rhs_layout_with_zero_ghosts(self, beta, epsilon, amplitude):
+        # on each grid of the default ladder: N + 4 columns whose ghosts are
+        # +0.0 (no -0.0), and whose interior holds the bytes of the (4, N)
+        # sources, so adding them to the kernel's rows keeps its ghosts
+        cfg = ns.parse_config("")
+        case = ns.ManufacturedCase(ns.SimParams(epsilon=epsilon, beta=beta), cfg.L,
+                                   amplitude=amplitude)
+        g = ns.core.N_GHOST
+        for n in cfg.mms_resolutions:
+            grid = ns.make_grid(cfg.L, n)
+            for t in (0.0, 0.05, 0.1, cfg.mms_t_final, 3.0):
+                got = case.sources(grid.x, t)
+                assert got.shape == (4, grid.n_total)
+                ghosts = np.concatenate((got[:, :g], got[:, -g:]), axis=1)
+                assert np.all(ghosts == 0.0) and not np.signbit(ghosts).any()
+                want = interior_layout_sources(case, grid.x, t)
+                assert got[INTERIOR].tobytes() == want.tobytes()
 
     def test_source_v_is_vt_minus_ux(self, case):
         # S_v must equal d/dt v - d/dx u; both fields share the same
@@ -114,7 +165,7 @@ class TestManufacturedCase:
         a1 = amp * (np.pi / L * np.cos(np.pi * x / L) * env
                     + np.sin(np.pi * x / L) * env * (-2 * x / we**2))
         expected = (-a - a1) * math.exp(-t)
-        got = case.sources(x, t)[3]  # the v row
+        got = case.sources(x, t)[INTERIOR][3]  # the v row
         assert got == pytest.approx(expected, abs=1e-13)
 
     @pytest.mark.parametrize("beta, epsilon", [(1.0, 1.0), (2.0, 0.5)])
@@ -128,7 +179,7 @@ class TestManufacturedCase:
             state = ns.state_from_fields(grid, case.bc, case.fields(x, t), case.params)
             time_derivative = (case.fields(x, t + h) - case.fields(x, t - h)) / (2.0 * h)
             residual = (ns.semi_discrete_rhs(state, case.params).data[:4, grid.interior]
-                        + case.sources(x, t) - time_derivative)
+                        + case.sources(x, t)[INTERIOR] - time_derivative)
             norms.append(np.sqrt((residual**2).sum(axis=1) * grid.dx))
         orders = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))  # pairs x rows
         assert orders.min() >= MIN_TRUNCATION_ORDER, orders

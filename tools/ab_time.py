@@ -12,7 +12,10 @@ default parameters and the far-field phases -1, +1; the run case goes to the
 benchmark's T_FINAL.  The mms-run case is the manufactured case of the
 default `nsac1d mms` config on N cells, run with its sources to t_star under
 the study's cap, mms.DT_CAP_FACTOR dx^2, so every step is a cap-bound Heun
-step; the step-2 case is one such step from the case's initial state.
+step; the step-2 case is one such step from the case's initial state.  The
+record and csv cases read the accepted states of the flagship run to
+T_FINAL, monitored as `nsac1d run` monitors them with one weighted pair,
+(0.5, 0), in a context made from the initial state.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
@@ -35,6 +38,11 @@ batch. The cases:
     step-2        step(mms_initial, params, case.bc, dt_cap, case.sources)
     run           run(initial, params, bc, T_FINAL)
     mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
+    record        record(copy(context), block, kept): one fold of the block
+                  `nsac1d run` folds at N with every step recorded, the first
+                  max(1, BLOCK_CELLS // N) states, all kept
+    csv           write_diagnostics(records, path), then read_diagnostics(path),
+                  on the records of the initial and every accepted state
 
 dt is the Heun step of the initial state, cfl times its least limit. For
 each case one line gives the median and the quartiles of the per-call time
@@ -48,10 +56,12 @@ run, which the ratio of the medians does not.
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import importlib.util
 import random
 import sys
+import tempfile
 from pathlib import Path
 from time import process_time
 
@@ -87,9 +97,10 @@ def _workloads():
 WORKLOADS = _workloads()
 
 
-def cases(ns, n_cells):
+def cases(ns, n_cells, path):
     """{case: (call, key)}: call() runs the case once; key(result) is its
-    result as bytes, the same on both sides if the trees agree bit for bit."""
+    result as bytes, the same on both sides if the trees agree bit for bit.
+    The csv case writes and reads the file at path."""
     params = ns.SimParams()
     bc = ns.BoundaryConfig(-1.0, 1.0)
     initial = ns.interface_initial_state(ns.make_grid(WORKLOADS.FLAGSHIP_L, n_cells), params,
@@ -109,6 +120,18 @@ def cases(ns, n_cells):
     mms_initial = ns.state_from_fields(mms_grid, case.bc, case.fields(mms_grid.x, 0.0), params)
     mms_cap = ns.mms.DT_CAP_FACTOR * mms_grid.dx**2
 
+    states = []
+    ns.run(initial, params, bc, WORKLOADS.T_FINAL, observer=states.append)
+    context = ns.make_context(initial, params, [(0.5, 0)])
+    block = states[:max(1, ns.cli_io.BLOCK_CELLS // n_cells)]
+    kept = range(len(block))
+    monitor = copy.copy(context)  # record() rebinds a context's last fold only
+    records = ns.record(monitor) + ns.record(monitor, states, range(len(states)))
+
+    def csv_round_trip():
+        ns.write_diagnostics(records, path)
+        return ns.read_diagnostics(path)
+
     def run_key(result):
         c = result.control
         return repr((result.state.data.tobytes(), result.state.t, c.step_count, c.rhs_evals,
@@ -119,6 +142,9 @@ def cases(ns, n_cells):
 
     def array_key(result):
         return np.asarray(result).tobytes()
+
+    def records_key(result):
+        return repr(result).encode()
 
     return {
         "kernel": (lambda: ns.semi_discrete_rhs(state, params), data_key),
@@ -132,6 +158,8 @@ def cases(ns, n_cells):
         "run": (lambda: ns.run(initial, params, bc, WORKLOADS.T_FINAL), run_key),
         "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
                                    sources=case.sources), run_key),
+        "record": (lambda: ns.record(copy.copy(context), block, kept), records_key),
+        "csv": (csv_round_trip, lambda result: path.read_bytes() + records_key(result)),
     }
 
 
@@ -159,16 +187,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
+    with tempfile.TemporaryDirectory() as workdir:
+        return _time_trees(parser, args, Path(workdir))
+
+
+def _time_trees(parser, args, workdir):
     trees = {}
     for side, src in zip(SIDES, (args.parent_src, args.change_src)):
         if not (src / "nsac1d" / "__init__.py").is_file():
             parser.error(f"{src} holds no nsac1d package")
         ns = load(src.resolve(), f"nsac1d_{side}")
         try:
-            ns.make_grid(WORKLOADS.FLAGSHIP_L, args.n)  # the tree's own grid rule
+            # the tree's own grid rule, and its monitor's: whole unit intervals
+            grid, params = ns.make_grid(WORKLOADS.FLAGSHIP_L, args.n), ns.SimParams()
+            ns.make_context(ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0)),
+                            params)
         except ValueError as exc:
             parser.error(f"--n: {exc}")
-        trees[side] = cases(ns, args.n)
+        trees[side] = cases(ns, args.n, workdir / f"diagnostics-{side}.csv")
 
     names = list(trees["parent"])
     differing = [name for name in names
