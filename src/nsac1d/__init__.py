@@ -10,8 +10,8 @@ from .diagnostics import (DiagnosticsRecord, RunContext, bracket_roots,
                           mass_excess, record, total_energy, weighted_dissipation)
 from .integrator import RunResult, SimulationAbort, StepControl, run, step, step_limits
 from .mms import ConvergenceRow, ManufacturedCase, convergence_study, default_case
-from .operators import (Rhs, cell_coefficients, centered, chemical_potential,
-                        diffusion_flux, face_average, semi_discrete_rhs)
+from .operators import (cell_coefficients, centered, chemical_potential, diffusion_flux,
+                        face_average, semi_discrete_rhs)
 from .cli_io import (ConfigError, RunConfig, audit_records, main, parse_config,
                      read_diagnostics, read_snapshot, write_diagnostics,
                      write_snapshot)

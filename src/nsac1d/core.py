@@ -182,16 +182,15 @@ class InitialData:
 FIELDS = ("u", "phi", "theta", "v", "G")
 
 
-def row_property(k, ghosts=0):
-    """A read/write attribute for row k of `self.data`, less `ghosts` cells
-    at each end; reads give a view."""
-    cols = slice(ghosts, -ghosts or None)
+def row_property(k):
+    """A read/write attribute for row k of `self.data`, ghost cells included;
+    reads give a view."""
 
     def get(self):
-        return self.data[k, cols]
+        return self.data[k]
 
     def set(self, values):
-        self.data[k, cols] = values
+        self.data[k] = values
 
     return property(get, set)
 
@@ -235,20 +234,25 @@ def apply_bc(state, bc):
     return state
 
 
+def _within_bounds(high, lows, floor):
+    """The guard's fast path: high (the largest of u, phi, theta and v) below
+    inf and lows (their row minima) above -inf, -inf, floor, floor; nan fails."""
+    u, phi, theta, v = lows
+    return high < math.inf and u > -math.inf and phi > -math.inf and theta > floor and v > floor
+
+
 def check_positive(state, params):
     """Hard error naming field and first offending cell if u, phi, theta or v
     is not finite, ghost cells included, or if interior v or theta is at or
-    below the positivity floor.  Cells count from the first interior cell,
-    so the ghost cells are -2, -1, N and N + 1.  Fast path, two reductions
-    that cannot warn: the largest of u, phi, theta and v below inf, then the
-    four row minima, u's and phi's above -inf and theta's and v's above the
-    floor, ghosts included (a nan fails each); anything else, a low ghost
-    too, falls through to the exact per-field scan, which gives the verdict."""
+    below the positivity floor.  Cells count from the first interior cell, so
+    the ghost cells are -2, -1, N and N + 1.  Fast path: _within_bounds of two
+    reductions that cannot warn, the largest of u, phi, theta and v and then
+    their row minima, ghosts included; anything else, a low ghost too, falls
+    through to the exact per-field scan, which gives the verdict."""
     data, floor = state.data[:4], params.positivity_floor
-    if np.maximum.reduce(data, axis=None) < math.inf:
-        u, phi, theta, v = np.minimum.reduce(data, axis=1).tolist()
-        if u > -math.inf and phi > -math.inf and theta > floor and v > floor:
-            return
+    if _within_bounds(np.maximum.reduce(data, axis=None),
+                      np.minimum.reduce(data, axis=1).tolist(), floor):
+        return
     s = state.grid.interior
     for name in ("v", "theta", "u", "phi"):
         vals = getattr(state, name)

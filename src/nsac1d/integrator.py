@@ -35,8 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FlowState, apply_bc, is_number
-from .operators import cell_coefficients, check_positive, face_average, semi_discrete_rhs
+from .core import FlowState, _within_bounds, apply_bc, check_positive, is_number
+from .operators import cell_coefficients, face_average, semi_discrete_rhs
 
 LIMIT_KINDS = ("diffusion", "acoustic", "reaction")
 
@@ -146,10 +146,10 @@ LIMIT_FLOOR_MARGIN = 1e-12
 def limit_floor(state, params):
     """A floor of step_limits(state, params), component by component, from two
     reductions: the row minima and maxima of u, phi, theta and v, ghosts
-    included.  None where it proves nothing: an extremum that is not finite,
-    a theta or v at or below the positivity floor, theta_max^beta
-    overflowing, or extrema that do not bound step_limits' limits away from
-    0 and inf, so step_limits does not raise where a floor is returned.
+    included.  None where it proves nothing: extrema that fail the guard's
+    fast path, theta_max^beta overflowing, or extrema that do not bound
+    step_limits' limits away from 0 and inf, so step_limits does not raise
+    where a floor is returned.
 
     1/v_min bounds the u row, theta_max^beta (1/v_min) the theta row,
     v_max (1/v_min) the phi row, sqrt(2 theta_max) (1/v_min) the sound speed
@@ -159,12 +159,10 @@ def limit_floor(state, params):
     limits of these bounds are step_limits' own formula, _limits.
     """
     rows = state.data[:4]
-    u_lo, phi_lo, theta_lo, v_lo = np.minimum.reduce(rows, axis=1).tolist()
-    u_hi, phi_hi, theta_hi, v_hi = np.maximum.reduce(rows, axis=1).tolist()
-    pf = params.positivity_floor
-    # a nan in a row is its minimum too, and fails these comparisons
-    if not (u_lo > -math.inf and phi_lo > -math.inf and theta_lo > pf and v_lo > pf
-            and max(u_hi, phi_hi, theta_hi, v_hi) < math.inf):
+    _, phi_lo, theta_lo, v_lo = lows = np.minimum.reduce(rows, axis=1).tolist()
+    _, phi_hi, theta_hi, v_hi = highs = np.maximum.reduce(rows, axis=1).tolist()
+    # a nan in a row is its minimum too
+    if not _within_bounds(max(highs), lows, params.positivity_floor):
         return None
     try:
         theta_pow = theta_hi**params.beta
@@ -256,14 +254,13 @@ def step(state, params, bc, dt, sources=None, stages=2):
     as Y_0 + increments, so a state whose F is zero stays bit for bit.
 
     F is the kernel plus, at every stage time, the optional sources(x, t) of
-    the verification harness: a (4, N + 4) array in the layout of the Rhs
-    rows u, phi, theta and v, added to them in one operation; its ghost
-    columns must be zero, as the kernel's are, and any other shape is a
-    ValueError.  Ghosts are refreshed from bc on entry, in place.  F is zero
-    in the ghost columns and reads no G, so every stage, and the result,
-    keeps the far field of u, phi, theta and v; on the result only G's
-    ghosts are written, with its t.  G advances with the same weights as
-    the physical fields.
+    the verification harness: a (4, N + 4) array in the layout of the kernel's
+    rows u, phi, theta and v, added to them in one operation; its ghost columns
+    must be zero, as the kernel's are, and any other shape is a ValueError.
+    Ghosts are refreshed from bc on entry, in place.  F is zero in the ghost
+    columns and reads no G, so every stage, and the result, keeps the far field
+    of u, phi, theta and v; on the result only G's ghosts are written, with its
+    t.  G advances with the same weights as the physical fields.
     """
     if not 0.0 < dt < np.inf:  # also rejects nan
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -273,12 +270,12 @@ def step(state, params, bc, dt, sources=None, stages=2):
     apply_bc(state, bc)
 
     def rate(data, t):
-        rhs = semi_discrete_rhs(FlowState(grid, t, data), params).data
+        rhs = semi_discrete_rhs(FlowState(grid, t, data), params)
         if sources is not None:
             rows, extra = rhs[:4], sources(grid.x, t)
             if np.shape(extra) != rows.shape:
-                raise ValueError(f"sources must have the shape {rows.shape} of the Rhs rows "
-                                 f"u, phi, theta and v, got {np.shape(extra)}")
+                raise ValueError(f"sources must have the shape {rows.shape} of the kernel's "
+                                 f"rows u, phi, theta and v, got {np.shape(extra)}")
             rows += extra
         return rhs
 

@@ -132,8 +132,8 @@ class ManufacturedCase:
 
     def sources(self, x, t):
         """Residuals of the governing equations on the manufactured fields:
-        one read-only (4, N + 4) array in the layout of the Rhs rows u, phi,
-        theta and v (FIELDS order), the N cells of x between N_GHOST ghost
+        one read-only (4, N + 4) array in the layout of the kernel's rows u,
+        phi, theta and v (FIELDS order), the N cells of x between N_GHOST ghost
         columns each side that are +0.0, so step adds it to the kernel's rows
         in one operation; a repeated (grid, t) returns the last one again.
 
@@ -169,9 +169,8 @@ class ManufacturedCase:
         return rows
 
 
-def default_case(params, grid, amplitude=0.1, t_star=0.25):
-    return ManufacturedCase(params, grid.half_width, amplitude=amplitude,
-                            t_star=t_star)
+def default_case(params, grid, **keywords):
+    return ManufacturedCase(params, grid.half_width, **keywords)
 
 
 @dataclass

@@ -11,7 +11,7 @@ The stencil owners (centered, face_average, cell_coefficients,
 diffusion_flux, potential_from) take an optional out, which they fill and
 return; without it they return a new array holding the same bits.
 semi_discrete_rhs keeps its intermediates in a workspace per grid, so that a
-call allocates only its output.
+call allocates only the (5, N + 4) array it returns, in FlowState's layout.
 
 Divisions are slow next to products, so the owners multiply by 0.5/dx,
 1/dx^2 and 1/eps, which equals dividing, bit for bit, wherever dx and eps
@@ -21,12 +21,11 @@ of cell_coefficients: 1/v is a kernel call's one array division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import N_GHOST, check_positive, row_property
+from .core import check_positive
 
 
 def centered(f, dx, out=None):
@@ -103,21 +102,6 @@ def block_potential(data, grid, eps):
     return potential_from(phi[:, s], lap.reshape(v.shape)[:, s], eps)
 
 
-@dataclass
-class Rhs:
-    """Time derivatives in the layout of FlowState: one (5, N + 4) array in
-    FIELDS order whose ghost columns are zero, so that s + dt F is one array
-    operation.  du, dphi, dtheta, dv and dG are views of the interior cells."""
-
-    data: np.ndarray
-
-    du = row_property(0, N_GHOST)
-    dphi = row_property(1, N_GHOST)
-    dtheta = row_property(2, N_GHOST)
-    dv = row_property(3, N_GHOST)
-    dG = row_property(4, N_GHOST)
-
-
 # the grids whose workspaces are kept at once: the three of an MMS ladder
 # and one more
 WORKSPACE_GRIDS = 4
@@ -162,12 +146,12 @@ def semi_discrete_rhs(state, params):
     dtheta = -theta/v u_x + (theta^beta theta_x / v)_x + u_x^2 / v + v mu^2
     dG     = p_eff = theta/v + (eps/2)(phi_x/v)^2
 
-    Pure: reads the ghost layers of u, phi, theta and v as they stand (never
-    G), writes nothing to state, and fails hard on any positivity violation.
-    Its intermediates live in a workspace built on a grid's first call and
-    kept for the last WORKSPACE_GRIDS grids; calls on equal grids share it,
-    which holds because the solver is single-threaded.  The (5, N + 4)
-    output is a new array on every call.
+    Returns a new (5, N + 4) ndarray on every call, these rows in FIELDS
+    order and ghost columns of +0.0.  Pure: reads the ghost layers of u, phi,
+    theta and v as they stand (never G), writes nothing to state, and fails
+    hard on any positivity violation.  Its intermediates live in a workspace
+    built on a grid's first call and kept for the last WORKSPACE_GRIDS grids;
+    calls on equal grids share it, as the solver is single-threaded.
     """
     check_positive(state, params)
 
@@ -218,4 +202,4 @@ def semi_discrete_rhs(state, params):
     dv[:] = u_x
     out[:, :g] = 0.0  # the ghost columns, p_eff's two ends among them
     out[:, -g:] = 0.0
-    return Rhs(out)
+    return out

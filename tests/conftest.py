@@ -133,7 +133,7 @@ def kernel_jacobian(state, params, period=2 * KERNEL_REACH + 1):
     jacobian = np.zeros((4, n, 4, n))
 
     def rhs(data):
-        return ns.semi_discrete_rhs(ns.FlowState(grid, state.t, data), params).data[:4, s]
+        return ns.semi_discrete_rhs(ns.FlowState(grid, state.t, data), params)[:4, s]
 
     for field in range(4):
         h = 1e-6 * max(1.0, np.abs(state.data[field, s]).max())
@@ -166,7 +166,7 @@ def linear_amplification(state, params, dt, stages):
 
 
 def nan_sources_after(t_bad):
-    """A sources(x, t) hook for run() in the layout of the Rhs rows: zero in
+    """A sources(x, t) hook for run() in the layout of the kernel's rows: zero in
     the ghost columns, and in the interior NaN at stage times past t_bad."""
 
     def sources(x, t):

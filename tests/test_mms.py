@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -47,7 +48,7 @@ TRUNCATION_H = 1e-4
 MIN_TRUNCATION_ORDER = 1.9
 
 
-# the interior columns of the sources, which sit in the layout of the Rhs rows
+# the interior columns of the sources, which sit in the layout of the kernel's rows
 INTERIOR = np.s_[:, ns.core.N_GHOST:-ns.core.N_GHOST]
 
 
@@ -81,7 +82,7 @@ def reference_sources(case, x, t):
 def interior_layout_sources(case, x, t):
     """ManufacturedCase.sources as it was computed into a (4, N) array of the
     interior: the same operations in the same order, so its rows are the
-    bytes the Rhs-layout sources must hold between their ghost columns."""
+    bytes the sources in the kernel's layout must hold between their ghost columns."""
     decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = case._rows_of(x)
     beta, eps = case.params.beta, case.params.epsilon
     decay = math.exp(-t)
@@ -178,7 +179,7 @@ class TestManufacturedCase:
             x = grid.x
             state = ns.state_from_fields(grid, case.bc, case.fields(x, t), case.params)
             time_derivative = (case.fields(x, t + h) - case.fields(x, t - h)) / (2.0 * h)
-            residual = (ns.semi_discrete_rhs(state, case.params).data[:4, grid.interior]
+            residual = (ns.semi_discrete_rhs(state, case.params)[:4, grid.interior]
                         + case.sources(x, t)[INTERIOR] - time_derivative)
             norms.append(np.sqrt((residual**2).sum(axis=1) * grid.dx))
         orders = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))  # pairs x rows
@@ -246,6 +247,13 @@ class TestManufacturedCase:
             ns.ManufacturedCase(params, 6.0)
         with pytest.raises(ValueError):
             ns.default_case(params, grid, t_star=0.0)
+
+    def test_the_config_defaults_are_the_case_defaults(self):
+        # RunConfig keeps its own copy of them, so that config.txt lists them
+        defaults = inspect.signature(ns.ManufacturedCase).parameters
+        config = ns.RunConfig()
+        assert config.mms_amplitude == defaults["amplitude"].default
+        assert config.mms_t_final == defaults["t_star"].default
 
     @settings(max_examples=60, deadline=None)
     @given(amplitude=st.floats(0.0, 0.3), half_width=st.floats(8.0, 1000.0),

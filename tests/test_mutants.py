@@ -59,14 +59,15 @@ RKL2_STAGES = 5
 
 
 def _kernel_then(edit):
-    """A mutant that runs the kernel, then edits its Rhs in place."""
+    """A mutant that runs the kernel, then edits its result in place: the
+    rows du, dphi, dtheta, dv, dG of the interior, views of that result."""
 
     def patch(mp):
         kernel = operators.semi_discrete_rhs
 
         def mutant(state, params):
             rhs = kernel(state, params)
-            edit(state, params, rhs)
+            edit(state, params, *rhs[:, state.grid.interior])
             return rhs
 
         mp.setattr(integrator, "semi_discrete_rhs", mutant)
@@ -74,29 +75,29 @@ def _kernel_then(edit):
     return patch
 
 
-def _drop_viscous_heating(state, params, rhs):
+def _drop_viscous_heating(state, params, du, dphi, dtheta, dv, dG):
     # step refreshed the ghosts, and the kernel's u_x is this central difference
     grid = state.grid
     u_x = ns.centered(state.u, grid.dx)[1:-1]
-    rhs.dtheta -= u_x**2 / state.interior("v")
+    dtheta -= u_x**2 / state.interior("v")
 
 
-def _drop_capillary_stress(state, params, rhs):
+def _drop_capillary_stress(state, params, du, dphi, dtheta, dv, dG):
     """p_eff = theta / v: the kernel's (eps/2)(phi_x/v)^2, on the interior
     cells and one beyond, where du differences it, taken out of du and dG."""
     phi_x = ns.centered(state.phi, state.grid.dx)
     capillary = 0.5 * params.epsilon * (phi_x / state.v[1:-1]) ** 2
-    rhs.du += ns.centered(capillary, state.grid.dx)
-    rhs.dG -= capillary[1:-1]
+    du += ns.centered(capillary, state.grid.dx)
+    dG -= capillary[1:-1]
 
 
-def _drop_v_mu2(state, params, rhs):
+def _drop_v_mu2(state, params, du, dphi, dtheta, dv, dG):
     """v mu^2 taken out of dtheta, with mu the kernel's potential."""
-    rhs.dtheta -= state.interior("v") * ns.chemical_potential(state, params) ** 2
+    dtheta -= state.interior("v") * ns.chemical_potential(state, params) ** 2
 
 
-def _freeze_G(state, params, rhs):
-    rhs.dG = 0.0
+def _freeze_G(state, params, du, dphi, dtheta, dv, dG):
+    dG[:] = 0.0
 
 
 def _scale_cube_in_kernel_mu(mp):

@@ -210,12 +210,12 @@ class TestDerivedFields:
         conductive = manual_state(grid, v, 0 * ones, theta, ones)
         ns.apply_bc(viscous, bc)
         ns.apply_bc(conductive, bc)
+        s = grid.interior
         rhs_u = ns.semi_discrete_rhs(viscous, params)
-        rhs_theta = ns.semi_discrete_rhs(conductive, params)
-        assert all(row.shape == (grid.n_cells,)
-                   for row in (rhs_u.du, rhs_u.dphi, rhs_u.dtheta, rhs_u.dv, rhs_u.dG))
-        assert np.sum(viscous.interior("u") * rhs_u.du) < 0.0
-        assert np.sum((conductive.interior("theta") - 1.0) * rhs_theta.dtheta) < 0.0
+        dtheta = ns.semi_discrete_rhs(conductive, params)[2, s]
+        assert rhs_u.shape == (5, grid.n_total)
+        assert np.sum(viscous.interior("u") * rhs_u[0, s]) < 0.0
+        assert np.sum((conductive.interior("theta") - 1.0) * dtheta) < 0.0
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
     def test_mu_vanishes_on_constant_phase(self, params, value):
@@ -226,7 +226,7 @@ class TestDerivedFields:
         ones = np.ones(grid.n_total)
         state = manual_state(grid, ones, 0 * ones, ones, np.full(grid.n_total, value))
         ns.apply_bc(state, bc)
-        dphi = ns.semi_discrete_rhs(state, params).dphi  # -v mu
+        dphi = ns.semi_discrete_rhs(state, params)[1, grid.interior]  # -v mu
         assert np.all(dphi[slice(None) if value else slice(1, -1)] == 0.0)
 
 
@@ -279,17 +279,17 @@ class TestSemiDiscreteRhs:
         state.u[:] = np.sin(np.pi * x_with_ghosts(grid) / 16.0)
         ns.apply_bc(state, bc)
 
-        rhs = ns.semi_discrete_rhs(state, params)
         u = state.u
         s = grid.interior
+        du, dphi, dtheta, dv, _ = ns.semi_discrete_rhs(state, params)[:, s]
         u_x = (u[2:] - u[:-2]) / (2 * grid.dx)
         u_x = np.concatenate([[0.0], u_x, [0.0]])[s]
         diff = (u[2:] - 2 * u[1:-1] + u[:-2]) / grid.dx**2
         diff = np.concatenate([[0.0], diff, [0.0]])[s]
-        assert rhs.dv == pytest.approx(u_x, abs=1e-12)
-        assert rhs.du == pytest.approx(diff, abs=1e-12)
-        assert rhs.dtheta == pytest.approx(-u_x + u_x**2, abs=1e-12)
-        assert rhs.dphi == pytest.approx(np.zeros(grid.n_cells), abs=0)
+        assert dv == pytest.approx(u_x, abs=1e-12)
+        assert du == pytest.approx(diff, abs=1e-12)
+        assert dtheta == pytest.approx(-u_x + u_x**2, abs=1e-12)
+        assert dphi == pytest.approx(np.zeros(grid.n_cells), abs=0)
 
     def test_mass_rate_telescopes(self, params):
         grid = ns.make_grid(16, 128)
@@ -299,11 +299,11 @@ class TestSemiDiscreteRhs:
             v_amp=0.3, v_width=2.0, v_center=-3.0,
             u_amp=0.4, u_width=2.0, u_center=3.0,
             theta_amp=0.2, theta_width=2.0, theta_center=0.0)
-        rhs = ns.semi_discrete_rhs(state, params)
+        dv = ns.semi_discrete_rhs(state, params)[3, grid.interior]
         g = grid.n_ghost
         u = state.u
         face = 0.5 * (u[g + grid.n_cells - 1] + u[g + grid.n_cells]) - 0.5 * (u[g - 1] + u[g])
-        assert np.sum(rhs.dv) * grid.dx == pytest.approx(face, abs=1e-15)
+        assert np.sum(dv) * grid.dx == pytest.approx(face, abs=1e-15)
 
     def test_momentum_rate_telescopes(self, params):
         grid = ns.make_grid(16, 128)
@@ -312,7 +312,7 @@ class TestSemiDiscreteRhs:
             grid, params, bc, phi_width=1.0,
             v_amp=0.2, v_width=2.0, v_center=-3.0,
             u_amp=0.3, u_width=2.0, u_center=3.0)
-        rhs = ns.semi_discrete_rhs(state, params)
+        du, _, _, _, dG = ns.semi_discrete_rhs(state, params)[:, grid.interior]
         lo, hi = grid.n_ghost, grid.n_ghost + grid.n_cells
         u, v = state.u, state.v
         # p_eff at every cell with both neighbours; the outermost stay 0
@@ -322,13 +322,13 @@ class TestSemiDiscreteRhs:
         p_eff = np.zeros(grid.n_total)
         p_eff[c] = state.theta[c] * inv_v[c] + 0.5 * params.epsilon * (phi_x * inv_v[c]) ** 2
         # G integrates the same effective pressure that du differences
-        assert np.array_equal(rhs.dG, p_eff[grid.interior])
+        assert np.array_equal(dG, p_eff[grid.interior])
         a = ns.face_average(1.0 / v)
         right = a[hi - 1] * (u[hi] - u[hi - 1]) / grid.dx - 0.5 * (p_eff[hi - 1] + p_eff[hi])
         left = a[lo - 1] * (u[lo] - u[lo - 1]) / grid.dx - 0.5 * (p_eff[lo - 1] + p_eff[lo])
-        assert np.sum(rhs.du) * grid.dx == pytest.approx(right - left, abs=1e-13)
+        assert np.sum(du) * grid.dx == pytest.approx(right - left, abs=1e-13)
         # far-field data: both faces carry the same constant state
-        assert np.sum(rhs.du) * grid.dx == pytest.approx(0.0, abs=1e-12)
+        assert np.sum(du) * grid.dx == pytest.approx(0.0, abs=1e-12)
 
     def test_viscous_heating_nonnegative(self, params):
         rng = np.random.default_rng(5)
@@ -340,9 +340,9 @@ class TestSemiDiscreteRhs:
                 v_amp=float(rng.uniform(-0.5, 1.0)), v_width=1.5, v_center=-2.0,
                 u_amp=float(rng.uniform(-1, 1)), u_width=1.5, u_center=2.0,
                 theta_amp=float(rng.uniform(-0.5, 1.0)), theta_width=1.5)
-            rhs = ns.semi_discrete_rhs(state, params)
+            _, dphi, _, u_x, _ = ns.semi_discrete_rhs(state, params)[:, grid.interior]
             vi = state.interior("v")
-            u_x, mu = rhs.dv, -rhs.dphi / vi
+            mu = -dphi / vi
             heating = u_x**2 / vi + vi * mu**2
             assert np.all(heating >= 0.0)
 
@@ -358,8 +358,9 @@ class TestSemiDiscreteRhs:
                          rng.uniform(0.05, 5.0, m), rng.uniform(0.05, 5.0, m),
                          rng.normal(0.0, 1.0, m)])
         state = FlowState(ns.make_grid(4, n), 0.0, data)
-        out = ns.semi_discrete_rhs(state, params).data
+        out = ns.semi_discrete_rhs(state, params)
         expected = _rhs_by_expression(state, params)
+        assert type(out) is np.ndarray
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()  # the sign of a zero too
 
@@ -379,7 +380,7 @@ class TestSemiDiscreteRhs:
     def test_a_workspace_carries_nothing_from_call_to_call(self, params, grids):
         # states A and B on each grid, ghosts and G drawn, called A, B, A on
         # one grid, and interleaved on two: each result is the one a fresh
-        # workspace gives, and no call writes to a state or an earlier Rhs
+        # workspace gives, and no call writes to a state or an earlier result
         rng = np.random.default_rng(29)
 
         def drawn(n):
@@ -394,11 +395,11 @@ class TestSemiDiscreteRhs:
         fresh = []
         for state in states:
             operators._kernel_workspace.cache_clear()
-            fresh.append(ns.semi_discrete_rhs(state, params).data.tobytes())
+            fresh.append(ns.semi_discrete_rhs(state, params).tobytes())
         operators._kernel_workspace.cache_clear()
         order = [0, 1, 0] if len(grids) == 1 else [0, 2, 1, 3, 0, 2]
         results = [ns.semi_discrete_rhs(states[k], params) for k in order]
-        assert [rhs.data.tobytes() for rhs in results] == [fresh[k] for k in order]
+        assert [rhs.tobytes() for rhs in results] == [fresh[k] for k in order]
         assert [state.data.tobytes() for state in states] == inputs
         assert operators._kernel_workspace.cache_info().misses == len(grids)
 

@@ -12,10 +12,12 @@ default parameters and the far-field phases -1, +1; the run case goes to the
 benchmark's T_FINAL.  The mms-run case is the manufactured case of the
 default `nsac1d mms` config on N cells, run with its sources to t_star under
 the study's cap, mms.DT_CAP_FACTOR dx^2, so every step is a cap-bound Heun
-step; the step-2 case is one such step from the case's initial state.  The
-record and csv cases read the accepted states of the flagship run to
-T_FINAL, monitored as `nsac1d run` monitors them with one weighted pair,
-(0.5, 0), in a context made from the initial state.
+step; the step-2 case is one such step from the case's initial state, whose
+sources at its two stage times are computed once at set-up, so it times the
+step without the source expressions (the benchmark traces those as
+mms.sources).  The record and csv cases read the accepted states of the
+flagship run to T_FINAL, monitored as `nsac1d run` monitors them with one
+weighted pair, (0.5, 0), in a context made from the initial state.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
@@ -35,7 +37,8 @@ batch. The cases:
     increments-2  integrator.increments(y0, t0, dt, rate, stages) at 2 and 5
     increments-5  stages, with rate returning a fixed F: the arithmetic alone
     step-5        step(state, params, bc, dt, stages=5)
-    step-2        step(mms_initial, params, case.bc, dt_cap, case.sources)
+    step-2        step(mms_initial, params, case.bc, dt_cap, sources), sources
+                  answering the step's two stage times from set-up
     run           run(initial, params, bc, T_FINAL)
     mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
     record        record(copy(context), block, kept): one fold of the block
@@ -60,6 +63,7 @@ import copy
 import gc
 import importlib.util
 import random
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -85,16 +89,8 @@ def load(src, name):
     return module
 
 
-def _workloads():
-    """bench/workloads.py, loaded by path: the flagship data it times."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("ab_time_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+# the flagship data's one owner, the benchmark's bench/workloads.py, read by path
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
 
 
 def cases(ns, n_cells, path):
@@ -103,11 +99,11 @@ def cases(ns, n_cells, path):
     The csv case writes and reads the file at path."""
     params = ns.SimParams()
     bc = ns.BoundaryConfig(-1.0, 1.0)
-    initial = ns.interface_initial_state(ns.make_grid(WORKLOADS.FLAGSHIP_L, n_cells), params,
-                                         bc, **WORKLOADS.FLAGSHIP)
+    initial = ns.interface_initial_state(ns.make_grid(WORKLOADS["FLAGSHIP_L"], n_cells), params,
+                                         bc, **WORKLOADS["FLAGSHIP"])
     state = initial.copy()
     dt = params.cfl * min(ns.step_limits(state, params))
-    force = ns.semi_discrete_rhs(state, params).data
+    force = ns.semi_discrete_rhs(state, params)
     increments, check_positive = ns.integrator.increments, ns.core.check_positive
 
     def rate(y, t):
@@ -119,9 +115,11 @@ def cases(ns, n_cells, path):
     mms_grid = ns.make_grid(case.half_width, n_cells)
     mms_initial = ns.state_from_fields(mms_grid, case.bc, case.fields(mms_grid.x, 0.0), params)
     mms_cap = ns.mms.DT_CAP_FACTOR * mms_grid.dx**2
+    # the sources at the two stage times of step-2's one Heun step, 0 and the cap
+    stage_sources = {t: case.sources(mms_grid.x, t) for t in (0.0, mms_cap)}
 
     states = []
-    ns.run(initial, params, bc, WORKLOADS.T_FINAL, observer=states.append)
+    ns.run(initial, params, bc, WORKLOADS["T_FINAL"], observer=states.append)
     context = ns.make_context(initial, params, [(0.5, 0)])
     block = states[:max(1, ns.cli_io.BLOCK_CELLS // n_cells)]
     kept = range(len(block))
@@ -147,15 +145,15 @@ def cases(ns, n_cells, path):
         return repr(result).encode()
 
     return {
-        "kernel": (lambda: ns.semi_discrete_rhs(state, params), data_key),
+        "kernel": (lambda: ns.semi_discrete_rhs(state, params), array_key),
         "guard": (lambda: check_positive(state, params), repr),
         "step_limits": (lambda: ns.step_limits(state, params), array_key),
         "increments-2": (lambda: increments(state.data, state.t, dt, rate, 2), array_key),
         "increments-5": (lambda: increments(state.data, state.t, dt, rate, 5), array_key),
         "step-5": (lambda: ns.step(state, params, bc, dt, stages=5), data_key),
-        "step-2": (lambda: ns.step(mms_initial, params, case.bc, mms_cap, case.sources),
-                   data_key),
-        "run": (lambda: ns.run(initial, params, bc, WORKLOADS.T_FINAL), run_key),
+        "step-2": (lambda: ns.step(mms_initial, params, case.bc, mms_cap,
+                                   lambda x, t: stage_sources[t]), data_key),
+        "run": (lambda: ns.run(initial, params, bc, WORKLOADS["T_FINAL"]), run_key),
         "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
                                    sources=case.sources), run_key),
         "record": (lambda: ns.record(copy.copy(context), block, kept), records_key),
@@ -199,7 +197,7 @@ def _time_trees(parser, args, workdir):
         ns = load(src.resolve(), f"nsac1d_{side}")
         try:
             # the tree's own grid rule, and its monitor's: whole unit intervals
-            grid, params = ns.make_grid(WORKLOADS.FLAGSHIP_L, args.n), ns.SimParams()
+            grid, params = ns.make_grid(WORKLOADS["FLAGSHIP_L"], args.n), ns.SimParams()
             ns.make_context(ns.interface_initial_state(grid, params, ns.BoundaryConfig(1.0, 1.0)),
                             params)
         except ValueError as exc:
