@@ -3,13 +3,16 @@ sources, and a refinement study measuring the observed order of the full
 scheme.  Sources are hard-coded analytic expressions (no symbolic-math
 dependency); the test suite pins them against an independently generated
 oracle table, and at other beta, epsilon and amplitudes against their
-term-by-term closed forms.
+term-by-term closed forms.  The study's runs step at a fixed cap, so their
+stage times are known ahead: the sources of a block of them are evaluated
+in one pass, each time's bit for bit as it would be alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +26,11 @@ from .integrator import SimulationAbort, run
 # the Heun step (at least 0.160 dx^2 on the measured ladders), so every step
 # is a Heun step of the cap
 DT_CAP_FACTOR = 0.1
+
+# cells of space-time (times x cells of x) in one block of sources: at
+# N = 128, 256 and 512, 2,048 beat 1,024 and 4,096, whose ~25 temporaries of
+# the block no longer fit in L1
+BLOCK_CELLS = 2048
 
 
 def _sigmoid(y):
@@ -66,7 +74,8 @@ class ManufacturedCase:
         self.blend_scale = 0.25
         self.bc = (BoundaryConfig(-1.0, 1.0) if amplitude > 0.0
                    else BoundaryConfig(1.0, 1.0))
-        self._x_key = self._rows = self._last = None  # see _rows_of
+        self._x_key = self._rows = None
+        self._block = {}  # the last block of sources, {t: array}; see _rows_of
 
     # -- closed forms ------------------------------------------------------
 
@@ -109,7 +118,7 @@ class ManufacturedCase:
     def _rows_of(self, x):
         """The t-independent rows of x (scaled by e^-t, by 1 - e^-t, phase),
         kept under the key x.tobytes(); a new key rebuilds them and drops the
-        last sources (t, array).  params is fixed at construction."""
+        last block of sources.  params is fixed at construction."""
         if (key := x.tobytes()) != self._x_key:
             a, a1, a2, b, b1, b2 = self._spatial(x)
             phi, phi_x, phi_xx = self._phase(x)
@@ -119,7 +128,7 @@ class ManufacturedCase:
             decaying = np.stack((a, a1, a2, b, -(a + a1)))
             rising = np.stack((b, b1, b2))
             phase = (phi, phi_x, phi_xx, (phi * phi * phi - phi) / eps, eps * phi_x)
-            self._x_key, self._rows, self._last = key, (decaying, rising, phase), None
+            self._x_key, self._rows, self._block = key, (decaying, rising, phase), {}
         return self._rows
 
     def fields(self, x, t):
@@ -130,26 +139,40 @@ class ManufacturedCase:
         u = decaying[0] * decay
         return np.stack((u, phase[0], 1.0 + rising[0] * (1.0 - decay), 1.0 + u))
 
-    def sources(self, x, t):
+    def sources(self, x, t, step=None):
         """Residuals of the governing equations on the manufactured fields:
         one read-only (4, N + 4) array in the layout of the kernel's rows u,
         phi, theta and v (FIELDS order), the N cells of x between N_GHOST ghost
         columns each side that are +0.0, so step adds it to the kernel's rows
-        in one operation; a repeated (grid, t) returns the last one again.
+        in one operation.
+
+        The case keeps its last block of sources, for one x: a t the block
+        holds returns its array again.  Any other t starts a block of t and,
+        given a step, the stage times t + step, (t + step) + step, ... that
+        steps of that dt form, at most max(1, BLOCK_CELLS // N) times and
+        none past t_star, evaluated in one pass over a leading time axis by
+        the operations of a lone t, so each time's array is bit for bit the
+        one a block of that time alone holds.
 
         v - 1 = u, so v_t = u_t = -u and v_x = u_x; w = v_x / v.
         """
         decaying, rising, (_, phi_x, phi_xx, cube, eps_phi_x) = self._rows_of(
             np.asarray(x, dtype=float))
-        if self._last is not None and self._last[0] == t:
-            return self._last[1]
+        if t in self._block:
+            return self._block[t]
+        n = decaying.shape[1]
+        times = [t]  # a nan or non-positive step stops at t
+        while (step is not None and len(times) < BLOCK_CELLS // n
+               and times[-1] < times[-1] + step <= self.t_star):
+            times.append(times[-1] + step)
         beta, eps = self.params.beta, self.params.epsilon
-        decay = math.exp(-t)
-        rows = np.zeros((4, decaying.shape[1] + 2 * N_GHOST))
-        s_u, s_phi, s_theta, s_v = rows[:, N_GHOST:-N_GHOST]
-        u, u_x, u_xx, theta_t = decaying[:4] * decay
+        decay = np.array([math.exp(-s) for s in times])[:, None]
+        rows = np.zeros((len(times), 4, n + 2 * N_GHOST))
+        # each (K, N): K times of the N cells
+        s_u, s_phi, s_theta, s_v = rows[:, :, N_GHOST:-N_GHOST].transpose(1, 0, 2)
+        u, u_x, u_xx, theta_t = decaying[:4, None] * decay
         np.multiply(decaying[4], decay, out=s_v)
-        theta, theta_x, theta_xx = rising * (1.0 - decay)
+        theta, theta_x, theta_xx = rising[:, None] * (1.0 - decay)
         theta += 1.0
         v = 1.0 + u
         inv_v = 1.0 / v
@@ -165,8 +188,8 @@ class ManufacturedCase:
         cond_v = theta**beta * (theta_x * (beta * theta_x / theta - w) + theta_xx)
         np.subtract(theta_t + theta_w - cond_v * inv_v - u_x_w, s_phi * mu, out=s_theta)
         rows.flags.writeable = False
-        self._last = t, rows
-        return rows
+        self._block = dict(zip(times, rows))
+        return self._block[t]
 
 
 def default_case(params, grid, **keywords):
@@ -194,9 +217,12 @@ def convergence_study(case, resolutions):
     dt is capped at DT_CAP_FACTOR * dx^2 = 0.1 dx^2, under the Heun step
     (0.172 dx^2 or more at amplitude 0.3 with beta = 1 and 2, L = 16;
     0.160 dx^2 at beta = 2, epsilon = 0.5, amplitude 0.2, L = 8), so every
-    step is a Heun step of the cap.  Halving the cap moves each error by at
-    most 1.8e-3 relative and each order by at most 2.1e-3 on L = 16,
-    N = 64/128/256 (tests/test_mms.py bounds both).  Resolutions must be at
+    step is a Heun step of the cap, whose second stage time is the next
+    step's first; the run's sources hook is case.sources with step = the
+    cap, so one block of sources serves up to max(1, BLOCK_CELLS // N)
+    stage times.  Halving the cap moves each error by at most 1.8e-3
+    relative and each order by at most 2.1e-3 on L = 16, N = 64/128/256
+    (tests/test_mms.py bounds both).  Resolutions must be at
     least three, each double the previous.  A SimulationAbort is raised
     again with " (N = n)" appended, naming the resolution that aborted.
     """
@@ -211,9 +237,10 @@ def convergence_study(case, resolutions):
     for n in resolutions:
         grid = make_grid(case.half_width, n)
         state = state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), case.params)
+        cap = DT_CAP_FACTOR * grid.dx**2
         try:
-            result = run(state, case.params, case.bc, case.t_star,
-                         dt_cap=DT_CAP_FACTOR * grid.dx**2, sources=case.sources)
+            result = run(state, case.params, case.bc, case.t_star, dt_cap=cap,
+                         sources=partial(case.sources, step=cap))
         except SimulationAbort as exc:
             raise SimulationAbort(exc.state, exc.step_count, f"{exc} (N = {n})") from exc
         final = result.state.data[:4, grid.interior]

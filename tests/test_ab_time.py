@@ -14,7 +14,7 @@ import nsac1d as ns
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_time.py"
 CASES = ("kernel", "guard", "step_limits", "increments-2", "increments-5", "step-5", "step-2",
-         "run", "mms-run", "record", "csv")
+         "run", "mms-run", "mms-study", "record", "csv")
 TINY = ["--n", "64", "--rounds", "2"]
 NUMBER = r"\d+\.\d\d"
 LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"
@@ -22,7 +22,8 @@ LINE = re.compile(rf"(\S+) +calls +\d+  parent +{NUMBER} \[{NUMBER}, {NUMBER}\]"
                   rf"  round ratio \d+\.\d{{3}}  lower [0-2]/2")
 
 # appended to a copy's operators.py: dG, the interior of the result's row 4,
-# moves by one ulp, so every case that reads the kernel differs
+# moves by one ulp, so every case that reads the kernel differs but the
+# study, whose errors read v, u, theta and phi and not G
 ONE_ULP_IN_DG = """
 _kernel = semi_discrete_rhs
 
@@ -32,6 +33,8 @@ def semi_discrete_rhs(state, params):
     rhs[4, 2:-2] *= 1.0 + 2.0**-52
     return rhs
 """
+
+UNMOVED = ("guard", "step_limits", "mms-study")
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +67,28 @@ def test_trees_that_differ_are_not_timed(ab_time, src, tmp_path, capsys):
         operators.write(ONE_ULP_IN_DG)
     assert ab_time.main([str(src), str(tmp_path), *TINY]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"not bit-identical: {name}" for name in CASES if name not in ("guard", "step_limits")]
+        f"not bit-identical: {name}" for name in CASES if name not in UNMOVED]
+
+
+def test_allow_differing_gives_each_difference_then_times_every_case(ab_time, src, tmp_path,
+                                                                      capsys):
+    shutil.copytree(src / "nsac1d", tmp_path / "nsac1d",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "nsac1d" / "operators.py", "a") as operators:
+        operators.write(ONE_ULP_IN_DG)
+    assert ab_time.main([str(src), str(tmp_path), *TINY, "--allow-differing"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    differing = [name for name in CASES if name not in UNMOVED]
+    notes = [re.fullmatch(r"not bit-identical: (\S+), largest relative difference (\S+)", line)
+             for line in lines[:len(differing)]]
+    assert [note[1] for note in notes] == differing
+    differences = {note[1]: float(note[2]) for note in notes}
+    # x (1 + 2^-52) moves each value of the kernel's dG by one or two ulps,
+    # 2^-53 to 2^-51 of it; the cases built on the kernel move at roundoff
+    assert 2.0**-53 <= differences["kernel"] <= 2.0**-51
+    assert all(0.0 < d < 1e-13 for d in differences.values()), differences
+    assert lines[len(differing)].startswith("ab_time: N = 64, 2 rounds, seed 0;")
+    assert [LINE.fullmatch(line)[1] for line in lines[len(differing) + 1:]] == list(CASES)
 
 
 @pytest.mark.parametrize("n", ["7", "4", "16"])

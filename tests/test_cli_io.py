@@ -830,7 +830,8 @@ class TestMainCommands:
 
     def test_aborted_mms_exits_1_without_table(self, tmp_path, monkeypatch):
         nan = nan_sources_after(0.005)
-        monkeypatch.setattr(ns.mms.ManufacturedCase, "sources", lambda self, x, t: nan(x, t))
+        monkeypatch.setattr(ns.mms.ManufacturedCase, "sources",
+                            lambda self, x, t, step=None: nan(x, t))
         cfg = tmp_path / "mms.cfg"
         cfg.write_text("L = 8\nmms_resolutions = 8,16,32\nmms_t_final = 0.01\n"
                        f"outdir = {tmp_path / 'out'}\n")

@@ -675,6 +675,9 @@ class TestSourcesOncePerStageTime:
         assert times[::2] == distinct[:-1] and times[1::2] == distinct[1:], times
         # each step after the first starts where the last one's second stage was
         assert times[2::2] == times[1:-1:2] == [s.t for s in seen[:steps - 1]]
+        # and, but for the last, ends one cap later in floats: the stage times
+        # a block of sources steps through
+        assert times[1:-2:2] == [t + cap for t in times[:-2:2]]
 
     def test_same_fields_as_steps_that_evaluate_both_stages(self, params, monkeypatch):
         case = ns.ManufacturedCase(params, 8, amplitude=0.2)

@@ -343,6 +343,59 @@ class TestLastSources:
         assert np.array_equal(result.state.data, state.data)
 
 
+class TestSourceBlocks:
+    """Given a step, sources evaluates a block of stage times in one pass: t,
+    t + step, (t + step) + step, ..., max(1, BLOCK_CELLS // N) of them and
+    none past t_star, so a capped run's later stage times are lookups."""
+
+    # (SimParams keywords, L, amplitude): the default `nsac1d mms` case, the
+    # mms-beta2 case and a thin interface
+    @pytest.mark.parametrize("keywords, half_width, amplitude", [
+        ({}, 16, 0.1), ({"beta": 2.0, "epsilon": 0.5}, 8, 0.2), ({"epsilon": 0.05}, 16, 0.1)])
+    def test_each_time_of_a_block_is_a_lone_evaluation_byte_for_byte(self, keywords,
+                                                                      half_width, amplitude):
+        # the stage times of the study's capped runs on the default ladder's
+        # grids, against a fresh case that evaluates the one time asked
+        params = ns.SimParams(**keywords)
+        case = ns.ManufacturedCase(params, half_width, amplitude=amplitude)
+        g = ns.core.N_GHOST
+        for n in ns.parse_config("").mms_resolutions:
+            grid = ns.make_grid(half_width, n)
+            cap = ns.mms.DT_CAP_FACTOR * grid.dx**2
+            t = 0.0
+            while t <= case.t_star:
+                got = case.sources(grid.x, t, cap)
+                fresh = ns.ManufacturedCase(params, half_width, amplitude=amplitude)
+                assert got.tobytes() == fresh.sources(grid.x, t).tobytes(), (n, t)
+                assert got.shape == (4, grid.n_total) and not got.flags.writeable
+                ghosts = np.concatenate((got[:, :g], got[:, -g:]), axis=1)
+                assert np.all(ghosts == 0.0) and not np.signbit(ghosts).any()
+                t += cap
+
+    def test_a_later_time_of_a_block_is_not_evaluated_again(self, params, monkeypatch):
+        grid = ns.make_grid(16, 128)
+        case = ns.default_case(params, grid)
+        cap = ns.mms.DT_CAP_FACTOR * grid.dx**2
+        times = [0.0]
+        while len(times) < ns.mms.BLOCK_CELLS // 128:
+            times.append(times[-1] + cap)
+        exps, exp = [], math.exp  # one math.exp per time evaluated
+        monkeypatch.setattr(math, "exp", lambda y: exps.append(y) or exp(y))
+        first = case.sources(grid.x, 0.0, cap)
+        assert exps == [-t for t in times]
+        later = [case.sources(grid.x, t, cap) for t in times[1:]]
+        assert len(exps) == len(times)
+        # a repeated (x, t) returns the same array, with or without a step
+        assert case.sources(grid.x, 0.0) is first
+        assert case.sources(grid.x.copy(), times[-1], cap) is later[-1]
+        # the next stage time starts a new block; one near t_star stops at it
+        case.sources(grid.x, times[-1] + cap, cap)
+        assert len(exps) == 2 * len(times)
+        near = case.t_star - 2.5 * cap
+        case.sources(grid.x, near, cap)
+        assert exps[2 * len(times):] == [-near, -(near + cap), -(near + cap + cap)]
+
+
 class TestConvergenceStudy:
     def test_zero_amplitude_errors_at_roundoff(self, params):
         grid = ns.make_grid(16, 64)

@@ -2,6 +2,7 @@
 """Interleaved A/B timing of two nsac1d source trees in one process.
 
     python tools/ab_time.py PARENT_SRC CHANGE_SRC [--n 1024] [--rounds 15] [--seed 0]
+                            [--allow-differing]
 
 Each SRC is a directory that holds the `nsac1d` package (a checkout's
 `src`). Both trees are loaded side by side under the package names
@@ -15,14 +16,20 @@ the study's cap, mms.DT_CAP_FACTOR dx^2, so every step is a cap-bound Heun
 step; the step-2 case is one such step from the case's initial state, whose
 sources at its two stage times are computed once at set-up, so it times the
 step without the source expressions (the benchmark traces those as
-mms.sources).  The record and csv cases read the accepted states of the
-flagship run to T_FINAL, monitored as `nsac1d run` monitors them with one
-weighted pair, (0.5, 0), in a context made from the initial state.
+mms.sources); the mms-study case is convergence_study of that case (a case
+of its own, so its sources cache is apart from mms-run's) at N/4, N/2 and
+N, whose runs take their sources in blocks of stage times.  The record and
+csv cases read the accepted states of the flagship run to T_FINAL,
+monitored as `nsac1d run` monitors them with one weighted pair, (0.5, 0),
+in a context made from the initial state.
 
 First every case below is called once on each side, and the results must be
 bit-identical: timing two trees that compute different things compares
 different work. Each case whose results differ is printed on a
-`not bit-identical:` line, and the script exits 1 without timing.
+`not bit-identical:` line, and the script exits 1 without timing. With
+--allow-differing, for a change that moves results at roundoff, each such
+line also gives the largest relative difference between the numbers of the
+two results, and every case is then timed.
 
 Then, in each of --rounds rounds, each case is timed as one batch of calls
 per side, the side that goes first drawn at random for each case and round.
@@ -41,6 +48,7 @@ batch. The cases:
                   answering the step's two stage times from set-up
     run           run(initial, params, bc, T_FINAL)
     mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
+    mms-study     convergence_study(case, (N // 4, N // 2, N)), keyed by the rows' repr
     record        record(copy(context), block, kept): one fold of the block
                   `nsac1d run` folds at N with every step recorded, the first
                   max(1, BLOCK_CELLS // N) states, all kept
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import gc
 import importlib.util
 import random
@@ -110,8 +119,8 @@ def cases(ns, n_cells, path):
         return force
 
     cfg = ns.parse_config("")
-    case = ns.ManufacturedCase(params, cfg.L, amplitude=cfg.mms_amplitude,
-                               t_star=cfg.mms_t_final)
+    case, study_case = (ns.ManufacturedCase(params, cfg.L, amplitude=cfg.mms_amplitude,
+                                            t_star=cfg.mms_t_final) for _ in range(2))
     mms_grid = ns.make_grid(case.half_width, n_cells)
     mms_initial = ns.state_from_fields(mms_grid, case.bc, case.fields(mms_grid.x, 0.0), params)
     mms_cap = ns.mms.DT_CAP_FACTOR * mms_grid.dx**2
@@ -156,9 +165,37 @@ def cases(ns, n_cells, path):
         "run": (lambda: ns.run(initial, params, bc, WORKLOADS["T_FINAL"]), run_key),
         "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
                                    sources=case.sources), run_key),
+        "mms-study": (lambda: ns.convergence_study(study_case,
+                                                   (n_cells // 4, n_cells // 2, n_cells)),
+                      records_key),
         "record": (lambda: ns.record(copy.copy(context), block, kept), records_key),
         "csv": (csv_round_trip, lambda result: path.read_bytes() + records_key(result)),
     }
+
+
+def numbers(result):
+    """The numbers of a result in a fixed order, as one float array: those
+    of its arrays, ints and floats, inside lists, tuples and the fields of
+    dataclasses; anything else (None, a string) holds none."""
+    if isinstance(result, (np.ndarray, int, float, np.number)):
+        return np.asarray(result, dtype=float).ravel()
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple)):
+        return np.concatenate([numbers(part) for part in result] + [np.empty(0)])
+    return np.empty(0)
+
+
+def largest_relative_difference(parent, change):
+    """max |a - b| / max(|a|, |b|) over the paired numbers of two results;
+    inf where their counts differ or only one of a pair is nan."""
+    a, b = numbers(parent), numbers(change)
+    if a.shape != b.shape:
+        return np.inf
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.where(same, 0.0, np.nan_to_num(relative, nan=np.inf)), initial=0.0))
 
 
 def timed(call, k):
@@ -182,6 +219,9 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=1024, help="cells (default 1024)")
     parser.add_argument("--rounds", type=int, default=15, help="rounds (default 15)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the side order")
+    parser.add_argument("--allow-differing", action="store_true",
+                        help="time cases whose results differ, after printing the largest "
+                             "relative difference of each (for changes at roundoff)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -205,11 +245,16 @@ def _time_trees(parser, args, workdir):
         trees[side] = cases(ns, args.n, workdir / f"diagnostics-{side}.csv")
 
     names = list(trees["parent"])
-    differing = [name for name in names
-                 if len({key(call()) for call, key in (trees[side][name] for side in SIDES)}) > 1]
-    for name in differing:
-        print(f"not bit-identical: {name}")
-    if differing:
+    differing = False
+    for name in names:
+        results = [trees[side][name][0]() for side in SIDES]
+        # each side's own key: the csv key reads that side's file
+        if len({trees[side][name][1](result) for side, result in zip(SIDES, results)}) > 1:
+            differing = True
+            note = (f", largest relative difference {largest_relative_difference(*results):.3g}"
+                    if args.allow_differing else "")
+            print(f"not bit-identical: {name}{note}")
+    if differing and not args.allow_differing:
         return 1
 
     # calls per batch, from a short timing of the parent
