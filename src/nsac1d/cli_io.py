@@ -508,8 +508,7 @@ def main(argv=None, out=sys.stdout):
         if args.command == "mms":
             cfg = parse_config(Path(args.config).read_text())
             return _cmd_mms(cfg, out=out)
-        if args.command == "brackets":
-            return _cmd_brackets(args.e0, out=out)
+        return _cmd_brackets(args.e0, out=out)  # the one command left: subparsers are required
     except BrokenPipeError:
         raise
     except (ConfigError, MemoryError, OSError, PositivityError, ValueError) as exc:
@@ -517,7 +516,6 @@ def main(argv=None, out=sys.stdout):
         # grid the machine cannot allocate; run() raises SimulationAbort
         print(f"error: {exc}", file=out)
         return 2
-    return 2
 
 
 def main_cli():

@@ -131,15 +131,6 @@ class BoundaryConfig:
             if abs(getattr(self, name)) != 1.0:
                 raise ValueError(f"{name} must be +1 or -1, got {getattr(self, name)}")
 
-    @cached_property
-    def ghost_columns(self):
-        """The far-field columns of u, phi, theta and v on the left and on the
-        right: two read-only (4, 1) arrays, built on first use."""
-        columns = np.array(((FARFIELD_U, self.phi_left, FARFIELD_THETA, FARFIELD_V),
-                            (FARFIELD_U, self.phi_right, FARFIELD_THETA, FARFIELD_V)))[..., None]
-        columns.flags.writeable = False
-        return tuple(columns)
-
 
 @dataclass(frozen=True)
 class InitialData:
@@ -203,7 +194,8 @@ class FlowState:
 
     G holds the per-cell time integral of theta/v + (eps/2)(phi_x/v)^2
     from the start of the run; its far-field value is t, which apply_bc
-    maintains in the ghost cells.
+    writes into the ghost cells where a state is built or lands, and step
+    on each result.
     """
 
     grid: MassGrid
@@ -224,13 +216,16 @@ class FlowState:
 
 
 def apply_bc(state, bc):
-    """Write the far-field values into both ghost layers, in place: the
-    columns of u, phi, theta and v that bc builds once, and G's value t."""
-    g, data = state.grid.n_ghost, state.data
-    left, right = bc.ghost_columns
-    data[:4, :g] = left
-    data[:4, -g:] = right
-    data[4, :g] = data[4, -g:] = state.t
+    """Write the far-field values into both ghost layers, in place: u, phi,
+    theta and v from bc, and G's value t.  It runs where a state is built or
+    lands; step carries the ghosts between."""
+    g = state.grid.n_ghost
+    # one array: the left then the right column, each in FIELDS order
+    left, right = np.array((FARFIELD_U, bc.phi_left, FARFIELD_THETA, FARFIELD_V, state.t,
+                            FARFIELD_U, bc.phi_right, FARFIELD_THETA, FARFIELD_V,
+                            state.t)).reshape(2, -1, 1)
+    state.data[:, :g] = left
+    state.data[:, -g:] = right
     return state
 
 

@@ -249,7 +249,7 @@ def increments(y0, t0, dt, rate, stages):
     return last
 
 
-def step(state, params, bc, dt, sources=None, stages=2):
+def step(state, params, dt, sources=None, stages=2):
     """One step of dt in `stages` evaluations of F: Heun for 2, RKL2 for more,
     as Y_0 + increments, so a state whose F is zero stays bit for bit.
 
@@ -257,17 +257,17 @@ def step(state, params, bc, dt, sources=None, stages=2):
     the verification harness: a (4, N + 4) array in the layout of the kernel's
     rows u, phi, theta and v, added to them in one operation; its ghost columns
     must be zero, as the kernel's are, and any other shape is a ValueError.
-    Ghosts are refreshed from bc on entry, in place.  F is zero in the ghost
-    columns and reads no G, so every stage, and the result, keeps the far field
-    of u, phi, theta and v; on the result only G's ghosts are written, with its
-    t.  G advances with the same weights as the physical fields.
+    Like the kernel, step reads its input's ghosts as they stand and writes
+    nothing to its input.  F is zero in the ghost columns and reads no G, so
+    every stage, and the result, carries the input's ghost columns of u, phi,
+    theta and v; on the result only G's ghosts are written, with its t.  G
+    advances with the same weights as the physical fields.
     """
     if not 0.0 < dt < np.inf:  # also rejects nan
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not is_number(stages, int) or stages < 2:
         raise ValueError(f"stages must be an integer >= 2, got {stages!r}")
     grid = state.grid
-    apply_bc(state, bc)
 
     def rate(data, t):
         rhs = semi_discrete_rhs(FlowState(grid, t, data), params)
@@ -339,16 +339,19 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
     the choice cap_step certifies where there is one: the cap, which the
     same rkl2_stages gives 2 stages, with no exact limits computed.  The
     first step's step_limits guards the input; step guards every later state
-    at its first stage.  observer(state) is called after every accepted
-    step, not on the initial state, and sources(x, t) at every stage.  Any
-    step error aborts with the last accepted state attached.
+    at its first stage.  bc is written into initial's ghosts once, in place,
+    before the first step (a zero-step run too), and into the last state's
+    when it is stamped t_final; step carries them between.  observer(state)
+    is called after every accepted step, not on the initial state, and
+    sources(x, t) at every stage.  Any step error aborts with the last
+    accepted state attached.
     """
     if not initial.t <= t_final < np.inf:  # also rejects nan
         raise ValueError(f"t_final = {t_final} must be finite and >= initial t = {initial.t}")
     if dt_cap is not None and not dt_cap > 0.0:  # also rejects nan
         raise ValueError(f"dt_cap = {dt_cap} must be > 0")
     control = StepControl()
-    state = initial
+    state = apply_bc(initial, bc)
     cap = np.inf if dt_cap is None else dt_cap
     while state.t < t_final:
         try:
@@ -357,7 +360,7 @@ def run(initial, params, bc, t_final, observer=None, dt_cap=None, sources=None):
             dt, kind, base, last = certified or step_choice(step_limits(state, params), params,
                                                             cap, state.t, t_final)
             stages = rkl2_stages(dt, base)
-            state = step(state, params, bc, dt, sources, stages)
+            state = step(state, params, dt, sources, stages)
         except Exception as exc:
             raise SimulationAbort(
                 state, control.step_count,

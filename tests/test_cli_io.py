@@ -274,7 +274,7 @@ class TestSnapshotIO:
         state = ns.interface_initial_state(
             grid, params, bc, phi_width=0.5,
             v_amp=0.123456789123, v_width=1.0, u_amp=-0.05, u_width=1.0)
-        state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
+        state = ns.step(state, params, params.cfl * min(ns.step_limits(state, params)))
         path = tmp_path / "snap.csv"
         write_snapshot(state, params, path)
         data = read_snapshot(path)

@@ -511,7 +511,7 @@ class TestRecord:
         # a state it folds once, however many functionals and weighted pairs
         # it evaluates; with no states it guards nothing
         p, grid, bc, state = flagship_ic(128, half_width=32)
-        later = ns.step(state, p, bc, p.cfl * min(ns.step_limits(state, p)))
+        later = ns.step(state, p, p.cfl * min(ns.step_limits(state, p)))
         calls = []
         guard = ns.diagnostics.check_positive
         monkeypatch.setattr(ns.diagnostics, "check_positive",

@@ -202,7 +202,7 @@ class TestStep:
         grid = ns.make_grid(8, 64)
         bc = ns.BoundaryConfig(-1.0, -1.0)
         eq = ns.interface_initial_state(grid, params, bc)
-        out = ns.step(eq, params, bc, params.cfl * min(ns.step_limits(eq, params)))
+        out = ns.step(eq, params, params.cfl * min(ns.step_limits(eq, params)))
         dt = out.t
         for name in ("v", "u", "theta", "phi"):
             assert np.array_equal(getattr(out, name), getattr(eq, name))
@@ -218,7 +218,7 @@ class TestStep:
         heun = params.cfl * min(ns.step_limits(eq, params))
         dt = heun * (stages * stages + stages - 2) / 4
         assert ns.integrator.rkl2_stages(dt, heun) == stages
-        out = ns.step(eq, params, bc, dt, stages=stages)
+        out = ns.step(eq, params, dt, stages=stages)
         assert out.t == dt
         for name in ("v", "u", "theta", "phi"):
             assert np.array_equal(getattr(out, name), getattr(eq, name))
@@ -227,32 +227,34 @@ class TestStep:
 
     @pytest.mark.parametrize("hooked", [False, True])
     @pytest.mark.parametrize("stages", [2, 5])
-    def test_ghosts_are_refreshed_on_entry_and_exit(self, flagship_ic, stages, hooked):
-        # the input's ghosts are set to the far field in place, so ghosts off
-        # it change nothing; the output's are the far field at its own t,
-        # carried through the stages (with sources too, whose ghost columns
-        # are zero) and for G written at the end
+    def test_writes_nothing_to_its_input_and_carries_its_ghosts(self, flagship_ic, stages,
+                                                                hooked):
+        # ghosts off the far field are read as they stand and carried through
+        # the stages (with sources too, whose ghost columns are zero); only G's
+        # are written, with the output's t.  An input on the far field gives
+        # an output on it
         params, grid, bc, state = flagship_ic(64)
         dt = params.cfl * min(ns.step_limits(state, params))
         sources = ns.ManufacturedCase(params, grid.half_width).sources if hooked else None
-        expected = ns.step(state.copy(), params, bc, dt, sources, stages)
         g = grid.n_ghost
         off = state.copy()
         off.data[:, :g] += 0.05
         off.data[:, -g:] += 0.1
-        out = ns.step(off, params, bc, dt, sources, stages)
-        assert np.array_equal(off.data, state.data)
-        assert np.array_equal(out.data, expected.data)
-        far = ns.apply_bc(out.copy(), bc)
-        assert np.array_equal(out.data, far.data)
-        assert np.all(out.G[:g] == out.t) and np.all(out.G[-g:] == out.t)
+        given = off.data.tobytes()
+        out = ns.step(off, params, dt, sources, stages)
+        assert off.data.tobytes() == given
+        for ghosts in (slice(None, g), slice(-g, None)):
+            assert np.array_equal(out.data[:4, ghosts], off.data[:4, ghosts])
+            assert np.all(out.G[ghosts] == out.t)
+        out = ns.step(state, params, dt, sources, stages)
+        assert np.array_equal(out.data, ns.apply_bc(out.copy(), bc).data)
 
     def test_two_stages_are_the_textbook_heun_step(self, flagship_ic):
         # Y0 + (D1 / 2 + (dt / 2) F(Y1)) rounds otherwise than
         # (Y0 + Y1 + dt F(Y1)) / 2, by at most an ulp of each row's max
         params, grid, bc, state = flagship_ic(128)
         dt = params.cfl * min(ns.step_limits(state, params))
-        out = ns.step(state.copy(), params, bc, dt, stages=2)
+        out = ns.step(state.copy(), params, dt, stages=2)
         first = ns.FlowState(grid, state.t + dt,
                              state.data + dt * ns.semi_discrete_rhs(state, params))
         heun = 0.5 * (state.data + first.data
@@ -269,7 +271,7 @@ class TestStep:
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError, match="stages"):
-            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, 1e-3, stages=1)
+            ns.step(ns.interface_initial_state(grid, params, bc), params, 1e-3, stages=1)
 
     def test_temporal_order(self, params):
         # Richardson ratio over a fixed horizon with dt, dt/2, dt/4
@@ -288,7 +290,7 @@ class TestStep:
         for n_steps in (8, 16, 32):
             s = make()
             for _ in range(n_steps):
-                s = ns.step(s, params, bc, dt=horizon / n_steps)
+                s = ns.step(s, params, dt=horizon / n_steps)
             solutions.append(np.concatenate([s.interior(k)
                                              for k in ("v", "u", "theta", "phi")]))
         d1 = np.linalg.norm(solutions[0] - solutions[1])
@@ -299,7 +301,7 @@ class TestStep:
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError):
-            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, dt=0.0)
+            ns.step(ns.interface_initial_state(grid, params, bc), params, dt=0.0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_rejects_a_dt_that_is_not_finite(self, params, dt):
@@ -307,14 +309,14 @@ class TestStep:
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError, match=f"dt must be finite and > 0, got {dt}"):
-            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, dt=dt)
+            ns.step(ns.interface_initial_state(grid, params, bc), params, dt=dt)
 
     @pytest.mark.parametrize("stages", [2.5, 3.0])
     def test_rejects_stages_that_are_not_an_integer(self, params, stages):
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         with pytest.raises(ValueError, match=f"stages must be an integer >= 2, got {stages}"):
-            ns.step(ns.interface_initial_state(grid, params, bc), params, bc, 1e-3,
+            ns.step(ns.interface_initial_state(grid, params, bc), params, 1e-3,
                     stages=stages)
 
     def test_the_hook_rows_are_added_to_u_phi_theta_v(self, params, monkeypatch):
@@ -335,8 +337,8 @@ class TestStep:
             added[:, grid.interior] = np.array(rows)[:, None]
             return added
 
-        out = ns.step(state.copy(), params, bc, dt, sources=hook)
-        bare = ns.step(state.copy(), params, bc, dt)
+        out = ns.step(state.copy(), params, dt, sources=hook)
+        bare = ns.step(state.copy(), params, dt)
         assert times == [state.t, state.t + dt]
         for name, c in zip(("u", "phi", "theta", "v"), rows):
             assert np.array_equal(out.interior(name), state.interior(name) + dt * c)
@@ -356,7 +358,7 @@ class TestStep:
                  "one row": np.zeros(grid.n_total)}[shape]
         with pytest.raises(ValueError, match=rf"sources must have the shape "
                                              rf"\(4, 68\) .*, got {re.escape(str(added.shape))}"):
-            ns.step(state, params, bc, 1e-3, sources=lambda x, t: added)
+            ns.step(state, params, 1e-3, sources=lambda x, t: added)
 
     def test_phase_stays_in_range(self, params):
         grid = ns.make_grid(16, 256)
@@ -365,7 +367,7 @@ class TestStep:
             grid, params, bc, phi_width=1.0,
             u_amp=0.3, u_width=1.5, u_center=2.0)
         for _ in range(50):
-            state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
+            state = ns.step(state, params, params.cfl * min(ns.step_limits(state, params)))
             phi = state.interior("phi")
             assert phi.min() >= -1.0 - 1e-8 and phi.max() <= 1.0 + 1e-8
 
@@ -375,10 +377,33 @@ class TestRun:
         grid = ns.make_grid(4, 16)
         bc = ns.BoundaryConfig(1.0, 1.0)
         eq = ns.interface_initial_state(grid, params, bc)
+        on = eq.copy()
+        eq.data[:, :grid.n_ghost] += 0.05  # bc is written all the same
         result = ns.run(eq, params, bc, 0.0)
         assert result.control.step_count == 0
         assert result.control.limit_kind is None  # no step took a limit
         assert result.state is eq
+        assert np.array_equal(eq.data, on.data)
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_applies_bc_to_its_input_once(self, flagship_ic, capped):
+        # ghosts off the far field are overwritten in place before the first
+        # step, so the run is the run from the state on it, byte for byte;
+        # with a cap below the Heun step, every step after the first is certified
+        params, grid, bc, state = flagship_ic(64)
+        heun = params.cfl * min(ns.step_limits(state, params))
+        dt_cap = 0.5 * heun if capped else None
+        g = grid.n_ghost
+        off = state.copy()
+        off.data[:, :g] += 0.05
+        off.data[:, -g:] += 0.1
+        expected = ns.run(ns.apply_bc(off.copy(), bc), params, bc, 5 * heun, dt_cap=dt_cap)
+        result = ns.run(off, params, bc, 5 * heun, dt_cap=dt_cap)
+        assert np.array_equal(off.data, state.data)
+        assert result.state.data.tobytes() == expected.state.data.tobytes()
+        assert result.control == expected.control
+        assert result.control.step_count > 3
+        assert (result.control.limit_kind == "cap") == capped
 
     def test_rejects_past_t_final(self, params):
         grid = ns.make_grid(4, 16)
@@ -469,7 +494,7 @@ class TestRun:
             grid, params, bc, phi_width=1.0, theta_amp=-0.3, theta_width=2.0)
         prev = state.interior("G").copy()
         for _ in range(20):
-            state = ns.step(state, params, bc, params.cfl * min(ns.step_limits(state, params)))
+            state = ns.step(state, params, params.cfl * min(ns.step_limits(state, params)))
             cur = state.interior("G")
             assert np.all(cur > prev)
             prev = cur.copy()
@@ -685,10 +710,10 @@ class TestSourcesOncePerStageTime:
         initial = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
         step, dts = ns.integrator.step, []
 
-        def recording_step(state, params, bc, dt, sources=None, stages=2):
+        def recording_step(state, params, dt, sources=None, stages=2):
             dts.append(dt)
             assert stages == 2  # the dt cap binds: Heun
-            return step(state, params, bc, dt, sources=sources, stages=stages)
+            return step(state, params, dt, sources=sources, stages=stages)
 
         monkeypatch.setattr(ns.integrator, "step", recording_step)
         result = ns.run(initial, params, case.bc, 0.05,
@@ -704,7 +729,7 @@ class TestSourcesOncePerStageTime:
 
         state = initial
         for dt in dts:
-            state = ns.step(state, params, case.bc, dt, sources=raw)
+            state = ns.step(state, params, dt, sources=raw)
         assert len(dts) == result.control.step_count > 1
         assert len(calls) == 2 * len(dts)  # step alone evaluates both stages
         assert np.array_equal(result.state.data, state.data)
@@ -905,11 +930,12 @@ class TestLimitFloor:
         (1, 5, math.nan), (2, -2, math.nan), (2, 5, 1e-10), (3, -1, 1e-10), (2, 5, 1e200)])
     def test_the_floor_declines(self, row, column, value):
         # a non-finite value, ghosts included; theta or v at the floor; theta^beta
-        # overflowing at beta = 2
+        # overflowing at beta = 2.  Then cap_step certifies nothing, for any cap
         params = ns.SimParams(beta=2.0)
         state, _, _ = _mms_state(params)
         state.data[row, column] = value
         assert ns.integrator.limit_floor(state, params) is None
+        assert ns.integrator.cap_step(state, params, 1e-12, 1.0) is None
 
     @pytest.mark.parametrize("run_case", ["mms-L16", "mms-beta2", "flagship-capped",
                                           "flagship-near-base-0.98", "flagship-near-base-1.01",

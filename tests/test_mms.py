@@ -312,9 +312,9 @@ class TestLastSources:
         initial = ns.state_from_fields(grid, case.bc, case.fields(grid.x, 0.0), params)
         step, dts, times, results, seen = ns.integrator.step, [], [], [], []
 
-        def recording_step(state, params, bc, dt, sources=None, stages=2):
+        def recording_step(state, params, dt, sources=None, stages=2):
             dts.append(dt)
-            return step(state, params, bc, dt, sources=sources, stages=stages)
+            return step(state, params, dt, sources=sources, stages=stages)
 
         def counting(x, t):
             times.append(t)
@@ -339,7 +339,7 @@ class TestLastSources:
 
         state = initial
         for dt in dts:
-            state = ns.step(state, params, case.bc, dt, sources=uncached)
+            state = ns.step(state, params, dt, sources=uncached)
         assert np.array_equal(result.state.data, state.data)
 
 

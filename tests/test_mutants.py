@@ -76,7 +76,7 @@ def _kernel_then(edit):
 
 
 def _drop_viscous_heating(state, params, du, dphi, dtheta, dv, dG):
-    # step refreshed the ghosts, and the kernel's u_x is this central difference
+    # the kernel's u_x is this central difference, over the ghosts the state holds
     grid = state.grid
     u_x = ns.centered(state.u, grid.dx)[1:-1]
     dtheta -= u_x**2 / state.interior("v")
@@ -149,6 +149,19 @@ def _rkl2_gamma_dropped(mp):
                                for mu, nu, mu_t, _, c in coefficients(s)))
 
 
+def _G_ghosts_left_at_the_input(mp):
+    """step's result keeps its input's G ghosts, not its own t."""
+    original = integrator.step
+
+    def mutant(state, *args, **kwargs):
+        out = original(state, *args, **kwargs)
+        g = state.grid.n_ghost
+        out.G[:g], out.G[-g:] = state.G[:g], state.G[-g:]
+        return out
+
+    mp.setattr(integrator, "step", mutant)
+
+
 MUTANTS = {
     "viscous_heating_dropped": _kernel_then(_drop_viscous_heating),
     "phi_cubed_x0.99_in_kernel_mu": _scale_cube_in_kernel_mu,
@@ -159,9 +172,17 @@ MUTANTS = {
     "forward_euler": _forward_euler,
     "rkl2_mu1_without_w1": _rkl2_first_stage_without_w1,
     "rkl2_gamma_dropped": _rkl2_gamma_dropped,
+    "G_ghosts_left_at_the_input": _G_ghosts_left_at_the_input,
 }
 
-SURVIVORS = {}
+SURVIVORS = {
+    # only lemma24_residual reads G's ghosts, at the two edge cells, and run
+    # writes them on landing: lemma24_order reads 1.598 and the last record's
+    # residual 2.439e-4 with or without it; the residual of the records before
+    # it rises from 2.35e-4 to 9.74e-2 (max over them), which no check asserts
+    "G_ghosts_left_at_the_input": "G's ghosts are written again on landing, and no "
+                                  "check asserts the residual of the records between",
+}
 
 
 def _initial(case, n_cells):
@@ -185,7 +206,7 @@ def _rkl2_orders(case):
     for k in TEMPORAL_DIVISORS:
         state = _initial(case, RKL2_N)
         for _ in range(round(case.t_star / RKL2_DT) * k):
-            state = ns.step(state, case.params, case.bc, RKL2_DT / k,
+            state = ns.step(state, case.params, RKL2_DT / k,
                             sources=case.sources, stages=RKL2_STAGES)
         finals.append(state)
     return field_orders(finals)

@@ -44,7 +44,7 @@ def first_step(state, params, bc):
     """(dt, stages) of the first step run takes from state, as it calls step."""
     taken = []
 
-    def recording(state, params, bc, dt, sources=None, stages=2):
+    def recording(state, params, dt, sources=None, stages=2):
         taken.append((dt, stages))
         raise RuntimeError("recorded")  # run aborts after one call
 

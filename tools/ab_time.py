@@ -43,8 +43,8 @@ batch. The cases:
     step_limits   step_limits(state, params)
     increments-2  integrator.increments(y0, t0, dt, rate, stages) at 2 and 5
     increments-5  stages, with rate returning a fixed F: the arithmetic alone
-    step-5        step(state, params, bc, dt, stages=5)
-    step-2        step(mms_initial, params, case.bc, dt_cap, sources), sources
+    step-5        step(state, params, dt, stages=5)
+    step-2        step(mms_initial, params, dt_cap, sources), sources
                   answering the step's two stage times from set-up
     run           run(initial, params, bc, T_FINAL)
     mms-run       run(mms_initial, params, case.bc, case.t_star, dt_cap, case.sources)
@@ -159,8 +159,8 @@ def cases(ns, n_cells, path):
         "step_limits": (lambda: ns.step_limits(state, params), array_key),
         "increments-2": (lambda: increments(state.data, state.t, dt, rate, 2), array_key),
         "increments-5": (lambda: increments(state.data, state.t, dt, rate, 5), array_key),
-        "step-5": (lambda: ns.step(state, params, bc, dt, stages=5), data_key),
-        "step-2": (lambda: ns.step(mms_initial, params, case.bc, mms_cap,
+        "step-5": (lambda: ns.step(state, params, dt, stages=5), data_key),
+        "step-2": (lambda: ns.step(mms_initial, params, mms_cap,
                                    lambda x, t: stage_sources[t]), data_key),
         "run": (lambda: ns.run(initial, params, bc, WORKLOADS["T_FINAL"]), run_key),
         "mms-run": (lambda: ns.run(mms_initial, params, case.bc, case.t_star, dt_cap=mms_cap,
